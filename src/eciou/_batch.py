@@ -205,10 +205,6 @@ class BatchEvaluator:
         ec = np.where(self.rho_c < DEGENERATE_DISTANCE, np.nan, ec)
         return iou, ec
 
-    def loss(self, kind, boxes: np.ndarray, alpha: float, method: str = GEOMETRIC) -> np.ndarray:
-        """Loss values, nan where the prediction box is invalid."""
-        return self.loss_and_scores(kind, boxes, alpha, method)[0]
-
     def loss_and_scores(self, kind, boxes: np.ndarray, alpha: float, method: str = GEOMETRIC):
         """(loss, iou, ec_iou) in one pass; loss is nan for invalid boxes."""
         ok = (
@@ -244,6 +240,7 @@ class BatchEvaluator:
             lo = boxes.copy()
             lo[:, i] -= h
             grads[:, i] = (
-                self.loss(kind, hi, alpha, method) - self.loss(kind, lo, alpha, method)
+                self.loss_and_scores(kind, hi, alpha, method)[0]
+                - self.loss_and_scores(kind, lo, alpha, method)[0]
             ) / (2.0 * h)
         return grads, np.isfinite(grads).all(axis=1)

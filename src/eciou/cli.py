@@ -161,22 +161,22 @@ def _cmd_sweep(args, parser: _Parser) -> int:
 
 
 def _threads_from_env() -> int:
+    """ECIOU_THREADS: unset = 1, 0 = one per CPU; anything but an integer >= 0 is refused."""
     raw = os.environ.get("ECIOU_THREADS", "1")
     try:
         n = int(raw)
     except ValueError:
-        n = 1
+        n = -1
     if n < 0:
-        n = 1
-    if n == 0:
-        n = os.cpu_count() or 1
-    return n
+        raise ValueError(f"ECIOU_THREADS must be an integer >= 0, got {raw!r}")
+    return n or os.cpu_count() or 1
 
 
 def _cmd_sim(args, parser: _Parser) -> int:
     try:
         cfg = ScenarioConfig.from_json(args.config) if args.config else ScenarioConfig()
         kinds = tuple(LossKind.from_name(n) for n in args.kinds.split(",") if n.strip())
+        threads = _threads_from_env()
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -186,7 +186,7 @@ def _cmd_sim(args, parser: _Parser) -> int:
     if not kinds:
         print("error: --kinds selected nothing", file=sys.stderr)
         return USAGE_ERROR
-    result = run_simulation(cfg, kinds=kinds, threads=_threads_from_env())
+    result = run_simulation(cfg, kinds=kinds, threads=threads)
     print(f"cases={result.case_count}", file=sys.stderr)
     for name, count in result.failures.items():
         print(f"failed[{name}]={count}", file=sys.stderr)
@@ -209,13 +209,17 @@ def _cmd_eval(args, parser: _Parser) -> int:
     except (RecordParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
-    report = evaluate_detections(
-        preds, gts, classes, cfg,
-        thresholds=thresholds,
-        tp_distance=args.tp_dist,
-        count_affinity=args.affinity,
-        mode=args.mode,
-    )
+    try:
+        report = evaluate_detections(
+            preds, gts, classes, cfg,
+            thresholds=thresholds,
+            tp_distance=args.tp_dist,
+            count_affinity=args.affinity,
+            mode=args.mode,
+        )
+    except DegenerateDistanceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return DATA_ERROR
     print(report.to_json())
     return 0
 

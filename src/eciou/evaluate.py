@@ -17,10 +17,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .geometry import Box3D
 from .metrics import ec_iou_3d, ec_iou_bev, iou_3d, iou_bev
-from .weighting import WeightConfig
+from .weighting import DEGENERATE_DISTANCE, WeightConfig
 
 PREDICTIONS = "predictions"
 GROUND_TRUTHS = "ground-truths"
@@ -94,6 +95,10 @@ def parse_records(path: str, kind: str) -> list[DetectionRecord]:
                 box = Box3D(x=x, y=y, l=l, w=w, theta=theta, z=z, h=h)
             except ValueError as exc:
                 raise RecordParseError(path, line_number, str(exc)) from exc
+            if not want_score and math.hypot(x, y) < DEGENERATE_DISTANCE:
+                raise RecordParseError(
+                    path, line_number, "ground-truth center coincides with the ego origin"
+                )
             records.append(DetectionRecord(frame_id, label, box, score))
     return records
 
@@ -130,6 +135,47 @@ def _by_score(preds: list[DetectionRecord]) -> list[DetectionRecord]:
     return [preds[i] for i in order]
 
 
+def _greedy(
+    preds: list[DetectionRecord],
+    gts: list[DetectionRecord],
+    affinity_of: Callable[[DetectionRecord, DetectionRecord], float],
+    threshold: float,
+) -> MatchResult:
+    # Predictions in descending score each take the free ground truth with
+    # the strictly highest affinity >= threshold; ties keep the first. The
+    # -inf start admits negative affinities such as negated distances.
+    taken = [False] * len(gts)
+    matches = []
+    fps = []
+    for pred in _by_score(preds):
+        best, best_aff = -1, -math.inf
+        for j, gt in enumerate(gts):
+            if taken[j]:
+                continue
+            a = affinity_of(pred, gt)
+            if a >= threshold and a > best_aff:
+                best, best_aff = j, a
+        if best >= 0:
+            taken[best] = True
+            matches.append((pred, gts[best], best_aff))
+        else:
+            fps.append(pred)
+    fns = tuple(gt for j, gt in enumerate(gts) if not taken[j])
+    return MatchResult(tuple(matches), tuple(fps), fns)
+
+
+def _by_frame(
+    preds: list[DetectionRecord], gts: list[DetectionRecord]
+) -> list[tuple[list[DetectionRecord], list[DetectionRecord]]]:
+    """(preds, gts) per frame, frames in sorted id order, records in input order."""
+    groups: dict[str, tuple[list[DetectionRecord], list[DetectionRecord]]] = {}
+    for pred in preds:
+        groups.setdefault(pred.frame_id, ([], []))[0].append(pred)
+    for gt in gts:
+        groups.setdefault(gt.frame_id, ([], []))[1].append(gt)
+    return [groups[frame_id] for frame_id in sorted(groups)]
+
+
 def match_greedy(
     preds: list[DetectionRecord],
     gts: list[DetectionRecord],
@@ -144,24 +190,7 @@ def match_greedy(
     unmatched ground truth with the highest affinity, provided it reaches
     the threshold. mode selects 3D (volume) or BEV (footprint) affinity.
     """
-    taken = [False] * len(gts)
-    matches = []
-    fps = []
-    for pred in _by_score(preds):
-        best, best_aff = -1, -1.0
-        for j, gt in enumerate(gts):
-            if taken[j]:
-                continue
-            a = _affinity(pred, gt, affinity, cfg, mode)
-            if a >= threshold and a > best_aff:
-                best, best_aff = j, a
-        if best >= 0:
-            taken[best] = True
-            matches.append((pred, gts[best], best_aff))
-        else:
-            fps.append(pred)
-    fns = tuple(gt for j, gt in enumerate(gts) if not taken[j])
-    return MatchResult(tuple(matches), tuple(fps), fns)
+    return _greedy(preds, gts, lambda p, g: _affinity(p, g, affinity, cfg, mode), threshold)
 
 
 def average_precision_40(frame_results: list[MatchResult]) -> float:
@@ -209,26 +238,16 @@ def tp_metric_means(
     average the 3D metrics over the matched pairs. Means are None with no TPs."""
     if center_dist_threshold <= 0.0:
         raise ValueError("center_dist_threshold must be positive")
-    pairs: list[tuple[DetectionRecord, DetectionRecord]] = []
-    by_frame: dict[str, tuple[list[DetectionRecord], list[DetectionRecord]]] = {}
-    for gt in gts:
-        by_frame.setdefault(gt.frame_id, ([], []))[1].append(gt)
-    for pred in preds:
-        by_frame.setdefault(pred.frame_id, ([], []))[0].append(pred)
-    for frame_id in sorted(by_frame):
-        frame_preds, frame_gts = by_frame[frame_id]
-        taken = [False] * len(frame_gts)
-        for pred in _by_score(frame_preds):
-            best, best_dist = -1, math.inf
-            for j, gt in enumerate(frame_gts):
-                if taken[j]:
-                    continue
-                dist = math.hypot(pred.box.x - gt.box.x, pred.box.y - gt.box.y)
-                if dist <= center_dist_threshold and dist < best_dist:
-                    best, best_dist = j, dist
-            if best >= 0:
-                taken[best] = True
-                pairs.append((pred, frame_gts[best]))
+    pairs = []
+    for frame_preds, frame_gts in _by_frame(preds, gts):
+        # Nearest first: the negated BEV center distance is the affinity.
+        result = _greedy(
+            frame_preds,
+            frame_gts,
+            lambda p, g: -math.hypot(p.box.x - g.box.x, p.box.y - g.box.y),
+            -center_dist_threshold,
+        )
+        pairs.extend((p, g) for p, g, _ in result.matches)
     if not pairs:
         return TPMeans(None, None, 0)
     ious = [iou_3d(p.box, g.box).value for p, g in pairs]
@@ -273,33 +292,6 @@ class EvalReport:
         return json.dumps(payload, indent=2, sort_keys=False)
 
 
-def _frames(records: list[DetectionRecord]) -> list[str]:
-    return sorted({r.frame_id for r in records})
-
-
-def _match_class(
-    preds: list[DetectionRecord],
-    gts: list[DetectionRecord],
-    affinity: str,
-    threshold: float,
-    cfg: WeightConfig,
-    mode: str,
-) -> list[MatchResult]:
-    results = []
-    for frame_id in _frames(preds + gts):
-        results.append(
-            match_greedy(
-                [p for p in preds if p.frame_id == frame_id],
-                [g for g in gts if g.frame_id == frame_id],
-                affinity,
-                threshold,
-                cfg,
-                mode,
-            )
-        )
-    return results
-
-
 def evaluate_detections(
     preds: list[DetectionRecord],
     gts: list[DetectionRecord],
@@ -320,10 +312,13 @@ def evaluate_detections(
         threshold = thresholds.get(label, DEFAULT_THRESHOLDS.get(label, FALLBACK_THRESHOLD))
         cls_preds = [p for p in preds if p.class_label == label]
         cls_gts = [g for g in gts if g.class_label == label]
+        frames = _by_frame(cls_preds, cls_gts)
         per_affinity: dict[str, list[MatchResult]] = {}
         ap_values: dict[str, float | None] = {}
         for affinity in (IOU_AFFINITY, EC_IOU_AFFINITY):
-            results = _match_class(cls_preds, cls_gts, affinity, threshold, cfg, mode)
+            results = [
+                match_greedy(fp, fg, affinity, threshold, cfg, mode) for fp, fg in frames
+            ]
             per_affinity[affinity] = results
             try:
                 ap_values[affinity] = average_precision_40(results)

@@ -367,10 +367,13 @@ def run_simulation(
     anchors = np.array([(c.anchor.x, c.anchor.y, c.anchor.l, c.anchor.w, c.anchor.theta) for c in cases])
     targets = np.array([(c.target.x, c.target.y, c.target.l, c.target.w, c.target.theta) for c in cases])
 
-    if loss_cfg.method == MONTE_CARLO:
-        return _run_simulation_scalar(cfg, cases, kinds, loss_cfg, grad_step)
-
     def one_kind(kind: LossKind):
+        if loss_cfg.method == MONTE_CARLO:
+            # The batch kernel has no Monte Carlo weighting: descend each case
+            # on the scalar reference instead.
+            trajs = [run_case(case, kind, cfg, loss_cfg, grad_step) for case in cases]
+            curve = aggregate_curves({kind: trajs}, cfg.eval_alpha).series[kind.name]
+            return kind.name, curve, sum(tr.failed for tr in trajs)
         states, failed = _descend_batch(anchors, targets, kind, cfg, loss_cfg, grad_step)
         curve = _mean_curve(states, targets, ~failed, cfg.eval_alpha)
         return kind.name, curve, int(failed.sum())
@@ -384,35 +387,6 @@ def run_simulation(
 
     series = {name: curve for name, curve, _ in outcomes}
     failures = {name: nfail for name, _, nfail in outcomes}
-    return SimulationResult(
-        curves=CurveSet(eval_alpha=cfg.eval_alpha, series=series),
-        case_count=len(cases),
-        failures=failures,
-    )
-
-
-def _run_simulation_scalar(cfg, cases, kinds, loss_cfg, grad_step) -> SimulationResult:
-    # Fallback for weighted-area methods the batch kernel does not cover.
-    series: dict[str, tuple[CurvePoint, ...]] = {}
-    failures: dict[str, int] = {}
-    for kind in kinds:
-        trajs = [run_case(case, kind, cfg, loss_cfg, grad_step) for case in cases]
-        alive = [tr for tr in trajs if not tr.failed]
-        failures[kind.name] = len(trajs) - len(alive)
-        if not alive:
-            series[kind.name] = ()
-            continue
-        states = np.array(
-            [[(b.x, b.y, b.l, b.w, b.theta) for (_, b, _) in tr.steps] for tr in alive]
-        ).transpose(1, 0, 2)
-        targets = np.array(
-            [
-                (c.target.x, c.target.y, c.target.l, c.target.w, c.target.theta)
-                for c, tr in zip(cases, trajs)
-                if not tr.failed
-            ]
-        )
-        series[kind.name] = _mean_curve(states, targets, np.ones(len(alive), bool), cfg.eval_alpha)
     return SimulationResult(
         curves=CurveSet(eval_alpha=cfg.eval_alpha, series=series),
         case_count=len(cases),

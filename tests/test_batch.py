@@ -69,7 +69,7 @@ def test_losses_and_gradients_match_scalar():
     ev = _batch.BatchEvaluator(g_arr)
     cfg = WeightConfig(alpha=1.0)
     for kind in ALL_KINDS:
-        batch_loss = ev.loss(kind, p_arr, 1.0)
+        batch_loss = ev.loss_and_scores(kind, p_arr, 1.0)[0]
         grads, ok = ev.gradient(kind, p_arr, 1.0)
         assert ok.all()
         for i, (p, g) in enumerate(zip(ps, gs)):
@@ -88,7 +88,7 @@ def test_invalid_boxes_flagged():
         ]
     )
     ev = _batch.BatchEvaluator(g_arr)
-    loss = ev.loss(ALL_KINDS[0], p_arr, 1.0)
+    loss = ev.loss_and_scores(ALL_KINDS[0], p_arr, 1.0)[0]
     assert loss[0] == pytest.approx(0.0)
     assert np.isnan(loss[1]) and np.isnan(loss[2])
 

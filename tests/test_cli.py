@@ -130,6 +130,16 @@ def test_sim_bad_schema_exits_one(tmp_path, capsys):
     assert main(["sim", "--kinds", "fancy-iou"]) == 1
 
 
+@pytest.mark.parametrize("value", ["abc", "-3", "1.5"])
+def test_sim_bad_thread_count_exits_one(tmp_path, capsys, monkeypatch, value):
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps({"grid_points_per_axis": 1, "iterations": 1}))
+    monkeypatch.setenv("ECIOU_THREADS", value)
+    assert main(["sim", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ECIOU_THREADS") and err.count("\n") == 1
+
+
 def test_eval_fixture(tmp_path, capsys):
     preds = tmp_path / "preds.txt"
     gts = tmp_path / "gts.txt"
@@ -153,6 +163,32 @@ def test_eval_parse_error_reports_line(tmp_path, capsys):
     code = main(["eval", "--preds", str(preds), "--gts", str(gts)])
     assert code == 2
     assert ":1:" in capsys.readouterr().err
+
+
+def test_eval_ground_truth_on_ego_is_data_error(tmp_path):
+    preds = tmp_path / "preds.txt"
+    gts = tmp_path / "gts.txt"
+    preds.write_text(PREDS)
+    gts.write_text(GTS + "f1 car 0.0 0.0 0.9 4.0 2.0 1.6 0.0\n")
+    result = subprocess.run(
+        [sys.executable, "-m", "eciou.cli", "eval", "--preds", str(preds), "--gts", str(gts)],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 2
+    assert f"{gts}:3:" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
+
+
+def test_eval_degenerate_intersection_is_data_error(tmp_path, capsys):
+    # The intersection's corner sits on the ego origin, so its weight is undefined.
+    preds = tmp_path / "preds.txt"
+    gts = tmp_path / "gts.txt"
+    preds.write_text("f0 car 1.0 1.0 0.0 2.0 2.0 1.0 0.0 0.9\n")
+    gts.write_text("f0 car 1.0 0.0 0.0 2.0 2.0 1.0 0.0\n")
+    assert main(["eval", "--preds", str(preds), "--gts", str(gts), "--classes", "car"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
 
 
 def test_eval_threshold_alignment_checked(tmp_path):

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from eciou.evaluate import (
+    DEFAULT_THRESHOLDS,
+    DEFAULT_TP_DISTANCE,
+    EC_IOU_AFFINITY,
     GROUND_TRUTHS,
     IOU_AFFINITY,
     PREDICTIONS,
@@ -301,6 +304,16 @@ def test_tp_means_nearest_first():
     assert means.mean_iou == pytest.approx(iou_3d(near.box, gt_a.box).value, abs=1e-12)
 
 
+def test_tp_means_ignore_nearer_ground_truth_in_another_frame():
+    pred = _pred(10.3, 0, 0.9, frame="f0")
+    same_frame = _gt(11.5, 0, frame="f0")
+    other_frame = _gt(10.3, 0.1, frame="f1")
+    means = tp_metric_means([pred], [other_frame, same_frame], 2.0, CFG)
+    assert means.matched == 1
+    assert means.mean_iou == pytest.approx(iou_3d(pred.box, same_frame.box).value, abs=1e-12)
+    assert tp_metric_means([pred], [other_frame], 2.0, CFG).matched == 0
+
+
 def test_tp_means_validates_threshold():
     with pytest.raises(ValueError):
         tp_metric_means([], [], 0.0, CFG)
@@ -356,6 +369,65 @@ def test_ec_ap_direction_tracks_pair_ordering():
     threshold = (ec_pair + iou_pair) / 2
     report = evaluate_detections([near], [gt], ["car"], CFG, thresholds={"car": threshold})
     assert report.classes["car"].ec_ap40 > report.classes["car"].ap40
+
+
+def _multi_frame_records(seed):
+    # Every frame reuses the same few spots, so matching across frames would
+    # find partners that per-frame matching must not.
+    rng = np.random.default_rng(seed)
+    spots = [(8.0, -3.0), (12.0, 0.0), (15.0, 4.0), (20.0, -1.0)]
+    dims = {"car": dict(l=4.0, w=2.0, h=1.6), "pedestrian": dict(l=0.8, w=0.6, h=1.7)}
+    preds, gts = [], []
+    for f in range(7):
+        frame = f"frame{f:02d}"
+        for label, kw in dims.items():
+            for sx, sy in spots:
+                if rng.random() < 0.6:
+                    gts.append(_gt(sx, sy, frame=frame, label=label, **kw))
+                if rng.random() < 0.7:
+                    jx, jy = rng.normal(0.0, 0.3 if label == "car" else 0.15, 2)
+                    score = float(rng.uniform(0.05, 1.0))
+                    preds.append(_pred(sx + jx, sy + jy, score, frame=frame, label=label, **kw))
+    preds = [preds[i] for i in rng.permutation(len(preds))]
+    gts = [gts[i] for i in rng.permutation(len(gts))]
+    return preds, gts
+
+
+def test_evaluate_detections_multi_frame_matches_per_frame_composition():
+    preds, gts = _multi_frame_records(seed=17)
+    classes = ["car", "pedestrian"]
+    report = evaluate_detections(preds, gts, classes, CFG)
+    for label in classes:
+        threshold = DEFAULT_THRESHOLDS[label]
+        cls_preds = [p for p in preds if p.class_label == label]
+        cls_gts = [g for g in gts if g.class_label == label]
+        frames = sorted({r.frame_id for r in cls_preds + cls_gts})
+        assert len(frames) > 1
+        per_frame = [
+            ([p for p in cls_preds if p.frame_id == f], [g for g in cls_gts if g.frame_id == f])
+            for f in frames
+        ]
+        results = {
+            affinity: [match_greedy(fp, fg, affinity, threshold, CFG) for fp, fg in per_frame]
+            for affinity in (IOU_AFFINITY, EC_IOU_AFFINITY)
+        }
+        counted = results[IOU_AFFINITY]
+        rep = report.classes[label]
+        assert rep.ap40 == average_precision_40(results[IOU_AFFINITY])
+        assert rep.ec_ap40 == average_precision_40(results[EC_IOU_AFFINITY])
+        assert (rep.tp, rep.fp, rep.fn) == (
+            sum(len(r.matches) for r in counted),
+            sum(len(r.false_positives) for r in counted),
+            sum(len(r.false_negatives) for r in counted),
+        )
+        assert 0 < rep.tp and 0 < rep.fn
+        frame_means = [tp_metric_means(fp, fg, DEFAULT_TP_DISTANCE, CFG) for fp, fg in per_frame]
+        matched = sum(m.matched for m in frame_means)
+        assert matched > 0
+        mean_iou = sum(m.mean_iou * m.matched for m in frame_means if m.matched) / matched
+        mean_ec = sum(m.mean_ec_iou * m.matched for m in frame_means if m.matched) / matched
+        assert rep.mean_iou == pytest.approx(mean_iou, abs=1e-12)
+        assert rep.mean_ec_iou == pytest.approx(mean_ec, abs=1e-12)
 
 
 def test_report_json_shape():

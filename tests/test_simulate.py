@@ -15,7 +15,7 @@ from eciou.simulate import (
     run_case,
     run_simulation,
 )
-from eciou.weighting import WeightConfig
+from eciou.weighting import MONTE_CARLO, WeightConfig
 
 TINY = ScenarioConfig(grid_points_per_axis=2, iterations=12)
 
@@ -145,6 +145,22 @@ def test_simulation_threaded_matches_sequential():
     seq = run_simulation(TINY, kinds=kinds, threads=1)
     par = run_simulation(TINY, kinds=kinds, threads=2)
     assert seq == par
+    # Monte Carlo weighting descends on the scalar reference, in the same pool.
+    mc_scenario = ScenarioConfig(
+        target_dims=((2.0, 1.0),),
+        target_thetas=(0.0,),
+        grid_extent=2.0,
+        grid_points_per_axis=2,
+        anchor_ratios=((1.0, 1.0),),
+        anchor_scales=(1.0,),
+        iterations=3,
+    )
+    mc = WeightConfig(alpha=1.0, method=MONTE_CARLO, mc_samples=200, mc_seed=3)
+    mc_kinds = (LossKind("iou"), LossKind("diou", ego_centric=True))
+    mc_seq = run_simulation(mc_scenario, kinds=mc_kinds, loss_cfg=mc, threads=1)
+    mc_par = run_simulation(mc_scenario, kinds=mc_kinds, loss_cfg=mc, threads=2)
+    assert mc_seq == mc_par
+    assert mc_seq.failures == {"iou": 0, "ec-diou": 0}
 
 
 def test_curve_lengths_and_kind_grouping():
