@@ -1,8 +1,10 @@
 """Command-line front end: metric queries, sweeps, the regression
 simulator, and record-file evaluation.
 
-Exit codes: 0 success, 1 usage error (bad flags or config schema),
-2 data error (unparsable files, degenerate geometry, unwritable output).
+Exit codes: 0 success, 1 usage error (bad flags or config), 2 data error
+(unparsable or unreadable files, degenerate geometry, unwritable output).
+Handlers raise; `main` alone turns a failure into one `error:` line and
+its exit code.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .evaluate import (
 from .geometry import Box3D, OrientedBoxBEV
 from .losses import LossKind
 from .metrics import ec_iou_3d, ec_iou_bev, iou_3d, iou_bev, sweep_curve
-from .simulate import ConfigError, ScenarioConfig, run_simulation
+from .simulate import ScenarioConfig, run_simulation
 from .weighting import DegenerateDistanceError, METHODS, WeightConfig
 
 USAGE_ERROR = 1
@@ -61,8 +63,9 @@ def _build_parser() -> _Parser:
     metric.add_argument("--mode", choices=("bev", "3d"), default="bev")
     metric.add_argument("--alpha", type=float, default=1.0)
     metric.add_argument("--method", choices=METHODS, default="geometric")
-    metric.add_argument("--samples", type=int, default=6000, help="monte-carlo sample count")
-    metric.add_argument("--seed", type=int, default=0, help="monte-carlo seed")
+    metric.add_argument("--samples", type=int, default=WeightConfig.mc_samples,
+                        help="monte-carlo sample count")
+    metric.add_argument("--seed", type=int, default=WeightConfig.mc_seed, help="monte-carlo seed")
 
     sweep = sub.add_parser("sweep", help="slide a prediction along x and emit a CSV of scores")
     sweep.add_argument("--gt", type=float, nargs=5, default=[10.0, 0.0, 4.0, 2.0, 0.0],
@@ -72,8 +75,8 @@ def _build_parser() -> _Parser:
     sweep.add_argument("--alphas", type=_comma_floats, default=[1.0, 2.0, 4.0, 8.0],
                        help="comma-separated exponents, e.g. 1,2,4,8")
     sweep.add_argument("--method", choices=METHODS, default="geometric")
-    sweep.add_argument("--samples", type=int, default=6000)
-    sweep.add_argument("--seed", type=int, default=0)
+    sweep.add_argument("--samples", type=int, default=WeightConfig.mc_samples)
+    sweep.add_argument("--seed", type=int, default=WeightConfig.mc_seed)
     sweep.add_argument("--out", help="output CSV path (default: stdout)")
 
     sim = sub.add_parser("sim", help="run the anchor-to-target regression benchmark")
@@ -101,63 +104,47 @@ def _build_parser() -> _Parser:
 
 
 def _weight_config(args) -> WeightConfig:
-    return WeightConfig(
-        alpha=args.alpha,
-        method=args.method,
-        mc_samples=getattr(args, "samples", 6000),
-        mc_seed=getattr(args, "seed", 0),
-    )
+    # eval has no Monte Carlo flags and keeps WeightConfig's defaults.
+    mc = {"mc_samples": args.samples, "mc_seed": args.seed} if "samples" in args else {}
+    return WeightConfig(alpha=args.alpha, method=args.method, **mc)
 
 
-def _parse_box(values: list[float], mode: str, flag: str, parser: _Parser):
+def _parse_box(values: list[float], mode: str, flag: str):
     if mode == "bev":
         if len(values) != 5:
-            parser.error(f"{flag} needs 5 values in bev mode (x y l w theta), got {len(values)}")
+            raise ValueError(f"{flag} needs 5 values in bev mode (x y l w theta), got {len(values)}")
         x, y, l, w, theta = values
         return OrientedBoxBEV(x, y, l, w, theta)
     if len(values) != 7:
-        parser.error(f"{flag} needs 7 values in 3d mode (x y z l w h theta), got {len(values)}")
+        raise ValueError(f"{flag} needs 7 values in 3d mode (x y z l w h theta), got {len(values)}")
     x, y, z, l, w, h, theta = values
     return Box3D(x=x, y=y, l=l, w=w, theta=theta, z=z, h=h)
 
 
-def _cmd_metric(args, parser: _Parser) -> int:
-    try:
-        pred = _parse_box(args.pred, args.mode, "--pred", parser)
-        gt = _parse_box(args.gt, args.mode, "--gt", parser)
-    except ValueError as exc:
-        parser.error(str(exc))
+def _cmd_metric(args) -> None:
+    pred = _parse_box(args.pred, args.mode, "--pred")
+    gt = _parse_box(args.gt, args.mode, "--gt")
     cfg = _weight_config(args)
-    try:
-        if args.mode == "bev":
-            iou = iou_bev(pred, gt)
-            ec = ec_iou_bev(pred, gt, cfg)
-        else:
-            iou = iou_3d(pred, gt)
-            ec = ec_iou_3d(pred, gt, cfg)
-    except DegenerateDistanceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return DATA_ERROR
+    if args.mode == "bev":
+        iou = iou_bev(pred, gt)
+        ec = ec_iou_bev(pred, gt, cfg)
+    else:
+        iou = iou_3d(pred, gt)
+        ec = ec_iou_3d(pred, gt, cfg)
     print(f"iou={iou.value:.6f} ec_iou={ec.value:.6f} clamped={'true' if ec.clamped else 'false'}")
-    return 0
 
 
-def _cmd_sweep(args, parser: _Parser) -> int:
-    gt = OrientedBoxBEV(*args.gt)
-    try:
-        table = sweep_curve(
-            gt,
-            (args.range[0], args.range[1]),
-            args.step,
-            alphas=tuple(args.alphas),
-            method=args.method,
-            mc_samples=args.samples,
-            mc_seed=args.seed,
-        )
-    except (ValueError, DegenerateDistanceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return DATA_ERROR
-    return _emit(table.to_csv(), args.out)
+def _cmd_sweep(args) -> None:
+    table = sweep_curve(
+        OrientedBoxBEV(*args.gt),
+        (args.range[0], args.range[1]),
+        args.step,
+        alphas=tuple(args.alphas),
+        method=args.method,
+        mc_samples=args.samples,
+        mc_seed=args.seed,
+    )
+    _emit(table.to_csv(), args.out)
 
 
 def _threads_from_env() -> int:
@@ -172,69 +159,47 @@ def _threads_from_env() -> int:
     return n or os.cpu_count() or 1
 
 
-def _cmd_sim(args, parser: _Parser) -> int:
-    try:
-        cfg = ScenarioConfig.from_json(args.config) if args.config else ScenarioConfig()
-        kinds = tuple(LossKind.from_name(n) for n in args.kinds.split(",") if n.strip())
-        threads = _threads_from_env()
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+def _cmd_sim(args) -> None:
+    cfg = ScenarioConfig.from_json(args.config) if args.config else ScenarioConfig()
+    kinds = tuple(LossKind.from_name(n) for n in args.kinds.split(",") if n.strip())
+    threads = _threads_from_env()
     if not kinds:
-        print("error: --kinds selected nothing", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError("--kinds selected nothing")
     result = run_simulation(cfg, kinds=kinds, threads=threads)
     print(f"cases={result.case_count}", file=sys.stderr)
     for name, count in result.failures.items():
         print(f"failed[{name}]={count}", file=sys.stderr)
-    return _emit(result.curves.to_csv(), args.out)
+    _emit(result.curves.to_csv(), args.out)
 
 
-def _cmd_eval(args, parser: _Parser) -> int:
+def _cmd_eval(args) -> None:
     classes = [c.strip() for c in args.classes.split(",") if c.strip()]
     if not classes:
-        parser.error("--classes selected nothing")
+        raise ValueError("--classes selected nothing")
     thresholds = None
     if args.thresholds is not None:
         if len(args.thresholds) != len(classes):
-            parser.error("--thresholds must align one-to-one with --classes")
+            raise ValueError("--thresholds must align one-to-one with --classes")
         thresholds = dict(zip(classes, args.thresholds))
     cfg = _weight_config(args)
-    try:
-        preds = parse_records(args.preds, PREDICTIONS)
-        gts = parse_records(args.gts, GROUND_TRUTHS)
-    except (RecordParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return DATA_ERROR
-    try:
-        report = evaluate_detections(
-            preds, gts, classes, cfg,
-            thresholds=thresholds,
-            tp_distance=args.tp_dist,
-            count_affinity=args.affinity,
-            mode=args.mode,
-        )
-    except DegenerateDistanceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return DATA_ERROR
+    report = evaluate_detections(
+        parse_records(args.preds, PREDICTIONS),
+        parse_records(args.gts, GROUND_TRUTHS),
+        classes, cfg,
+        thresholds=thresholds,
+        tp_distance=args.tp_dist,
+        count_affinity=args.affinity,
+        mode=args.mode,
+    )
     print(report.to_json())
-    return 0
 
 
-def _emit(text: str, out_path: str | None) -> int:
+def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
-        return 0
-    try:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        print(f"error: cannot write {out_path}: {exc}", file=sys.stderr)
-        return DATA_ERROR
-    return 0
+        return
+    with open(out_path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -246,7 +211,15 @@ def main(argv: list[str] | None = None) -> int:
         "sim": _cmd_sim,
         "eval": _cmd_eval,
     }
-    return handlers[args.command](args, parser)
+    try:
+        handlers[args.command](args)
+    except (RecordParseError, DegenerateDistanceError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return DATA_ERROR
+    except ValueError as exc:  # bad flag values, ConfigError included
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    return 0
 
 
 if __name__ == "__main__":

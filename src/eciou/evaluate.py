@@ -112,22 +112,24 @@ class MatchResult:
     false_negatives: tuple[DetectionRecord, ...]
 
 
+def _check_choices(mode: str, affinity: str) -> None:
+    if mode not in (MODE_3D, MODE_BEV):
+        raise ValueError(f"unknown metric mode {mode!r}")
+    if affinity not in (IOU_AFFINITY, EC_IOU_AFFINITY):
+        raise ValueError(f"unknown affinity {affinity!r}")
+
+
 def _affinity(
     pred: DetectionRecord, gt: DetectionRecord, affinity: str, cfg: WeightConfig, mode: str
 ) -> float:
+    # mode and affinity were checked by _check_choices.
     if mode == MODE_BEV:
         if affinity == IOU_AFFINITY:
             return iou_bev(pred.box, gt.box).value
-        if affinity == EC_IOU_AFFINITY:
-            return ec_iou_bev(pred.box, gt.box, cfg).value
-    elif mode == MODE_3D:
-        if affinity == IOU_AFFINITY:
-            return iou_3d(pred.box, gt.box).value
-        if affinity == EC_IOU_AFFINITY:
-            return ec_iou_3d(pred.box, gt.box, cfg).value
-    else:
-        raise ValueError(f"unknown metric mode {mode!r}")
-    raise ValueError(f"unknown affinity {affinity!r}")
+        return ec_iou_bev(pred.box, gt.box, cfg).value
+    if affinity == IOU_AFFINITY:
+        return iou_3d(pred.box, gt.box).value
+    return ec_iou_3d(pred.box, gt.box, cfg).value
 
 
 def _by_score(preds: list[DetectionRecord]) -> list[DetectionRecord]:
@@ -190,6 +192,7 @@ def match_greedy(
     unmatched ground truth with the highest affinity, provided it reaches
     the threshold. mode selects 3D (volume) or BEV (footprint) affinity.
     """
+    _check_choices(mode, affinity)
     return _greedy(preds, gts, lambda p, g: _affinity(p, g, affinity, cfg, mode), threshold)
 
 
@@ -304,6 +307,9 @@ def evaluate_detections(
 ) -> EvalReport:
     """Full per-class report: AP40 under both affinities, TP-metric means,
     and TP/FP/FN counts taken from the count_affinity matching."""
+    _check_choices(mode, count_affinity)
+    if tp_distance <= 0.0:
+        raise ValueError(f"tp_distance must be positive, got {tp_distance}")
     thresholds = thresholds or {}
     class_reports: dict[str, ClassReport] = {}
     aps = []

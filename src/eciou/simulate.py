@@ -23,7 +23,7 @@ from . import _batch
 from .geometry import OrientedBoxBEV
 from .losses import ALL_KINDS, LossKind, NonFiniteGradientError, loss_gradient, loss_value
 from .metrics import ec_iou_bev, iou_bev
-from .weighting import GEOMETRIC, MONTE_CARLO, WeightConfig
+from .weighting import GEOMETRIC, MONTE_CARLO, DegenerateDistanceError, WeightConfig, weight_extremes
 
 DEFAULT_LOSS_CFG = WeightConfig(alpha=1.0, method=GEOMETRIC)
 
@@ -86,6 +86,20 @@ class ScenarioConfig:
             raise ConfigError("grid_points_per_axis and iterations must be >= 1")
         if not (self.target_dims and self.target_thetas and self.anchor_ratios and self.anchor_scales):
             raise ConfigError("target and anchor lists must be non-empty")
+        for target in self.targets():
+            try:
+                weight_extremes(target, 1.0)  # EC-IoU weights are undefined on the ego
+            except DegenerateDistanceError as exc:
+                raise ConfigError(f"target {target}: {exc}") from exc
+
+    def targets(self) -> list[OrientedBoxBEV]:
+        """Every target, dims-major then heading."""
+        cx, cy = self.target_center
+        return [
+            OrientedBoxBEV(cx, cy, l, w, theta)
+            for l, w in self.target_dims
+            for theta in self.target_thetas
+        ]
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
@@ -125,11 +139,13 @@ class ScenarioConfig:
 
     @classmethod
     def from_json(cls, path: str) -> "ScenarioConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        except OSError as exc:
+            raise ConfigError(f"cannot read config: {exc}") from exc
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise ConfigError(f"config is not valid JSON: {exc}") from exc
         return cls.from_dict(raw)
 
 
@@ -197,16 +213,11 @@ def build_scenario(cfg: ScenarioConfig) -> list[RegressionCase]:
     case count is targets * grid^2 * ratios * scales.
     """
     cx, cy = cfg.target_center
-    targets = [
-        OrientedBoxBEV(cx, cy, dims[0], dims[1], theta)
-        for dims in cfg.target_dims
-        for theta in cfg.target_thetas
-    ]
     xs = _axis_points(cx, cfg.grid_extent, cfg.grid_points_per_axis)
     ys = _axis_points(cy, cfg.grid_extent, cfg.grid_points_per_axis)
     cases = []
     case_id = 0
-    for target in targets:
+    for target in cfg.targets():
         for y in ys:
             for x in xs:
                 for ratio in cfg.anchor_ratios:
@@ -222,7 +233,6 @@ def run_case(
     kind: LossKind,
     cfg: ScenarioConfig,
     loss_cfg: WeightConfig = DEFAULT_LOSS_CFG,
-    grad_step: float = GRAD_STEP,
 ) -> Trajectory:
     """Gradient descent of a single case; scalar reference implementation.
 
@@ -238,7 +248,7 @@ def run_case(
             continue
         rate = cfg.step_rule.rate_at(t, cfg.iterations)
         try:
-            grad = loss_gradient(kind, box, case.target, loss_cfg, h=grad_step)
+            grad = loss_gradient(kind, box, case.target, loss_cfg, h=GRAD_STEP)
             if cfg.step_rule.metric_boost:
                 score = (
                     ec_iou_bev(box, case.target, loss_cfg)
@@ -271,7 +281,6 @@ def _descend_batch(
     kind: LossKind,
     cfg: ScenarioConfig,
     loss_cfg: WeightConfig,
-    grad_step: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """All-case descent on the vectorized kernel.
 
@@ -288,7 +297,7 @@ def _descend_batch(
         rate = cfg.step_rule.rate_at(t, cfg.iterations)
         loss_now, iou, ec = ev.loss_and_scores(kind, cur, loss_cfg.alpha, loss_cfg.method)
         converged = loss_now == 0.0
-        grads, ok = ev.gradient(kind, cur, loss_cfg.alpha, loss_cfg.method, h=grad_step)
+        grads, ok = ev.gradient(kind, cur, loss_cfg.alpha, loss_cfg.method, h=GRAD_STEP)
         if cfg.step_rule.metric_boost:
             metric = ec if kind.ego_centric else iou
             scale = rate * (2.0 - metric)
@@ -354,7 +363,6 @@ def run_simulation(
     cfg: ScenarioConfig,
     kinds: tuple[LossKind, ...] = ALL_KINDS,
     loss_cfg: WeightConfig = DEFAULT_LOSS_CFG,
-    grad_step: float = GRAD_STEP,
     threads: int = 1,
 ) -> SimulationResult:
     """Run every loss kind over the full scenario and aggregate curves.
@@ -371,10 +379,10 @@ def run_simulation(
         if loss_cfg.method == MONTE_CARLO:
             # The batch kernel has no Monte Carlo weighting: descend each case
             # on the scalar reference instead.
-            trajs = [run_case(case, kind, cfg, loss_cfg, grad_step) for case in cases]
+            trajs = [run_case(case, kind, cfg, loss_cfg) for case in cases]
             curve = aggregate_curves({kind: trajs}, cfg.eval_alpha).series[kind.name]
             return kind.name, curve, sum(tr.failed for tr in trajs)
-        states, failed = _descend_batch(anchors, targets, kind, cfg, loss_cfg, grad_step)
+        states, failed = _descend_batch(anchors, targets, kind, cfg, loss_cfg)
         curve = _mean_curve(states, targets, ~failed, cfg.eval_alpha)
         return kind.name, curve, int(failed.sum())
 

@@ -50,9 +50,7 @@ def test_metric_3d_mode(capsys):
 
 
 def test_metric_wrong_arity_is_usage_error():
-    with pytest.raises(SystemExit) as err:
-        main(["metric", "--pred", "10", "0", "4", "2", "--gt", "10", "0", "4", "2", "0"])
-    assert err.value.code == 1
+    assert main(["metric", "--pred", "10", "0", "4", "2", "--gt", "10", "0", "4", "2", "0"]) == 1
 
 
 def test_metric_degenerate_distance_is_data_error(capsys):
@@ -196,9 +194,70 @@ def test_eval_threshold_alignment_checked(tmp_path):
     gts = tmp_path / "g.txt"
     preds.write_text(PREDS)
     gts.write_text(GTS)
-    with pytest.raises(SystemExit) as err:
-        main(["eval", "--preds", str(preds), "--gts", str(gts), "--classes", "car", "--thresholds", "0.5,0.7"])
-    assert err.value.code == 1
+    argv = ["eval", "--preds", str(preds), "--gts", str(gts), "--classes", "car", "--thresholds", "0.5,0.7"]
+    assert main(argv) == 1
+
+
+METRIC = ["metric", "--pred", "9", "0", "4", "2", "0", "--gt", "10", "0", "4", "2", "0"]
+EVAL = ["eval", "--preds", "{preds}", "--gts", "{gts}"]
+
+# The exit-code contract: 1 = usage or config, 2 = data. Paths in braces
+# name the files that _contract_argv writes.
+CONTRACT = {
+    "eval-tp-dist-zero": (EVAL + ["--tp-dist", "0"], 1),
+    "eval-negative-alpha": (EVAL + ["--alpha", "-1"], 1),
+    "metric-negative-alpha": (METRIC + ["--alpha", "-1"], 1),
+    "metric-zero-samples": (METRIC + ["--samples", "0"], 1),
+    "sweep-zero-length-gt": (["sweep", "--gt", "10", "0", "0", "2", "0"], 1),
+    "sweep-zero-step": (["sweep", "--step", "0"], 1),
+    "sweep-negative-alpha": (["sweep", "--alphas", "-1"], 1),
+    "sim-target-centred-on-ego": (["sim", "--config", "{centred}"], 1),
+    "sim-ego-inside-target": (["sim", "--config", "{inside}"], 1),
+    "sim-missing-config": (["sim", "--config", "{missing}"], 1),
+    "eval-missing-preds": (["eval", "--preds", "{missing}", "--gts", "{gts}"], 2),
+    "sweep-unwritable-out": (["sweep", "--out", "/nonexistent-dir/x.csv"], 2),
+    "metric-gt-on-ego": (METRIC[:8] + ["0", "0", "4", "2", "0"], 2),
+}
+
+
+def _contract_argv(tmp_path, argv):
+    files = {
+        "preds": PREDS,
+        "gts": GTS,
+        "centred": json.dumps({"grid_points_per_axis": 1, "iterations": 2, "target_center": [0, 0]}),
+        "inside": json.dumps({
+            "grid_points_per_axis": 1, "iterations": 2, "target_center": [1, 0],
+            "target_dims": [[3, 1]], "target_thetas": [0],
+        }),
+    }
+    paths = {"missing": str(tmp_path / "missing")}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+        paths[name] = str(tmp_path / name)
+    return [arg.format(**paths) for arg in argv]
+
+
+def _assert_one_error_line(out, err):
+    assert out == ""
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv, code", CONTRACT.values(), ids=CONTRACT.keys())
+def test_exit_code_contract(tmp_path, capsys, argv, code):
+    assert main(_contract_argv(tmp_path, argv)) == code
+    _assert_one_error_line(*capsys.readouterr())
+
+
+@pytest.mark.parametrize("row", ["sweep-zero-length-gt", "sim-ego-inside-target", "eval-missing-preds"])
+def test_exit_code_contract_as_subprocess(tmp_path, row):
+    argv, code = CONTRACT[row]
+    result = subprocess.run(
+        [sys.executable, "-m", "eciou.cli"] + _contract_argv(tmp_path, argv),
+        capture_output=True, text=True,
+    )
+    assert result.returncode == code
+    _assert_one_error_line(result.stdout, result.stderr)
 
 
 def test_console_entry_point():

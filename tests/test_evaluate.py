@@ -343,6 +343,36 @@ def test_evaluate_detections_empty_predictions():
     assert rep.fn == 2 and rep.tp == 0
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"mode": "volume"}, "mode"),
+        ({"count_affinity": "giou"}, "affinity"),
+        ({"tp_distance": 0.0}, "tp_distance"),
+        ({"tp_distance": -1.0}, "tp_distance"),
+    ],
+)
+def test_evaluate_detections_checks_inputs_before_matching(monkeypatch, kwargs, message):
+    import eciou.evaluate as evaluate
+
+    def no_matching(*args, **kw):
+        raise AssertionError("matching ran before the inputs were checked")
+
+    monkeypatch.setattr(evaluate, "match_greedy", no_matching)
+    monkeypatch.setattr(evaluate, "tp_metric_means", no_matching)
+    # Without a pedestrian pair the bad value is still refused.
+    for preds, gts in (([_pred(10, 0, 0.9)], [_gt(10, 0)]), ([], [])):
+        with pytest.raises(ValueError, match=message):
+            evaluate_detections(preds, gts, ["car", "pedestrian"], CFG, **kwargs)
+
+
+def test_match_greedy_checks_mode_and_affinity():
+    with pytest.raises(ValueError, match="mode"):
+        match_greedy([], [], IOU_AFFINITY, 0.5, CFG, mode="volume")
+    with pytest.raises(ValueError, match="affinity"):
+        match_greedy([], [], "giou", 0.5, CFG)
+
+
 def test_evaluate_detections_class_without_gts_is_null():
     report = evaluate_detections([_pred(10, 0, 0.9)], [_gt(10, 0)], ["car", "pedestrian"], CFG)
     ped = report.classes["pedestrian"]

@@ -88,6 +88,32 @@ def test_config_from_json_file(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ConfigError):
         ScenarioConfig.from_json(str(bad))
+    with pytest.raises(ConfigError, match="cannot read config"):
+        ScenarioConfig.from_json(str(tmp_path / "missing.json"))
+
+
+@pytest.mark.parametrize(
+    "raw, reason",
+    [
+        # Centred on the ego: the centre weight's distance is zero.
+        ({"grid_points_per_axis": 1, "iterations": 2, "target_center": [0, 0]}, "center"),
+        # The ego inside a 3 x 1 target centred at (1, 0): the weight is infinite there.
+        (
+            {"grid_points_per_axis": 1, "iterations": 2, "target_center": [1, 0],
+             "target_dims": [[3, 1]], "target_thetas": [0]},
+            "inside",
+        ),
+    ],
+)
+def test_config_rejects_targets_touching_the_ego(raw, reason):
+    with pytest.raises(ConfigError, match=reason):
+        ScenarioConfig.from_dict(raw)
+
+
+def test_config_accepts_targets_clear_of_the_ego():
+    # The same 3 x 1 target with its near edge 0.5 m in front of the ego.
+    cfg = ScenarioConfig.from_dict({"target_center": [2, 0], "target_dims": [[3, 1]], "target_thetas": [0]})
+    assert cfg.targets() == [OrientedBoxBEV(2, 0, 3, 1, 0)]
 
 
 def test_run_case_identity_stays_put():
@@ -115,7 +141,7 @@ def test_run_case_improves_overlapping_anchor():
 def test_batch_descent_matches_scalar_run_case():
     import numpy as np
 
-    from eciou.simulate import DEFAULT_LOSS_CFG, GRAD_STEP, _descend_batch
+    from eciou.simulate import DEFAULT_LOSS_CFG, _descend_batch
 
     cfg = ScenarioConfig(grid_points_per_axis=2, iterations=15)
     cases = build_scenario(cfg)[:48]
@@ -123,7 +149,7 @@ def test_batch_descent_matches_scalar_run_case():
     targets = np.array([(c.target.x, c.target.y, c.target.l, c.target.w, c.target.theta) for c in cases])
     for name in ("iou", "ec-diou"):
         kind = LossKind.from_name(name)
-        states, failed = _descend_batch(anchors, targets, kind, cfg, DEFAULT_LOSS_CFG, GRAD_STEP)
+        states, failed = _descend_batch(anchors, targets, kind, cfg, DEFAULT_LOSS_CFG)
         for i, case in enumerate(cases):
             traj = run_case(case, kind, cfg)
             assert traj.failed == failed[i]
