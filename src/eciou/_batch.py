@@ -10,6 +10,7 @@ Internal module: the public simulator API lives in `simulate`.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -19,6 +20,9 @@ from .weighting import ARITHMETIC, DEGENERATE_DISTANCE, GEOMETRIC
 
 # Local corner pattern, CCW from (+l/2, +w/2); scaled by (l, w) per box.
 _LOCAL = 0.5 * np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
+
+# Narrowest clip output buffer; see clip_quads_xy.
+_MIN_WIDTH = 8
 
 
 def wrap_angle(theta: np.ndarray) -> np.ndarray:
@@ -50,15 +54,19 @@ def clip_quads_xy(
     """Sutherland-Hodgman intersection of CCW quads against fixed clip quads.
 
     sx, sy: (N, 4) subject corner coordinates. clip_const comes from
-    precompute_clip. Returns padded (x, y) buffers and per-row counts.
+    precompute_clip. Returns zero-padded (x, y) buffers and per-row counts.
     Rows with fewer than 3 vertices are degenerate (empty) regions.
+
+    Each stage cuts the buffers to the longest ring; the returned buffers are
+    max(counts.max(), _MIN_WIDTH) wide. numpy sums a row of 8 or more values
+    pairwise and a shorter row left to right, so the floor keeps the row sums
+    in ring_area and mean_weight independent of the batch they run in.
     """
     n = sx.shape[0]
-    rows = np.arange(n)
     counts = np.full(n, 4, dtype=np.int64)
     x, y = sx, sy
 
-    for ex, ey, b in clip_const:
+    for stage, (ex, ey, b) in enumerate(clip_const):
         k = x.shape[1]
         # Signed side of each vertex relative to the clip edge.
         cross = ex * y - ey * x - b
@@ -79,11 +87,11 @@ def clip_quads_xy(
             ix = s_x + t * dx
             iy = s_y + t * dy
         crossing = (inside != s_in) & valid & (denom != 0.0)
+        # Temporaries go as soon as they are dead: on a stacked (5N, 5) probe
+        # call they set the process's peak memory.
+        del cross, valid, counts_safe, s_x, s_y, s_in, s_cross, dx, dy, denom, t
 
         # Candidate stream per vertex: [crossing point, vertex itself].
-        # A convex ring grows by at most one vertex per half-plane; one
-        # slack slot absorbs numerically collinear degeneracies.
-        width = k + 2
         cand_x = np.empty((n, 2 * k))
         cand_y = np.empty((n, 2 * k))
         cand_x[:, 0::2] = ix
@@ -93,16 +101,22 @@ def clip_quads_xy(
         cvalid = np.empty((n, 2 * k), dtype=bool)
         cvalid[:, 0::2] = crossing
         cvalid[:, 1::2] = inside
+        del ix, iy, crossing, inside, x, y
 
         pos = np.cumsum(cvalid, axis=1)
         counts = pos[:, -1].copy()
         pos -= 1
-        x = np.zeros((n, width))
-        y = np.zeros((n, width))
         flat = np.nonzero(cvalid)
         slots = (flat[0], pos[flat])
+        del pos, cvalid
+        floor = _MIN_WIDTH if stage == len(clip_const) - 1 else 1
+        width = max(int(counts.max(initial=0)), floor)
+        x = np.zeros((n, width))
         x[slots] = cand_x[flat]
+        del cand_x
+        y = np.zeros((n, width))
         y[slots] = cand_y[flat]
+        del cand_y
 
     return x, y, counts
 
@@ -187,33 +201,47 @@ class BatchEvaluator:
             self._mean_weight_g[key] = mean_weight(gx, gy, four, self.rho_c, alpha, method)
         return self._mean_weight_g[key] * self.area_g
 
-    def scores(self, boxes: np.ndarray, alpha: float, method: str = GEOMETRIC,
-               p_corners: np.ndarray | None = None):
-        """(iou, ec_iou) arrays for prediction boxes against the targets."""
-        if p_corners is None:
-            p_corners = corners(boxes)
+    def _clip(self, p_corners: np.ndarray):
+        """Intersection buffers, intersection and prediction areas, and IoU."""
         x, y, counts = clip_quads_xy(p_corners[..., 0], p_corners[..., 1], self.clip_const)
         inter = ring_area(x, y, counts)
         inter = np.where(inter > AREA_EPS, inter, 0.0)
         area_p = quad_area(p_corners)
         iou = np.clip(inter / (self.area_g + area_p - inter), 0.0, 1.0)
+        return (x, y, counts, inter, area_p), iou
+
+    def _ec_iou(self, clip, alpha: float, method: str) -> np.ndarray:
+        x, y, counts, inter, area_p = clip
         wa_inter = np.where(
             inter > 0.0, mean_weight(x, y, counts, self.rho_c, alpha, method) * inter, 0.0
         )
         with np.errstate(invalid="ignore"):
             ec = np.clip(wa_inter / (self._wa_g(alpha, method) + (area_p - inter)), 0.0, 1.0)
-        ec = np.where(self.rho_c < DEGENERATE_DISTANCE, np.nan, ec)
-        return iou, ec
+        return np.where(self.rho_c < DEGENERATE_DISTANCE, np.nan, ec)
 
-    def loss_and_scores(self, kind, boxes: np.ndarray, alpha: float, method: str = GEOMETRIC):
-        """(loss, iou, ec_iou) in one pass; loss is nan for invalid boxes."""
+    def scores(self, boxes: np.ndarray, alpha: float, method: str = GEOMETRIC):
+        """(iou, ec_iou) arrays for prediction boxes against the targets."""
+        clip, iou = self._clip(corners(boxes))
+        return iou, self._ec_iou(clip, alpha, method)
+
+    def loss_and_scores(
+        self, kind, boxes: np.ndarray, alpha: float, method: str = GEOMETRIC,
+        eval_alpha: float | None = None,
+    ):
+        """(loss, iou, ec_iou, eval_ec_iou) from one clip; loss is nan for invalid boxes.
+
+        eval_ec_iou is the geometric EC-IoU at eval_alpha, or None when
+        eval_alpha is None.
+        """
         ok = (
             np.isfinite(boxes).all(axis=1)
             & (boxes[:, 2] > 0.0)
             & (boxes[:, 3] > 0.0)
         )
         p_corners = corners(boxes)
-        iou, ec = self.scores(boxes, alpha, method, p_corners=p_corners)
+        clip, iou = self._clip(p_corners)
+        ec = self._ec_iou(clip, alpha, method)
+        eval_ec = None if eval_alpha is None else self._ec_iou(clip, eval_alpha, GEOMETRIC)
         score = ec if kind.ego_centric else iou
         loss = 1.0 - score
         if kind.family in ("diou", "eiou"):
@@ -227,20 +255,29 @@ class BatchEvaluator:
             if kind.family == "eiou":
                 loss = loss + (boxes[:, 2] - self.targets[:, 2]) ** 2 / c_l**2
                 loss = loss + (boxes[:, 3] - self.targets[:, 3]) ** 2 / c_w**2
-        return np.where(ok, loss, np.nan), iou, ec
+        return np.where(ok, loss, np.nan), iou, ec, eval_ec
+
+    @functools.cached_property
+    def _probes(self) -> "BatchEvaluator":
+        """Evaluator over five stacked copies of the targets, one per parameter."""
+        return BatchEvaluator(np.tile(self.targets, (5, 1)))
 
     def gradient(
         self, kind, boxes: np.ndarray, alpha: float, method: str = GEOMETRIC, h: float = 1e-4
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Central-difference gradients (N, 5) and a per-row finite mask."""
-        grads = np.empty((boxes.shape[0], 5))
-        for i in range(5):
-            hi = boxes.copy()
-            hi[:, i] += h
-            lo = boxes.copy()
-            lo[:, i] -= h
-            grads[:, i] = (
-                self.loss_and_scores(kind, hi, alpha, method)[0]
-                - self.loss_and_scores(kind, lo, alpha, method)[0]
-            ) / (2.0 * h)
+        """Central-difference gradients (N, 5) and a per-row finite mask.
+
+        Copy i of the boxes is probed along parameter i; the five +h copies
+        are scored as one (5N, 5) stack and the five -h copies as another.
+        Each row scores exactly as it would on its own.
+        """
+        n = boxes.shape[0]
+        params = np.arange(5)
+        hi = np.tile(boxes, (5, 1, 1))
+        lo = hi.copy()
+        hi[params, :, params] += h
+        lo[params, :, params] -= h
+        loss_hi = self._probes.loss_and_scores(kind, hi.reshape(5 * n, 5), alpha, method)[0]
+        loss_lo = self._probes.loss_and_scores(kind, lo.reshape(5 * n, 5), alpha, method)[0]
+        grads = ((loss_hi - loss_lo) / (2.0 * h)).reshape(5, n).T
         return grads, np.isfinite(grads).all(axis=1)

@@ -10,6 +10,7 @@ its exit code.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -135,16 +136,18 @@ def _cmd_metric(args) -> None:
 
 
 def _cmd_sweep(args) -> None:
-    table = sweep_curve(
-        OrientedBoxBEV(*args.gt),
-        (args.range[0], args.range[1]),
-        args.step,
-        alphas=tuple(args.alphas),
-        method=args.method,
-        mc_samples=args.samples,
-        mc_seed=args.seed,
-    )
-    _emit(table.to_csv(), args.out)
+    gt = OrientedBoxBEV(*args.gt)
+    with _output(args.out) as out:
+        table = sweep_curve(
+            gt,
+            (args.range[0], args.range[1]),
+            args.step,
+            alphas=tuple(args.alphas),
+            method=args.method,
+            mc_samples=args.samples,
+            mc_seed=args.seed,
+        )
+        out.write(table.to_csv())
 
 
 def _threads_from_env() -> int:
@@ -165,11 +168,12 @@ def _cmd_sim(args) -> None:
     threads = _threads_from_env()
     if not kinds:
         raise ValueError("--kinds selected nothing")
-    result = run_simulation(cfg, kinds=kinds, threads=threads)
-    print(f"cases={result.case_count}", file=sys.stderr)
-    for name, count in result.failures.items():
-        print(f"failed[{name}]={count}", file=sys.stderr)
-    _emit(result.curves.to_csv(), args.out)
+    with _output(args.out) as out:
+        result = run_simulation(cfg, kinds=kinds, threads=threads)
+        print(f"cases={result.case_count}", file=sys.stderr)
+        for name, count in result.failures.items():
+            print(f"failed[{name}]={count}", file=sys.stderr)
+        out.write(result.curves.to_csv())
 
 
 def _cmd_eval(args) -> None:
@@ -194,12 +198,14 @@ def _cmd_eval(args) -> None:
     print(report.to_json())
 
 
-def _emit(text: str, out_path: str | None) -> None:
+@contextlib.contextmanager
+def _output(out_path: str | None):
+    """stdout, or --out opened before the work so an unwritable path fails first."""
     if out_path is None:
-        sys.stdout.write(text)
+        yield sys.stdout
         return
     with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        yield fh
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -10,16 +10,18 @@ a perfect prediction scores exactly 1. Approximate scores are clamped into
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .geometry import (
     Box3D,
+    ConvexPolygon,
     OrientedBoxBEV,
     box_to_polygon,
     intersect_convex,
     polygon_area,
 )
-from .weighting import GEOMETRIC, WeightConfig, weighted_area
+from .weighting import GEOMETRIC, WeightConfig, weighted_area, weighted_areas
 
 
 @dataclass(frozen=True)
@@ -51,13 +53,23 @@ def iou_bev(p: OrientedBoxBEV, g: OrientedBoxBEV) -> MetricScore:
 
 def ec_iou_bev(p: OrientedBoxBEV, g: OrientedBoxBEV, cfg: WeightConfig) -> MetricScore:
     """Ego-centric IoU: weighted intersection over weighted-gt + extra area."""
-    poly_p = box_to_polygon(p)
     poly_g = box_to_polygon(g)
+    return _ec_iou_bev(p, g, poly_g, (cfg,), weighted_areas(g, poly_g, (cfg,)))[0]
+
+
+def _ec_iou_bev(
+    p: OrientedBoxBEV,
+    g: OrientedBoxBEV,
+    poly_g: ConvexPolygon,
+    cfgs: Sequence[WeightConfig],
+    wa_g: Sequence[float],
+) -> list[MetricScore]:
+    """ec_iou_bev under each of cfgs, given g's weighted area under each."""
+    poly_p = box_to_polygon(p)
     inter = intersect_convex(poly_p, poly_g)
     # Grouping the prediction's extra area keeps ec_iou(g, g) exactly 1.
     extra = polygon_area(poly_p) - polygon_area(inter)
-    raw = weighted_area(g, inter, cfg) / (weighted_area(g, poly_g, cfg) + extra)
-    return _clamp(raw)
+    return [_clamp(wa / (wa_gt + extra)) for wa, wa_gt in zip(weighted_areas(g, inter, cfgs), wa_g)]
 
 
 def _vertical_overlap(p: Box3D, g: Box3D) -> float:
@@ -127,7 +139,9 @@ def sweep_curve(
     """Slide a copy of g along the x axis and score it at every sample.
 
     One row per sample x in [x_lo, x_hi] at the given step; the prediction
-    keeps g's dimensions, heading, and y coordinate.
+    keeps g's dimensions, heading, and y coordinate. With monte-carlo, each
+    polygon's points are drawn once and weighted at every alpha, and g's
+    once per call.
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
@@ -137,6 +151,8 @@ def sweep_curve(
         WeightConfig(alpha=a, method=method, mc_samples=mc_samples, mc_seed=mc_seed)
         for a in alphas
     ]
+    poly_g = box_to_polygon(g)
+    wa_g = weighted_areas(g, poly_g, configs)
     rows = []
     for i in range(n_steps + 1):
         x = x_lo + i * step
@@ -145,7 +161,7 @@ def sweep_curve(
             SweepRow(
                 x=x,
                 iou=iou_bev(p, g).value,
-                ec_iou=tuple(ec_iou_bev(p, g, cfg).value for cfg in configs),
+                ec_iou=tuple(s.value for s in _ec_iou_bev(p, g, poly_g, configs, wa_g)),
             )
         )
     return SweepTable(alphas=tuple(alphas), method=method, rows=tuple(rows))

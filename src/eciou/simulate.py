@@ -281,21 +281,27 @@ def _descend_batch(
     kind: LossKind,
     cfg: ScenarioConfig,
     loss_cfg: WeightConfig,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, tuple[CurvePoint, ...]]:
     """All-case descent on the vectorized kernel.
 
-    Returns states (iterations + 1, N, 5) and the failed mask; failed cases
-    freeze at their last valid state.
+    Returns states (iterations + 1, N, 5), the failed mask and the learning
+    curve over the surviving cases; failed cases freeze at their last valid
+    state. Each state's curve scores come from the clip its loss already
+    made; only the final state is clipped again.
     """
     ev = _batch.BatchEvaluator(targets)
     n = anchors.shape[0]
     states = np.empty((cfg.iterations + 1, n, 5))
     states[0] = anchors
+    scores = np.empty((cfg.iterations + 1, 2, n))  # per-case IoU and EC-IoU at eval_alpha
     cur = anchors.copy()
     active = np.ones(n, dtype=bool)
     for t in range(cfg.iterations):
         rate = cfg.step_rule.rate_at(t, cfg.iterations)
-        loss_now, iou, ec = ev.loss_and_scores(kind, cur, loss_cfg.alpha, loss_cfg.method)
+        loss_now, iou, ec, eval_ec = ev.loss_and_scores(
+            kind, cur, loss_cfg.alpha, loss_cfg.method, eval_alpha=cfg.eval_alpha
+        )
+        scores[t] = iou, eval_ec
         converged = loss_now == 0.0
         grads, ok = ev.gradient(kind, cur, loss_cfg.alpha, loss_cfg.method, h=GRAD_STEP)
         if cfg.step_rule.metric_boost:
@@ -313,21 +319,26 @@ def _descend_batch(
         active &= healthy
         cur = np.where(move[:, None], stepped, cur)
         states[t + 1] = cur
-    return states, ~active
+    scores[-1] = ev.scores(cur, cfg.eval_alpha, GEOMETRIC)
+    curve = _curve_points(scores[:, :, active]) if active.any() else ()
+    return states, ~active, curve
+
+
+def _curve_points(scores) -> tuple[CurvePoint, ...]:
+    """One CurvePoint per iteration from per-case (iou, ec_iou) score pairs."""
+    return tuple(
+        CurvePoint(t, float(iou.mean()), float(ec.mean())) for t, (iou, ec) in enumerate(scores)
+    )
 
 
 def _mean_curve(
     states: np.ndarray, targets: np.ndarray, keep: np.ndarray, eval_alpha: float
 ) -> tuple[CurvePoint, ...]:
-    """Mean IoU / EC-IoU per iteration over the surviving cases."""
+    """Mean IoU / EC-IoU per iteration over the kept cases of stacked states."""
     if not keep.any():
         return ()
     ev = _batch.BatchEvaluator(targets[keep])
-    points = []
-    for t in range(states.shape[0]):
-        iou, ec = ev.scores(states[t][keep], eval_alpha, GEOMETRIC)
-        points.append(CurvePoint(t, float(iou.mean()), float(ec.mean())))
-    return tuple(points)
+    return _curve_points(ev.scores(s[keep], eval_alpha, GEOMETRIC) for s in states)
 
 
 def aggregate_curves(
@@ -382,8 +393,7 @@ def run_simulation(
             trajs = [run_case(case, kind, cfg, loss_cfg) for case in cases]
             curve = aggregate_curves({kind: trajs}, cfg.eval_alpha).series[kind.name]
             return kind.name, curve, sum(tr.failed for tr in trajs)
-        states, failed = _descend_batch(anchors, targets, kind, cfg, loss_cfg)
-        curve = _mean_curve(states, targets, ~failed, cfg.eval_alpha)
+        _, failed, curve = _descend_batch(anchors, targets, kind, cfg, loss_cfg)
         return kind.name, curve, int(failed.sum())
 
     workers = max(1, min(threads, len(kinds)))

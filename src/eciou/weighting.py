@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,12 +149,34 @@ def weighted_area(gt: OrientedBoxBEV, poly: ConvexPolygon, cfg: WeightConfig) ->
         return 0.0
     if cfg.method in (GEOMETRIC, ARITHMETIC):
         return mean_vertex_weight(gt, poly, cfg) * area
+    return _sampled_mean_weights(gt, poly, (cfg,))[0] * area
+
+
+def weighted_areas(
+    gt: OrientedBoxBEV, poly: ConvexPolygon, cfgs: Sequence[WeightConfig]
+) -> list[float]:
+    """weighted_area(gt, poly, cfg) for each of cfgs, which differ only in alpha.
+
+    Monte Carlo points depend only on the polygon, mc_samples and mc_seed,
+    so one draw serves every alpha, and each value equals its single call.
+    """
+    sampled = bool(cfgs) and cfgs[0].method == MONTE_CARLO
+    if not sampled or poly.is_empty or polygon_area(poly) <= AREA_EPS:
+        return [weighted_area(gt, poly, cfg) for cfg in cfgs]
+    area = polygon_area(poly)
+    return [m * area for m in _sampled_mean_weights(gt, poly, cfgs)]
+
+
+def _sampled_mean_weights(
+    gt: OrientedBoxBEV, poly: ConvexPolygon, cfgs: Sequence[WeightConfig]
+) -> list[float]:
+    """Mean point weight over one Monte Carlo draw in poly, at each cfg's alpha."""
     rho_c = _center_distance(gt)
-    pts = sample_in_polygon(poly, cfg.mc_samples, _polygon_rng(poly, cfg.mc_seed))
+    pts = sample_in_polygon(poly, cfgs[0].mc_samples, _polygon_rng(poly, cfgs[0].mc_seed))
     rho = np.hypot(pts[:, 0], pts[:, 1])
     if float(rho.min()) < DEGENERATE_DISTANCE:
         raise DegenerateDistanceError("sampled point coincides with the ego origin")
-    return float(np.mean((rho_c / rho) ** cfg.alpha)) * area
+    return [float(np.mean((rho_c / rho) ** cfg.alpha)) for cfg in cfgs]
 
 
 def weight_extremes(gt: OrientedBoxBEV, alpha: float) -> tuple[float, float]:

@@ -8,7 +8,7 @@ from eciou import _batch
 from eciou.geometry import box_to_polygon, intersect_convex, polygon_area
 from eciou.losses import ALL_KINDS, loss_gradient, loss_value
 from eciou.metrics import ec_iou_bev, iou_bev
-from eciou.weighting import ARITHMETIC, WeightConfig
+from eciou.weighting import ARITHMETIC, GEOMETRIC, WeightConfig
 
 
 def _pair_arrays(rng, n, shift=0.6):
@@ -76,6 +76,78 @@ def test_losses_and_gradients_match_scalar():
             assert batch_loss[i] == pytest.approx(loss_value(kind, p, g, cfg), abs=1e-9)
             scalar = loss_gradient(kind, p, g, cfg).as_tuple()
             assert np.allclose(grads[i], scalar, atol=1e-7)
+
+
+def _axis_aligned_pairs(rng, n):
+    """Unrotated predictions against unrotated targets: every ring has 4 vertices."""
+    g_arr = np.column_stack([
+        rng.uniform(5.0, 20.0, n), rng.uniform(-10.0, 10.0, n),
+        rng.uniform(1.0, 4.0, n), rng.uniform(0.5, 2.0, n), np.zeros(n),
+    ])
+    p_arr = g_arr + np.column_stack([rng.normal(0.0, 0.5, (n, 4)), np.zeros(n)])
+    return g_arr, p_arr
+
+
+def _per_parameter_gradient(ev, kind, boxes, alpha, method, h):
+    grads = np.empty((boxes.shape[0], 5))
+    for i in range(5):
+        hi = boxes.copy()
+        hi[:, i] += h
+        lo = boxes.copy()
+        lo[:, i] -= h
+        grads[:, i] = (
+            ev.loss_and_scores(kind, hi, alpha, method)[0]
+            - ev.loss_and_scores(kind, lo, alpha, method)[0]
+        ) / (2.0 * h)
+    return grads
+
+
+@pytest.mark.parametrize("method", [GEOMETRIC, ARITHMETIC])
+def test_stacked_gradient_equals_per_parameter_probes(method):
+    rng = np.random.default_rng(11)
+    _, _, g_rot, p_rot = _pair_arrays(rng, 300)
+    p_rot[::17, 2] *= -1.0
+    p_rot[5::23, 3] = np.nan
+    p_rot[9::29, 3] = 0.01  # the -h probe at h = 0.03 turns negative
+    g_flat, p_flat = _axis_aligned_pairs(rng, 300)
+    for g_arr, p_arr in ((g_rot, p_rot), (g_flat, p_flat)):
+        ev = _batch.BatchEvaluator(g_arr)
+        for kind in ALL_KINDS:
+            for h in (1e-4, 0.03):
+                grads, ok = ev.gradient(kind, p_arr, 2.0, method, h=h)
+                expected = _per_parameter_gradient(ev, kind, p_arr, 2.0, method, h)
+                assert np.array_equal(grads, expected, equal_nan=True), (kind.name, h)
+                assert np.array_equal(ok, np.isfinite(expected).all(axis=1))
+                assert p_arr is p_flat or not ok.all()
+
+
+def test_clip_buffers_are_cut_to_the_longest_ring():
+    rng = np.random.default_rng(12)
+    for g_arr, p_arr in (_pair_arrays(rng, 200)[2:], _axis_aligned_pairs(rng, 200)):
+        pc = _batch.corners(p_arr)
+        x, y, counts = _batch.clip_quads_xy(
+            pc[..., 0], pc[..., 1], _batch.precompute_clip(_batch.corners(g_arr))
+        )
+        assert x.shape == y.shape == (len(p_arr), max(counts.max(), 8))
+    assert counts.max() == 4  # the axis-aligned rings still get 8 columns
+    empty = np.empty((0, 4))
+    x, y, counts = _batch.clip_quads_xy(empty, empty, _batch.precompute_clip(np.empty((0, 4, 2))))
+    assert counts.shape == (0,) and x.shape[0] == y.shape[0] == 0
+
+
+@pytest.mark.parametrize("method", [GEOMETRIC, ARITHMETIC])
+def test_scores_do_not_depend_on_the_rest_of_the_batch(method):
+    # Rectangle-on-rectangle rings have 4 vertices; a square turned 45 degrees
+    # on its own copy makes an octagon. Every row must score the same bits
+    # whether or not the batch also holds the octagon.
+    rng = np.random.default_rng(13)
+    g_flat, p_flat = _axis_aligned_pairs(rng, 2000)
+    g_oct = np.array([[10.0, 0.0, 2.0, 2.0, 0.0]])
+    p_oct = np.array([[10.0, 0.0, 2.0, 2.0, np.pi / 4]])
+    alone = _batch.BatchEvaluator(g_flat).scores(p_flat, 4.0, method)
+    mixed = _batch.BatchEvaluator(np.vstack([g_flat, g_oct])).scores(np.vstack([p_flat, p_oct]), 4.0, method)
+    for a, m in zip(alone, mixed):
+        assert np.array_equal(a, m[: len(p_flat)])
 
 
 def test_invalid_boxes_flagged():

@@ -260,6 +260,24 @@ def test_exit_code_contract_as_subprocess(tmp_path, row):
     _assert_one_error_line(result.stdout, result.stderr)
 
 
+@pytest.mark.parametrize("argv, work", [
+    (["sim", "--config", "{tiny}", "--kinds", "iou"], "run_simulation"),
+    (["sweep"], "sweep_curve"),
+], ids=["sim", "sweep"])
+def test_unwritable_out_fails_before_the_work(tmp_path, capsys, monkeypatch, argv, work):
+    import eciou.cli
+
+    def reached(*args, **kwargs):
+        raise AssertionError(f"{work} ran before --out was opened")
+
+    monkeypatch.setattr(eciou.cli, work, reached)
+    tiny = tmp_path / "tiny.json"
+    tiny.write_text(json.dumps({"grid_points_per_axis": 1, "iterations": 2}))
+    argv = [a.format(tiny=tiny) for a in argv]
+    assert main(argv + ["--out", str(tmp_path / "missing-dir" / "x.csv")]) == 2
+    _assert_one_error_line(*capsys.readouterr())
+
+
 def test_console_entry_point():
     result = subprocess.run(
         [sys.executable, "-m", "eciou.cli", "--help"],

@@ -149,7 +149,7 @@ def test_batch_descent_matches_scalar_run_case():
     targets = np.array([(c.target.x, c.target.y, c.target.l, c.target.w, c.target.theta) for c in cases])
     for name in ("iou", "ec-diou"):
         kind = LossKind.from_name(name)
-        states, failed = _descend_batch(anchors, targets, kind, cfg, DEFAULT_LOSS_CFG)
+        states, failed, _ = _descend_batch(anchors, targets, kind, cfg, DEFAULT_LOSS_CFG)
         for i, case in enumerate(cases):
             traj = run_case(case, kind, cfg)
             assert traj.failed == failed[i]
@@ -157,6 +157,31 @@ def test_batch_descent_matches_scalar_run_case():
                 continue
             scalar = np.array([(b.x, b.y, b.l, b.w, b.theta) for (_, b, _) in traj.steps])
             assert np.allclose(scalar, states[:, i, :], atol=1e-5)
+
+
+@pytest.mark.parametrize("rate", [0.1, 4.0])
+def test_reported_curve_equals_mean_curve_of_the_states(rate):
+    # The descent scores its curve from its own clips; rescoring its states
+    # afterwards must give the same means bit for bit, failures excluded.
+    from dataclasses import replace
+
+    from eciou.losses import ALL_KINDS
+    from eciou.simulate import DEFAULT_LOSS_CFG, _descend_batch, _mean_curve
+
+    cfg = replace(TINY, step_rule=StepRule(rate=rate))
+    cases = build_scenario(cfg)
+    anchors = np.array([(c.anchor.x, c.anchor.y, c.anchor.l, c.anchor.w, c.anchor.theta) for c in cases])
+    targets = np.array([(c.target.x, c.target.y, c.target.l, c.target.w, c.target.theta) for c in cases])
+    reported = run_simulation(cfg)
+    for kind in ALL_KINDS:
+        states, failed, curve = _descend_batch(anchors, targets, kind, cfg, DEFAULT_LOSS_CFG)
+        rescored = _mean_curve(states, targets, ~failed, cfg.eval_alpha)
+        assert len(rescored) == cfg.iterations + 1
+        assert curve == rescored
+        assert reported.curves.series[kind.name] == rescored
+        assert reported.failures[kind.name] == failed.sum()
+    if rate > 1.0:
+        assert sum(reported.failures.values()) > 0
 
 
 def test_simulation_deterministic():
