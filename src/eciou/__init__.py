@@ -34,7 +34,6 @@ from .simulate import (
     SimulationResult,
     StepRule,
     Trajectory,
-    aggregate_curves,
     build_scenario,
     run_case,
     run_simulation,

@@ -228,10 +228,11 @@ class BatchEvaluator:
         self, kind, boxes: np.ndarray, alpha: float, method: str = GEOMETRIC,
         eval_alpha: float | None = None,
     ):
-        """(loss, iou, ec_iou, eval_ec_iou) from one clip; loss is nan for invalid boxes.
+        """(loss, iou, metric, eval_ec_iou) from one clip; loss is nan for invalid boxes.
 
-        eval_ec_iou is the geometric EC-IoU at eval_alpha, or None when
-        eval_alpha is None.
+        metric is the kind's own score: the EC-IoU at alpha for ego-centric
+        kinds, else the IoU. eval_ec_iou is the geometric EC-IoU at
+        eval_alpha, or None when eval_alpha is None.
         """
         ok = (
             np.isfinite(boxes).all(axis=1)
@@ -240,10 +241,9 @@ class BatchEvaluator:
         )
         p_corners = corners(boxes)
         clip, iou = self._clip(p_corners)
-        ec = self._ec_iou(clip, alpha, method)
+        metric = self._ec_iou(clip, alpha, method) if kind.ego_centric else iou
         eval_ec = None if eval_alpha is None else self._ec_iou(clip, eval_alpha, GEOMETRIC)
-        score = ec if kind.ego_centric else iou
-        loss = 1.0 - score
+        loss = 1.0 - metric
         if kind.family in ("diou", "eiou"):
             both = np.concatenate([p_corners, self.g_corners], axis=1)
             lo = both.min(axis=1)
@@ -255,7 +255,7 @@ class BatchEvaluator:
             if kind.family == "eiou":
                 loss = loss + (boxes[:, 2] - self.targets[:, 2]) ** 2 / c_l**2
                 loss = loss + (boxes[:, 3] - self.targets[:, 3]) ** 2 / c_w**2
-        return np.where(ok, loss, np.nan), iou, ec, eval_ec
+        return np.where(ok, loss, np.nan), iou, metric, eval_ec
 
     @functools.cached_property
     def _probes(self) -> "BatchEvaluator":

@@ -5,15 +5,18 @@ them, and descends each of the six loss functions with plain gradient
 steps, recording mean IoU / mean EC-IoU learning curves per iteration.
 
 Cases are independent; all aggregation happens in fixed case-id order so
-results do not depend on execution order. The heavy lifting runs on the
-vectorized kernel in `_batch`; `run_case` is the scalar reference for a
-single case.
+results do not depend on execution order. `run_simulation` descends every
+case at once on the vectorized kernel in `_batch`, weighting losses with
+the geometric or arithmetic vertex mean. `run_case` is the scalar
+reference for a single case and takes any `WeightConfig`, so Monte Carlo
+descents go through it.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -23,7 +26,7 @@ from . import _batch
 from .geometry import OrientedBoxBEV
 from .losses import ALL_KINDS, LossKind, NonFiniteGradientError, loss_gradient, loss_value
 from .metrics import ec_iou_bev, iou_bev
-from .weighting import GEOMETRIC, MONTE_CARLO, DegenerateDistanceError, WeightConfig, weight_extremes
+from .weighting import ARITHMETIC, GEOMETRIC, DegenerateDistanceError, WeightConfig, weight_extremes
 
 DEFAULT_LOSS_CFG = WeightConfig(alpha=1.0, method=GEOMETRIC)
 
@@ -57,6 +60,8 @@ class StepRule:
             raise ConfigError("step rates must be positive")
         if not 0.0 <= self.decay_at <= 1.0:
             raise ConfigError("decay_at must be a fraction of the run in [0, 1]")
+        if not isinstance(self.metric_boost, bool):
+            raise ConfigError(f"metric_boost must be true or false, got {self.metric_boost!r}")
 
     def rate_at(self, iteration: int, total: int) -> float:
         if iteration < self.decay_at * total:
@@ -82,8 +87,13 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if self.grid_extent <= 0.0:
             raise ConfigError("grid_extent must be positive")
-        if self.grid_points_per_axis < 1 or self.iterations < 1:
-            raise ConfigError("grid_points_per_axis and iterations must be >= 1")
+        for name in ("grid_points_per_axis", "iterations"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+        alpha = self.eval_alpha
+        if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real) or not 0.0 <= alpha < math.inf:
+            raise ConfigError(f"eval_alpha must be finite and >= 0, got {alpha!r}")
         if not (self.target_dims and self.target_thetas and self.anchor_ratios and self.anchor_scales):
             raise ConfigError("target and anchor lists must be non-empty")
         for target in self.targets():
@@ -127,9 +137,7 @@ class ScenarioConfig:
                 bad = set(rule) - set(StepRule.__dataclass_fields__)
                 if bad:
                     raise ConfigError(f"unknown step_rule keys: {sorted(bad)}")
-                fields = {
-                    k: bool(v) if k == "metric_boost" else float(v) for k, v in rule.items()
-                }
+                fields = {k: v if k == "metric_boost" else float(v) for k, v in rule.items()}
                 kwargs["step_rule"] = StepRule(**fields)
             return cls(**kwargs)
         except ConfigError:
@@ -284,28 +292,25 @@ def _descend_batch(
 ) -> tuple[np.ndarray, np.ndarray, tuple[CurvePoint, ...]]:
     """All-case descent on the vectorized kernel.
 
-    Returns states (iterations + 1, N, 5), the failed mask and the learning
-    curve over the surviving cases; failed cases freeze at their last valid
-    state. Each state's curve scores come from the clip its loss already
-    made; only the final state is clipped again.
+    Returns the final (N, 5) state, the failed mask and the learning curve
+    over the surviving cases; failed cases freeze at their last valid state.
+    Each state's curve scores come from the clip its loss already made; only
+    the final state is clipped again.
     """
     ev = _batch.BatchEvaluator(targets)
     n = anchors.shape[0]
-    states = np.empty((cfg.iterations + 1, n, 5))
-    states[0] = anchors
     scores = np.empty((cfg.iterations + 1, 2, n))  # per-case IoU and EC-IoU at eval_alpha
     cur = anchors.copy()
     active = np.ones(n, dtype=bool)
     for t in range(cfg.iterations):
         rate = cfg.step_rule.rate_at(t, cfg.iterations)
-        loss_now, iou, ec, eval_ec = ev.loss_and_scores(
+        loss_now, iou, metric, eval_ec = ev.loss_and_scores(
             kind, cur, loss_cfg.alpha, loss_cfg.method, eval_alpha=cfg.eval_alpha
         )
         scores[t] = iou, eval_ec
         converged = loss_now == 0.0
         grads, ok = ev.gradient(kind, cur, loss_cfg.alpha, loss_cfg.method, h=GRAD_STEP)
         if cfg.step_rule.metric_boost:
-            metric = ec if kind.ego_centric else iou
             scale = rate * (2.0 - metric)
         else:
             scale = np.full(n, rate)
@@ -318,10 +323,9 @@ def _descend_batch(
         move = active & healthy & ~converged
         active &= healthy
         cur = np.where(move[:, None], stepped, cur)
-        states[t + 1] = cur
     scores[-1] = ev.scores(cur, cfg.eval_alpha, GEOMETRIC)
     curve = _curve_points(scores[:, :, active]) if active.any() else ()
-    return states, ~active, curve
+    return cur, ~active, curve
 
 
 def _curve_points(scores) -> tuple[CurvePoint, ...]:
@@ -329,45 +333,6 @@ def _curve_points(scores) -> tuple[CurvePoint, ...]:
     return tuple(
         CurvePoint(t, float(iou.mean()), float(ec.mean())) for t, (iou, ec) in enumerate(scores)
     )
-
-
-def _mean_curve(
-    states: np.ndarray, targets: np.ndarray, keep: np.ndarray, eval_alpha: float
-) -> tuple[CurvePoint, ...]:
-    """Mean IoU / EC-IoU per iteration over the kept cases of stacked states."""
-    if not keep.any():
-        return ()
-    ev = _batch.BatchEvaluator(targets[keep])
-    return _curve_points(ev.scores(s[keep], eval_alpha, GEOMETRIC) for s in states)
-
-
-def aggregate_curves(
-    trajectories: dict[str, list[Trajectory]] | dict[LossKind, list[Trajectory]],
-    eval_alpha: float,
-) -> CurveSet:
-    """Learning curves from per-kind trajectories over one shared case list.
-
-    Failed trajectories are excluded; the remaining ones are averaged in
-    case-id order.
-    """
-    series: dict[str, tuple[CurvePoint, ...]] = {}
-    for kind, trajs in trajectories.items():
-        name = kind.name if isinstance(kind, LossKind) else str(kind)
-        alive = sorted((tr for tr in trajs if not tr.failed), key=lambda tr: tr.case_id)
-        if not alive:
-            series[name] = ()
-            continue
-        lengths = {len(tr.steps) for tr in alive}
-        if len(lengths) != 1:
-            raise ValueError("trajectories must share one iteration count")
-        states = np.array(
-            [[(b.x, b.y, b.l, b.w, b.theta) for (_, b, _) in tr.steps] for tr in alive]
-        ).transpose(1, 0, 2)
-        targets = np.array(
-            [(tr.target.x, tr.target.y, tr.target.l, tr.target.w, tr.target.theta) for tr in alive]
-        )
-        series[name] = _mean_curve(states, targets, np.ones(len(alive), bool), eval_alpha)
-    return CurveSet(eval_alpha=eval_alpha, series=series)
 
 
 def run_simulation(
@@ -378,21 +343,25 @@ def run_simulation(
 ) -> SimulationResult:
     """Run every loss kind over the full scenario and aggregate curves.
 
-    Deterministic for a fixed config: cases are generated, descended, and
-    averaged in case-id order; kinds may run in parallel threads but are
-    assembled in the order given.
+    Losses are weighted with the geometric or arithmetic vertex mean; a
+    Monte Carlo descent goes case by case through `run_case`. Deterministic
+    for a fixed config: cases are generated, descended, and averaged in
+    case-id order; kinds may run in parallel threads but are assembled in
+    the order given.
     """
+    if loss_cfg.method not in (GEOMETRIC, ARITHMETIC):
+        raise ValueError(
+            f"run_simulation weights losses with {GEOMETRIC} or {ARITHMETIC} means, "
+            f"not {loss_cfg.method}; descend single cases with run_case instead"
+        )
+    names = [kind.name for kind in kinds]
+    if len(set(names)) != len(names):
+        raise ValueError(f"duplicate loss kinds in {','.join(names)}")
     cases = build_scenario(cfg)
     anchors = np.array([(c.anchor.x, c.anchor.y, c.anchor.l, c.anchor.w, c.anchor.theta) for c in cases])
     targets = np.array([(c.target.x, c.target.y, c.target.l, c.target.w, c.target.theta) for c in cases])
 
     def one_kind(kind: LossKind):
-        if loss_cfg.method == MONTE_CARLO:
-            # The batch kernel has no Monte Carlo weighting: descend each case
-            # on the scalar reference instead.
-            trajs = [run_case(case, kind, cfg, loss_cfg) for case in cases]
-            curve = aggregate_curves({kind: trajs}, cfg.eval_alpha).series[kind.name]
-            return kind.name, curve, sum(tr.failed for tr in trajs)
         _, failed, curve = _descend_batch(anchors, targets, kind, cfg, loss_cfg)
         return kind.name, curve, int(failed.sum())
 

@@ -1,7 +1,11 @@
 """The vectorized kernel must agree with the scalar reference path."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import nearby_box, random_offside_gt
 from eciou import _batch
@@ -148,6 +152,65 @@ def test_scores_do_not_depend_on_the_rest_of_the_batch(method):
     mixed = _batch.BatchEvaluator(np.vstack([g_flat, g_oct])).scores(np.vstack([p_flat, p_oct]), 4.0, method)
     for a, m in zip(alone, mixed):
         assert np.array_equal(a, m[: len(p_flat)])
+
+
+@st.composite
+def _scored_batches(draw):
+    """Targets clear of the ego, predictions around them and a row subset.
+
+    Shifts and size changes are often exactly 0 and 1, so that turned copies
+    of a target, whose rings have up to 8 vertices, come up often.
+    """
+    n = draw(st.integers(1, 12))
+    shift = st.one_of(st.just(0.0), st.floats(-1.0, 1.0))
+    scale = st.one_of(st.just(1.0), st.floats(0.5, 1.5))
+    targets, boxes = [], []
+    for _ in range(n):
+        rho, phi = draw(st.floats(5.0, 30.0)), draw(st.floats(-math.pi, math.pi))
+        l, w, theta = draw(st.floats(0.5, 4.0)), draw(st.floats(0.5, 4.0)), draw(st.floats(-math.pi, math.pi))
+        targets.append((rho * math.cos(phi), rho * math.sin(phi), l, w, theta))
+        boxes.append((
+            targets[-1][0] + draw(shift) * l, targets[-1][1] + draw(shift) * w,
+            l * draw(scale), w * draw(scale), theta + draw(st.floats(-1.0, 1.0)) * math.pi / 2,
+        ))
+    keep = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return np.array(targets), np.array(boxes), np.array(keep)
+
+
+@settings(deadline=None)
+# An octagon (a square turned on its own copy) next to a rectangle pair: the
+# rectangle's ring is 4 wide alone and 8 wide beside the octagon.
+@example(
+    batch=(
+        np.array([[10.0, 0.0, 2.0, 2.0, 0.0], [7.0, -3.0, 1.5, 1.5, 0.0]]),
+        np.array([[10.0, 0.0, 2.0, 2.0, 0.8], [7.1, -2.9, 1.65, 1.5, 0.0]]),
+        np.array([False, True]),
+    ),
+    loss_alpha=1.0, eval_alpha=4.0, method=GEOMETRIC,
+)
+@given(
+    batch=_scored_batches(),
+    loss_alpha=st.floats(0.0, 8.0),
+    eval_alpha=st.floats(0.0, 8.0),
+    method=st.sampled_from([GEOMETRIC, ARITHMETIC]),
+)
+def test_loss_and_scores_agree_with_scores(batch, loss_alpha, eval_alpha, method):
+    # The descent scores its curve and step size from the clip its loss made;
+    # those scores must be the bits `scores` gives, also for any row subset
+    # scored on its own.
+    targets, boxes, keep = batch
+    iou, eval_ec = _batch.BatchEvaluator(targets).scores(boxes, eval_alpha)
+    loss_ec = _batch.BatchEvaluator(targets).scores(boxes, loss_alpha, method)[1]
+    for rows in (np.ones(len(boxes), bool), keep):
+        ev = _batch.BatchEvaluator(targets[rows])
+        for kind in ALL_KINDS:
+            _, got_iou, metric, got_ec = ev.loss_and_scores(
+                kind, boxes[rows], loss_alpha, method, eval_alpha=eval_alpha
+            )
+            assert np.array_equal(got_iou, iou[rows], equal_nan=True)
+            assert np.array_equal(got_ec, eval_ec[rows], equal_nan=True)
+            own = loss_ec[rows] if kind.ego_centric else got_iou
+            assert np.array_equal(metric, own, equal_nan=True)
 
 
 def test_invalid_boxes_flagged():

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -214,22 +215,40 @@ CONTRACT = {
     "sim-target-centred-on-ego": (["sim", "--config", "{centred}"], 1),
     "sim-ego-inside-target": (["sim", "--config", "{inside}"], 1),
     "sim-missing-config": (["sim", "--config", "{missing}"], 1),
+    "sim-fractional-iterations": (["sim", "--config", "{fractional_iterations}"], 1),
+    "sim-fractional-grid": (["sim", "--config", "{fractional_grid}"], 1),
+    "sim-boolean-iterations": (["sim", "--config", "{boolean_iterations}"], 1),
+    "sim-string-eval-alpha": (["sim", "--config", "{string_eval_alpha}"], 1),
+    "sim-nan-eval-alpha": (["sim", "--config", "{nan_eval_alpha}"], 1),
+    "sim-negative-eval-alpha": (["sim", "--config", "{negative_eval_alpha}"], 1),
+    "sim-string-metric-boost": (["sim", "--config", "{string_metric_boost}"], 1),
+    "sim-duplicate-kinds": (["sim", "--config", "{tiny}", "--kinds", "iou,ec-iou,iou"], 1),
     "eval-missing-preds": (["eval", "--preds", "{missing}", "--gts", "{gts}"], 2),
     "sweep-unwritable-out": (["sweep", "--out", "/nonexistent-dir/x.csv"], 2),
     "metric-gt-on-ego": (METRIC[:8] + ["0", "0", "4", "2", "0"], 2),
 }
 
 
+# Scenario documents for the sim rows; each is small, so a row whose
+# rejection regresses fails fast instead of running the full scenario.
+SCENARIOS = {
+    "tiny": {},
+    "centred": {"target_center": [0, 0]},
+    "inside": {"target_center": [1, 0], "target_dims": [[3, 1]], "target_thetas": [0]},
+    "fractional_iterations": {"iterations": 2.5},
+    "fractional_grid": {"grid_points_per_axis": 1.5},
+    "boolean_iterations": {"iterations": True},
+    "string_eval_alpha": {"eval_alpha": "4"},
+    "nan_eval_alpha": {"eval_alpha": math.nan},
+    "negative_eval_alpha": {"eval_alpha": -1},
+    "string_metric_boost": {"step_rule": {"metric_boost": "no"}},
+}
+
+
 def _contract_argv(tmp_path, argv):
-    files = {
-        "preds": PREDS,
-        "gts": GTS,
-        "centred": json.dumps({"grid_points_per_axis": 1, "iterations": 2, "target_center": [0, 0]}),
-        "inside": json.dumps({
-            "grid_points_per_axis": 1, "iterations": 2, "target_center": [1, 0],
-            "target_dims": [[3, 1]], "target_thetas": [0],
-        }),
-    }
+    files = {"preds": PREDS, "gts": GTS}
+    for name, raw in SCENARIOS.items():
+        files[name] = json.dumps({"grid_points_per_axis": 1, "iterations": 2, **raw})
     paths = {"missing": str(tmp_path / "missing")}
     for name, text in files.items():
         (tmp_path / name).write_text(text)
