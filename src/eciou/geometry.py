@@ -15,6 +15,8 @@ _TWO_PI = 2.0 * math.pi
 # below it are treated as empty.
 DEDUP_TOL = 1e-12
 AREA_EPS = 1e-12
+# Relative slack on the circumcircle test of circumcircles_disjoint.
+DISJOINT_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -164,6 +166,20 @@ def intersect_convex(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon:
     if len(output) < 3 or _signed_area(output) < AREA_EPS:
         return EMPTY_POLYGON
     return ConvexPolygon(tuple(output))
+
+
+def circumcircles_disjoint(a: OrientedBoxBEV, b: OrientedBoxBEV) -> bool:
+    """True when the centers are farther apart than the two circumradii
+    0.5 * hypot(l, w) together, with a relative margin of DISJOINT_MARGIN.
+
+    Each footprint lies inside its circumcircle, so such boxes share no
+    point, whatever their headings. The margin keeps the answer exact under
+    rounding: intersect_convex returns the empty polygon for every such
+    pair while the boxes' sides are above about 1e-6 of their distance to
+    the ego.
+    """
+    reach = 0.5 * (math.hypot(a.l, a.w) + math.hypot(b.l, b.w))
+    return math.hypot(a.x - b.x, a.y - b.y) > reach * (1.0 + DISJOINT_MARGIN)
 
 
 def enclosing_aabb(a: OrientedBoxBEV, b: OrientedBoxBEV) -> tuple[float, float, float, float]:

@@ -56,8 +56,10 @@ class StepRule:
     metric_boost: bool = True
 
     def __post_init__(self) -> None:
-        if self.rate <= 0.0 or self.decay_factor <= 0.0:
-            raise ConfigError("step rates must be positive")
+        for name in ("rate", "decay_factor"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:  # false for NaN too
+                raise ConfigError(f"step {name} must be finite and positive, got {value!r}")
         if not 0.0 <= self.decay_at <= 1.0:
             raise ConfigError("decay_at must be a fraction of the run in [0, 1]")
         if not isinstance(self.metric_boost, bool):

@@ -222,8 +222,11 @@ CONTRACT = {
     "sim-nan-eval-alpha": (["sim", "--config", "{nan_eval_alpha}"], 1),
     "sim-negative-eval-alpha": (["sim", "--config", "{negative_eval_alpha}"], 1),
     "sim-string-metric-boost": (["sim", "--config", "{string_metric_boost}"], 1),
+    "sim-nan-step-rate": (["sim", "--config", "{nan_step_rate}"], 1),
+    "sim-infinite-decay-factor": (["sim", "--config", "{infinite_decay_factor}"], 1),
     "sim-duplicate-kinds": (["sim", "--config", "{tiny}", "--kinds", "iou,ec-iou,iou"], 1),
     "eval-missing-preds": (["eval", "--preds", "{missing}", "--gts", "{gts}"], 2),
+    "eval-gt-corner-on-ego": (["eval", "--preds", "{far_preds}", "--gts", "{corner_gts}"], 2),
     "sweep-unwritable-out": (["sweep", "--out", "/nonexistent-dir/x.csv"], 2),
     "metric-gt-on-ego": (METRIC[:8] + ["0", "0", "4", "2", "0"], 2),
 }
@@ -242,11 +245,18 @@ SCENARIOS = {
     "nan_eval_alpha": {"eval_alpha": math.nan},
     "negative_eval_alpha": {"eval_alpha": -1},
     "string_metric_boost": {"step_rule": {"metric_boost": "no"}},
+    "nan_step_rate": {"step_rule": {"rate": math.nan}},
+    "infinite_decay_factor": {"step_rule": {"decay_factor": math.inf}},
 }
+
+# A prediction far from a ground truth whose corner sits on the ego origin:
+# the pair is disjoint, so the ground truth is refused where it is parsed.
+FAR_PREDS = "f0 car 30 0 0 4 2 1.5 0 0.9\n"
+CORNER_GTS = "f0 car 1 1 0 2 2 1.5 0\n"
 
 
 def _contract_argv(tmp_path, argv):
-    files = {"preds": PREDS, "gts": GTS}
+    files = {"preds": PREDS, "gts": GTS, "far_preds": FAR_PREDS, "corner_gts": CORNER_GTS}
     for name, raw in SCENARIOS.items():
         files[name] = json.dumps({"grid_points_per_axis": 1, "iterations": 2, **raw})
     paths = {"missing": str(tmp_path / "missing")}
@@ -277,6 +287,13 @@ def test_exit_code_contract_as_subprocess(tmp_path, row):
     )
     assert result.returncode == code
     _assert_one_error_line(result.stdout, result.stderr)
+
+
+def test_eval_ground_truth_corner_on_ego_names_file_and_line(tmp_path, capsys):
+    argv = _contract_argv(tmp_path, CONTRACT["eval-gt-corner-on-ego"][0])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / 'corner_gts'}:1: ") and "corner" in err
 
 
 @pytest.mark.parametrize("argv, work", [

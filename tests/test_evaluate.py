@@ -1,7 +1,10 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from eciou.evaluate import (
     DEFAULT_THRESHOLDS,
@@ -9,20 +12,23 @@ from eciou.evaluate import (
     EC_IOU_AFFINITY,
     GROUND_TRUTHS,
     IOU_AFFINITY,
+    MODE_3D,
+    MODE_BEV,
     PREDICTIONS,
     DetectionRecord,
     MatchResult,
     RecordParseError,
     UndefinedAPError,
+    _affinity,
     average_precision_40,
     evaluate_detections,
     match_greedy,
     parse_records,
     tp_metric_means,
 )
-from eciou.geometry import Box3D
-from eciou.metrics import ec_iou_3d, iou_3d
-from eciou.weighting import WeightConfig
+from eciou.geometry import DISJOINT_MARGIN, Box3D, circumcircles_disjoint
+from eciou.metrics import ec_iou_3d, ec_iou_bev, iou_3d, iou_bev
+from eciou.weighting import ARITHMETIC, GEOMETRIC, MONTE_CARLO, WeightConfig
 
 CFG = WeightConfig(alpha=1)
 
@@ -82,6 +88,11 @@ def test_parse_records_errors_carry_line_numbers(tmp_path):
     path.write_text("f0 car ten 0 0.9 4 2 1.6 0.0 0.5\n")
     with pytest.raises(RecordParseError):
         parse_records(str(path), PREDICTIONS)
+    # A corner on the ego leaves the ground truth's weighted area undefined.
+    path.write_text("f0 car 10 0 0.9 4 2 1.6 0\nf0 car 1 1 0 2 2 1.5 0\n")
+    with pytest.raises(RecordParseError, match="corner") as err:
+        parse_records(str(path), GROUND_TRUTHS)
+    assert err.value.line_number == 2
 
 
 def test_parse_records_gts_reject_score_column(tmp_path):
@@ -117,14 +128,103 @@ def test_match_higher_score_wins_contested_gt():
 
 
 def test_match_bev_mode_ignores_height():
-    from eciou.evaluate import MODE_BEV
-
     pred = _pred(10, 0, 0.9, z=5.0)  # same footprint, vertically disjoint
     gt = _gt(10, 0, z=0.9)
     assert not match_greedy([pred], [gt], IOU_AFFINITY, 0.5, CFG).matches
     bev = match_greedy([pred], [gt], IOU_AFFINITY, 0.5, CFG, mode=MODE_BEV)
     assert len(bev.matches) == 1
     assert bev.matches[0][2] == pytest.approx(1.0)
+
+
+# ---- disjoint-pair shortcut ----
+
+
+def _record(x, y, z, l, w, h, theta, score=None):
+    return DetectionRecord("f0", "car", Box3D(x=x, y=y, l=l, w=w, theta=theta, z=z, h=h), score)
+
+
+@st.composite
+def _gt_records(draw):
+    """A ground truth whose circumcircle stays clear of the ego."""
+    l, w = draw(st.floats(0.05, 20.0)), draw(st.floats(0.05, 20.0))
+    rho = 0.5 * math.hypot(l, w) + draw(st.floats(0.5, 1000.0))
+    phi = draw(st.floats(-math.pi, math.pi))
+    return _record(rho * math.cos(phi), rho * math.sin(phi), draw(st.floats(-3.0, 3.0)),
+                   l, w, draw(st.floats(0.1, 5.0)), draw(st.floats(-math.pi, math.pi)))
+
+
+def _aimed(draw, l, w, direction):
+    """A heading that puts one of the box's corners on the ray at direction."""
+    return direction + draw(st.sampled_from([1.0, -1.0])) * math.atan2(w, l) + draw(
+        st.sampled_from([0.0, math.pi]))
+
+
+# Center distances a few DISJOINT_MARGINs either side of the circumradius sum.
+_NEAR_TOUCH = st.floats(-4.0, 4.0).map(lambda u: u * DISJOINT_MARGIN)
+
+
+@st.composite
+def _pairs(draw, gaps):
+    """(pred, gt) with centers reach * (1 + gap) apart, reach being the sum of
+    their circumradii; in half of the draws the two boxes point a corner at
+    each other, the closest they come at that distance."""
+    gt = draw(_gt_records())
+    g = gt.box
+    l, w = draw(st.floats(0.05, 20.0)), draw(st.floats(0.05, 20.0))
+    reach = 0.5 * (math.hypot(l, w) + math.hypot(g.l, g.w))
+    dist = reach * (1.0 + draw(gaps))
+    d = draw(st.floats(-math.pi, math.pi))
+    if draw(st.booleans()):
+        theta = _aimed(draw, l, w, d + math.pi)
+        gt = _record(g.x, g.y, g.z, g.l, g.w, g.h, _aimed(draw, g.l, g.w, d))
+    else:
+        theta = draw(st.floats(-math.pi, math.pi))
+    pred = _record(g.x + dist * math.cos(d), g.y + dist * math.sin(d), draw(st.floats(-3.0, 3.0)),
+                   l, w, draw(st.floats(0.1, 5.0)), theta, 0.5)
+    return pred, gt
+
+
+_CFGS = st.builds(
+    WeightConfig,
+    alpha=st.floats(0.0, 8.0),
+    method=st.sampled_from([GEOMETRIC, ARITHMETIC, MONTE_CARLO]),
+    mc_samples=st.just(64),
+)
+
+
+def _metric(affinity, mode, cfg):
+    """The metric _affinity scores with, called directly."""
+    if mode == MODE_BEV:
+        return iou_bev if affinity == IOU_AFFINITY else lambda p, g: ec_iou_bev(p, g, cfg)
+    return iou_3d if affinity == IOU_AFFINITY else lambda p, g: ec_iou_3d(p, g, cfg)
+
+
+@settings(deadline=None, max_examples=300)
+@given(pair=_pairs(st.one_of(_NEAR_TOUCH, st.floats(0.0, 2.0))), cfg=_CFGS)
+def test_every_metric_is_exactly_zero_on_disjoint_circumcircles(pair, cfg):
+    pred, gt = pair
+    assume(circumcircles_disjoint(pred.box, gt.box))
+    for affinity, mode in itertools.product((IOU_AFFINITY, EC_IOU_AFFINITY), (MODE_3D, MODE_BEV)):
+        assert _metric(affinity, mode, cfg)(pred.box, gt.box).value.hex() == (0.0).hex()
+
+
+@settings(deadline=None)
+@given(pair=_pairs(st.one_of(_NEAR_TOUCH, st.floats(-1.0, 1.0))), cfg=_CFGS)
+def test_affinity_equals_the_direct_metric_bit_for_bit(pair, cfg):
+    pred, gt = pair
+    for affinity, mode in itertools.product((IOU_AFFINITY, EC_IOU_AFFINITY), (MODE_3D, MODE_BEV)):
+        direct = _metric(affinity, mode, cfg)(pred.box, gt.box).value
+        assert _affinity(pred, gt, affinity, cfg, mode).hex() == direct.hex()
+
+
+@pytest.mark.parametrize("mode", [MODE_3D, MODE_BEV])
+@pytest.mark.parametrize("affinity", [IOU_AFFINITY, EC_IOU_AFFINITY])
+def test_threshold_zero_still_matches_a_disjoint_pair(affinity, mode):
+    pred, gt = _pred(30, 0, 0.9), _gt(10, 0)
+    assert circumcircles_disjoint(pred.box, gt.box)
+    result = match_greedy([pred], [gt], affinity, 0.0, CFG, mode)
+    assert result.matches == ((pred, gt, 0.0),)
+    assert not result.false_positives and not result.false_negatives
 
 
 def _brute_force_best_matching(preds, gts, affinity, threshold, cfg):
@@ -293,6 +393,19 @@ def test_tp_means_match_single_pair_metrics():
     means = tp_metric_means([pred], [gt], 2.0, CFG)
     assert means.mean_iou == pytest.approx(iou_3d(pred.box, gt.box).value, abs=1e-12)
     assert means.mean_ec_iou == pytest.approx(ec_iou_3d(pred.box, gt.box, CFG).value, abs=1e-12)
+
+
+def test_tp_means_equal_direct_metric_calls_with_a_disjoint_pair():
+    # The pedestrians' centers are 1.5 m apart: a true positive by center
+    # distance whose footprints are disjoint.
+    preds = [_pred(10.6, 0.2, 0.9), _pred(21.5, 5, 0.8, l=0.8, w=0.6, h=1.7)]
+    gts = [_gt(10, 0), _gt(20, 5, l=0.8, w=0.6, h=1.7)]
+    assert circumcircles_disjoint(preds[1].box, gts[1].box)
+    means = tp_metric_means(preds, gts, 2.0, CFG)
+    assert means.matched == 2
+    boxes = [(p.box, g.box) for p, g in zip(preds, gts)]
+    assert means.mean_iou == sum(iou_3d(p, g).value for p, g in boxes) / 2
+    assert means.mean_ec_iou == sum(ec_iou_3d(p, g, CFG).value for p, g in boxes) / 2
 
 
 def test_tp_means_nearest_first():

@@ -61,8 +61,9 @@ def test_config_validation():
         ScenarioConfig(grid_points_per_axis=0)
     with pytest.raises(ConfigError):
         ScenarioConfig(anchor_scales=())
-    with pytest.raises(ConfigError):
-        StepRule(rate=0.0)
+    for bad in ({"rate": 0.0}, {"rate": math.nan}, {"rate": math.inf}, {"decay_factor": math.nan}):
+        with pytest.raises(ConfigError):
+            StepRule(**bad)
     for bad in ({"iterations": 2.5}, {"grid_points_per_axis": True}, {"eval_alpha": "4"},
                 {"eval_alpha": math.inf}, {"eval_alpha": -0.5}):
         with pytest.raises(ConfigError):
