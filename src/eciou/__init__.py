@@ -13,7 +13,6 @@ from .geometry import (
     OrientedBoxBEV,
     box_to_polygon,
     enclosing_aabb,
-    enclosing_diag_sq,
     intersect_convex,
     polygon_area,
 )

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 from .geometry import Box3D, box_to_polygon, circumcircles_disjoint
@@ -64,10 +64,6 @@ class DetectionRecord:
     class_label: str
     box: Box3D
     score: float | None = None
-
-    @property
-    def is_prediction(self) -> bool:
-        return self.score is not None
 
 
 def parse_records(path: str, kind: str) -> list[DetectionRecord]:
@@ -239,6 +235,10 @@ def average_precision_40(frame_results: list[MatchResult]) -> float:
     return total / RECALL_POINTS
 
 
+def _mean_or_none(values: list[float]) -> float | None:
+    return sum(values) / len(values) if values else None
+
+
 @dataclass(frozen=True)
 class TPMeans:
     """Mean 3D IoU / EC-IoU over center-distance true positives."""
@@ -268,11 +268,9 @@ def tp_metric_means(
             -center_dist_threshold,
         )
         pairs.extend((p, g) for p, g, _ in result.matches)
-    if not pairs:
-        return TPMeans(None, None, 0)
     ious = [_affinity(p, g, IOU_AFFINITY, cfg, MODE_3D) for p, g in pairs]
     ec_ious = [_affinity(p, g, EC_IOU_AFFINITY, cfg, MODE_3D) for p, g in pairs]
-    return TPMeans(sum(ious) / len(ious), sum(ec_ious) / len(ec_ious), len(pairs))
+    return TPMeans(_mean_or_none(ious), _mean_or_none(ec_ious), len(pairs))
 
 
 @dataclass(frozen=True)
@@ -293,23 +291,15 @@ class EvalReport:
     ec_map40: float | None = None
 
     def to_json(self) -> str:
-        payload = {
-            "classes": {
-                name: {
-                    "ap40": rep.ap40,
-                    "ec_ap40": rep.ec_ap40,
-                    "mean_iou": rep.mean_iou,
-                    "mean_ec_iou": rep.mean_ec_iou,
-                    "tp": rep.tp,
-                    "fp": rep.fp,
-                    "fn": rep.fn,
-                }
-                for name, rep in self.classes.items()
-            },
-            "map40": self.map40,
-            "ec_map40": self.ec_map40,
-        }
+        payload = asdict(self)  # field order is the JSON key order
         return json.dumps(payload, indent=2, sort_keys=False)
+
+
+def _ap40_or_none(frame_results: list[MatchResult]) -> float | None:
+    try:
+        return average_precision_40(frame_results)
+    except UndefinedAPError:
+        return None
 
 
 def evaluate_detections(
@@ -327,46 +317,33 @@ def evaluate_detections(
     _check_choices(mode, count_affinity)
     if tp_distance <= 0.0:
         raise ValueError(f"tp_distance must be positive, got {tp_distance}")
+    if len(set(classes)) != len(classes):
+        raise ValueError(f"duplicate classes in {','.join(classes)}")
     thresholds = thresholds or {}
     class_reports: dict[str, ClassReport] = {}
-    aps = []
-    ec_aps = []
     for label in classes:
         threshold = thresholds.get(label, DEFAULT_THRESHOLDS.get(label, FALLBACK_THRESHOLD))
         cls_preds = [p for p in preds if p.class_label == label]
         cls_gts = [g for g in gts if g.class_label == label]
         frames = _by_frame(cls_preds, cls_gts)
-        per_affinity: dict[str, list[MatchResult]] = {}
-        ap_values: dict[str, float | None] = {}
-        for affinity in (IOU_AFFINITY, EC_IOU_AFFINITY):
-            results = [
-                match_greedy(fp, fg, affinity, threshold, cfg, mode) for fp, fg in frames
-            ]
-            per_affinity[affinity] = results
-            try:
-                ap_values[affinity] = average_precision_40(results)
-            except UndefinedAPError:
-                ap_values[affinity] = None
-        counted = per_affinity[count_affinity]
-        tp = sum(len(r.matches) for r in counted)
-        fp = sum(len(r.false_positives) for r in counted)
-        fn = sum(len(r.false_negatives) for r in counted)
+        matched = {
+            affinity: [match_greedy(fp, fg, affinity, threshold, cfg, mode) for fp, fg in frames]
+            for affinity in (IOU_AFFINITY, EC_IOU_AFFINITY)
+        }
+        counted = matched[count_affinity]
         means = tp_metric_means(cls_preds, cls_gts, tp_distance, cfg)
         class_reports[label] = ClassReport(
-            ap40=ap_values[IOU_AFFINITY],
-            ec_ap40=ap_values[EC_IOU_AFFINITY],
+            ap40=_ap40_or_none(matched[IOU_AFFINITY]),
+            ec_ap40=_ap40_or_none(matched[EC_IOU_AFFINITY]),
             mean_iou=means.mean_iou,
             mean_ec_iou=means.mean_ec_iou,
-            tp=tp,
-            fp=fp,
-            fn=fn,
+            tp=sum(len(r.matches) for r in counted),
+            fp=sum(len(r.false_positives) for r in counted),
+            fn=sum(len(r.false_negatives) for r in counted),
         )
-        if ap_values[IOU_AFFINITY] is not None:
-            aps.append(ap_values[IOU_AFFINITY])
-        if ap_values[EC_IOU_AFFINITY] is not None:
-            ec_aps.append(ap_values[EC_IOU_AFFINITY])
+    reports = class_reports.values()
     return EvalReport(
         classes=class_reports,
-        map40=sum(aps) / len(aps) if aps else None,
-        ec_map40=sum(ec_aps) / len(ec_aps) if ec_aps else None,
+        map40=_mean_or_none([r.ap40 for r in reports if r.ap40 is not None]),
+        ec_map40=_mean_or_none([r.ec_ap40 for r in reports if r.ec_ap40 is not None]),
     )

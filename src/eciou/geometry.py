@@ -43,11 +43,6 @@ class OrientedBoxBEV:
         if not -math.pi <= self.theta < math.pi:
             object.__setattr__(self, "theta", (self.theta + math.pi) % _TWO_PI - math.pi)
 
-    @property
-    def center_distance(self) -> float:
-        """Euclidean distance from the box center to the ego origin."""
-        return math.hypot(self.x, self.y)
-
 
 @dataclass(frozen=True)
 class Box3D(OrientedBoxBEV):
@@ -189,8 +184,3 @@ def enclosing_aabb(a: OrientedBoxBEV, b: OrientedBoxBEV) -> tuple[float, float, 
     ys = [p[1] for p in pts]
     return min(xs), min(ys), max(xs), max(ys)
 
-
-def enclosing_diag_sq(a: OrientedBoxBEV, b: OrientedBoxBEV) -> float:
-    """Squared diagonal of the smallest axis-aligned box covering both boxes."""
-    min_x, min_y, max_x, max_y = enclosing_aabb(a, b)
-    return (max_x - min_x) ** 2 + (max_y - min_y) ** 2

@@ -3,8 +3,9 @@
 The ego-centric variant replaces the intersection and ground-truth areas
 with importance-weighted ones, so predictions covering the near side of an
 object score higher. Both weighted terms use the same evaluation method, so
-a perfect prediction scores exactly 1. Approximate scores are clamped into
-[0, 1]; the clamped flag records when the raw value exceeded 1.
+a perfect prediction scores 1. Approximate scores are clamped into [0, 1];
+the clamped flag records when the raw value exceeded 1. The BEV scores are
+the 3D ratios with the heights and the vertical overlap set to 1.
 """
 
 from __future__ import annotations
@@ -42,34 +43,49 @@ def _clamp(raw: float) -> MetricScore:
     return MetricScore(max(raw, 0.0))
 
 
-def iou_bev(p: OrientedBoxBEV, g: OrientedBoxBEV) -> MetricScore:
-    """Plain intersection-over-union of the two box footprints."""
+def _iou(p: OrientedBoxBEV, g: OrientedBoxBEV, v: float, h_p: float, h_g: float) -> MetricScore:
+    """Volume IoU of footprints extruded to heights h_p, h_g that share v."""
     poly_p = box_to_polygon(p)
     poly_g = box_to_polygon(g)
-    inter = polygon_area(intersect_convex(poly_p, poly_g))
-    union = polygon_area(poly_g) + polygon_area(poly_p) - inter
+    inter = polygon_area(intersect_convex(poly_p, poly_g)) * v
+    union = polygon_area(poly_p) * h_p + polygon_area(poly_g) * h_g - inter
     return MetricScore(min(max(inter / union, 0.0), 1.0))
 
 
-def ec_iou_bev(p: OrientedBoxBEV, g: OrientedBoxBEV, cfg: WeightConfig) -> MetricScore:
-    """Ego-centric IoU: weighted intersection over weighted-gt + extra area."""
-    poly_g = box_to_polygon(g)
-    return _ec_iou_bev(p, g, poly_g, (cfg,), weighted_areas(g, poly_g, (cfg,)))[0]
-
-
-def _ec_iou_bev(
+def _ec_ious(
     p: OrientedBoxBEV,
     g: OrientedBoxBEV,
     poly_g: ConvexPolygon,
     cfgs: Sequence[WeightConfig],
     wa_g: Sequence[float],
+    v: float,
+    h_p: float,
+    h_g: float,
 ) -> list[MetricScore]:
-    """ec_iou_bev under each of cfgs, given g's weighted area under each."""
+    """EC-IoU under each of cfgs, given g's weighted area under each; heights
+    and vertical overlap as in _iou. The weighting ignores the gravity axis."""
     poly_p = box_to_polygon(p)
     inter = intersect_convex(poly_p, poly_g)
-    # Grouping the prediction's extra area keeps ec_iou(g, g) exactly 1.
-    extra = polygon_area(poly_p) - polygon_area(inter)
-    return [_clamp(wa / (wa_gt + extra)) for wa, wa_gt in zip(weighted_areas(g, inter, cfgs), wa_g)]
+    # Grouping the extra volume keeps ec_iou(g, g) exactly 1 where v rounds to h_g.
+    extra = polygon_area(poly_p) * h_p - polygon_area(inter) * v
+    scores = []
+    for cfg, wa, wa_gt in zip(cfgs, weighted_areas(g, inter, cfgs), wa_g):
+        denom = wa_gt * h_g + extra
+        if not 0.0 < denom < math.inf:  # the weights under- or overflowed
+            raise ValueError(f"EC-IoU is undefined at alpha {cfg.alpha:g} (denominator {denom:g})")
+        scores.append(_clamp(wa * v / denom))
+    return scores
+
+
+def iou_bev(p: OrientedBoxBEV, g: OrientedBoxBEV) -> MetricScore:
+    """Plain intersection-over-union of the two box footprints."""
+    return _iou(p, g, 1.0, 1.0, 1.0)
+
+
+def ec_iou_bev(p: OrientedBoxBEV, g: OrientedBoxBEV, cfg: WeightConfig) -> MetricScore:
+    """Ego-centric IoU: weighted intersection over weighted-gt + extra area."""
+    poly_g = box_to_polygon(g)
+    return _ec_ious(p, g, poly_g, (cfg,), (weighted_area(g, poly_g, cfg),), 1.0, 1.0, 1.0)[0]
 
 
 def _vertical_overlap(p: Box3D, g: Box3D) -> float:
@@ -80,23 +96,14 @@ def _vertical_overlap(p: Box3D, g: Box3D) -> float:
 
 def iou_3d(p: Box3D, g: Box3D) -> MetricScore:
     """Volume IoU: BEV areas times heights, with the shared vertical overlap."""
-    v = _vertical_overlap(p, g)
-    poly_p = box_to_polygon(p)
-    poly_g = box_to_polygon(g)
-    inter_vol = polygon_area(intersect_convex(poly_p, poly_g)) * v
-    union = polygon_area(poly_p) * p.h + polygon_area(poly_g) * g.h - inter_vol
-    return MetricScore(min(max(inter_vol / union, 0.0), 1.0))
+    return _iou(p, g, _vertical_overlap(p, g), p.h, g.h)
 
 
 def ec_iou_3d(p: Box3D, g: Box3D, cfg: WeightConfig) -> MetricScore:
     """3D ego-centric IoU; the weighting ignores the gravity axis."""
-    v = _vertical_overlap(p, g)
-    poly_p = box_to_polygon(p)
     poly_g = box_to_polygon(g)
-    inter = intersect_convex(poly_p, poly_g)
-    extra = polygon_area(poly_p) * p.h - polygon_area(inter) * v
-    raw = weighted_area(g, inter, cfg) * v / (weighted_area(g, poly_g, cfg) * g.h + extra)
-    return _clamp(raw)
+    wa_g = (weighted_area(g, poly_g, cfg),)
+    return _ec_ious(p, g, poly_g, (cfg,), wa_g, _vertical_overlap(p, g), p.h, g.h)[0]
 
 
 @dataclass(frozen=True)
@@ -161,7 +168,9 @@ def sweep_curve(
             SweepRow(
                 x=x,
                 iou=iou_bev(p, g).value,
-                ec_iou=tuple(s.value for s in _ec_iou_bev(p, g, poly_g, configs, wa_g)),
+                ec_iou=tuple(
+                    s.value for s in _ec_ious(p, g, poly_g, configs, wa_g, 1.0, 1.0, 1.0)
+                ),
             )
         )
     return SweepTable(alphas=tuple(alphas), method=method, rows=tuple(rows))

@@ -201,6 +201,13 @@ def test_eval_threshold_alignment_checked(tmp_path):
 
 METRIC = ["metric", "--pred", "9", "0", "4", "2", "0", "--gt", "10", "0", "4", "2", "0"]
 EVAL = ["eval", "--preds", "{preds}", "--gts", "{gts}"]
+# pred = gt = (1.2, 0, 0, 2, 2, 1.5, 0): at alpha 1e5 every geometric weight
+# underflows to 0, and the arithmetic one overflows.
+NEAR_EVAL = ["eval", "--preds", "{near_preds}", "--gts", "{near_gts}"]
+NEAR_METRIC = ["metric", "--mode", "3d", "--pred", "1.2", "0", "0", "2", "2", "1.5", "0",
+               "--gt", "1.2", "0", "0", "2", "2", "1.5", "0"]
+NEAR_SWEEP = ["sweep", "--gt", "1.2", "0", "2", "2", "0", "--range", "1.2", "1.2"]
+ARITH = ["--method", "arithmetic"]
 
 # The exit-code contract: 1 = usage or config, 2 = data. Paths in braces
 # name the files that _contract_argv writes.
@@ -225,6 +232,13 @@ CONTRACT = {
     "sim-nan-step-rate": (["sim", "--config", "{nan_step_rate}"], 1),
     "sim-infinite-decay-factor": (["sim", "--config", "{infinite_decay_factor}"], 1),
     "sim-duplicate-kinds": (["sim", "--config", "{tiny}", "--kinds", "iou,ec-iou,iou"], 1),
+    "eval-duplicate-classes": (EVAL + ["--classes", "car,pedestrian,car"], 1),
+    "eval-unrepresentable-alpha": (NEAR_EVAL + ["--alpha", "100000"], 1),
+    "eval-unrepresentable-alpha-arithmetic": (NEAR_EVAL + ["--alpha", "100000"] + ARITH, 1),
+    "metric-unrepresentable-alpha": (NEAR_METRIC + ["--alpha", "100000"], 1),
+    "metric-unrepresentable-alpha-arithmetic": (NEAR_METRIC + ["--alpha", "100000"] + ARITH, 1),
+    "sweep-unrepresentable-alpha": (NEAR_SWEEP + ["--alphas", "100000"], 1),
+    "sweep-unrepresentable-alpha-arithmetic": (NEAR_SWEEP + ["--alphas", "100000"] + ARITH, 1),
     "eval-missing-preds": (["eval", "--preds", "{missing}", "--gts", "{gts}"], 2),
     "eval-gt-corner-on-ego": (["eval", "--preds", "{far_preds}", "--gts", "{corner_gts}"], 2),
     "sweep-unwritable-out": (["sweep", "--out", "/nonexistent-dir/x.csv"], 2),
@@ -253,10 +267,13 @@ SCENARIOS = {
 # the pair is disjoint, so the ground truth is refused where it is parsed.
 FAR_PREDS = "f0 car 30 0 0 4 2 1.5 0 0.9\n"
 CORNER_GTS = "f0 car 1 1 0 2 2 1.5 0\n"
+NEAR_PREDS = "f0 car 1.2 0 0 2 2 1.5 0 0.9\n"
+NEAR_GTS = "f0 car 1.2 0 0 2 2 1.5 0\n"
 
 
 def _contract_argv(tmp_path, argv):
-    files = {"preds": PREDS, "gts": GTS, "far_preds": FAR_PREDS, "corner_gts": CORNER_GTS}
+    files = {"preds": PREDS, "gts": GTS, "far_preds": FAR_PREDS, "corner_gts": CORNER_GTS,
+             "near_preds": NEAR_PREDS, "near_gts": NEAR_GTS}
     for name, raw in SCENARIOS.items():
         files[name] = json.dumps({"grid_points_per_axis": 1, "iterations": 2, **raw})
     paths = {"missing": str(tmp_path / "missing")}
@@ -287,6 +304,12 @@ def test_exit_code_contract_as_subprocess(tmp_path, row):
     )
     assert result.returncode == code
     _assert_one_error_line(result.stdout, result.stderr)
+
+
+@pytest.mark.parametrize("row", [row for row in CONTRACT if "unrepresentable-alpha" in row])
+def test_unrepresentable_alpha_error_names_alpha(tmp_path, capsys, row):
+    assert main(_contract_argv(tmp_path, CONTRACT[row][0])) == 1
+    assert "alpha 100000" in capsys.readouterr().err
 
 
 def test_eval_ground_truth_corner_on_ego_names_file_and_line(tmp_path, capsys):

@@ -479,6 +479,16 @@ def test_evaluate_detections_checks_inputs_before_matching(monkeypatch, kwargs, 
             evaluate_detections(preds, gts, ["car", "pedestrian"], CFG, **kwargs)
 
 
+def test_evaluate_detections_refuses_duplicate_classes():
+    preds = [_pred(10, 0, 0.9), _pred(20.3, 5, 0.8, label="pedestrian", l=0.8, w=0.6, h=1.7)]
+    gts = [_gt(10, 0), _gt(20, 5, label="pedestrian", l=0.8, w=0.6, h=1.7), _gt(30, 0)]
+    with pytest.raises(ValueError, match="duplicate classes in car,pedestrian,car"):
+        evaluate_detections(preds, gts, ["car", "pedestrian", "car"], CFG)
+    report = evaluate_detections(preds, gts, ["car", "pedestrian"], CFG)
+    aps = [rep.ap40 for rep in report.classes.values()]
+    assert aps[0] != aps[1] and report.map40 == sum(aps) / 2
+
+
 def test_match_greedy_checks_mode_and_affinity():
     with pytest.raises(ValueError, match="mode"):
         match_greedy([], [], IOU_AFFINITY, 0.5, CFG, mode="volume")

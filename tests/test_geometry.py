@@ -11,7 +11,6 @@ from eciou.geometry import (
     OrientedBoxBEV,
     box_to_polygon,
     enclosing_aabb,
-    enclosing_diag_sq,
     intersect_convex,
     polygon_area,
 )
@@ -140,17 +139,17 @@ def test_intersection_area_matches_monte_carlo():
         assert abs(area - est) <= 3.0 * se + 1e-6
 
 
-def test_enclosing_diag_sq_examples():
+def test_enclosing_aabb_examples():
     a = OrientedBoxBEV(0, 0, 2, 2, 0)
-    assert enclosing_diag_sq(a, a) == pytest.approx(8.0)
+    assert enclosing_aabb(a, a) == pytest.approx((-1.0, -1.0, 1.0, 1.0))
     b = OrientedBoxBEV(3, 0, 2, 2, 0)
-    assert enclosing_diag_sq(a, b) == pytest.approx(29.0)
     assert enclosing_aabb(a, b) == pytest.approx((-1.0, -1.0, 4.0, 1.0))
 
 
-def test_enclosing_diag_sq_symmetric():
+def test_enclosing_aabb_symmetric():
     rng = np.random.default_rng(23)
     for _ in range(50):
         a, b = random_box(rng), random_box(rng)
-        assert enclosing_diag_sq(a, b) == enclosing_diag_sq(b, a)
-        assert enclosing_diag_sq(a, b) > 0.0
+        min_x, min_y, max_x, max_y = enclosing_aabb(a, b)
+        assert enclosing_aabb(a, b) == enclosing_aabb(b, a)
+        assert min_x < max_x and min_y < max_y

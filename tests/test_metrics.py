@@ -1,10 +1,23 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import driving_scale_gt, nearby_box, random_box, random_offside_gt
-from eciou.geometry import Box3D, OrientedBoxBEV
+from eciou.geometry import Box3D, OrientedBoxBEV, box_to_polygon, intersect_convex
 from eciou.metrics import MetricScore, ec_iou_3d, ec_iou_bev, iou_3d, iou_bev, sweep_curve
-from eciou.weighting import GEOMETRIC, MONTE_CARLO, DegenerateDistanceError, WeightConfig
+from eciou.weighting import (
+    ARITHMETIC,
+    GEOMETRIC,
+    METHODS,
+    MONTE_CARLO,
+    DegenerateDistanceError,
+    WeightConfig,
+    weighted_area,
+    weighted_areas,
+)
 
 G_REF = OrientedBoxBEV(10, 0, 4, 2, 0)
 
@@ -177,3 +190,77 @@ def test_sweep_csv_format():
 def test_sweep_rejects_bad_step():
     with pytest.raises(ValueError):
         sweep_curve(G_REF, (5, 15), 0.0)
+
+
+@st.composite
+def _unit_boxes(draw, near=None):
+    """A Box3D with z = 0 and h = 1 whose circumcircle stays clear of the
+    ego; with near, its center lies within near's diagonal of near's."""
+    l, w = draw(st.floats(0.2, 8.0)), draw(st.floats(0.2, 8.0))
+    if near is None:
+        rho = 0.5 * math.hypot(l, w) + draw(st.floats(0.05, 60.0))
+        phi = draw(st.floats(-math.pi, math.pi))
+        x, y = rho * math.cos(phi), rho * math.sin(phi)
+    else:
+        reach = math.hypot(near.l, near.w)
+        x = near.x + draw(st.floats(-reach, reach))
+        y = near.y + draw(st.floats(-reach, reach))
+        assume(math.hypot(x, y) > 0.5 * math.hypot(l, w) + 0.05)
+    return Box3D(x=x, y=y, l=l, w=w, theta=draw(st.floats(-math.pi, math.pi)), z=0.0, h=1.0)
+
+
+@st.composite
+def _unit_pairs(draw):
+    gt = draw(_unit_boxes())
+    return draw(_unit_boxes(near=gt)), gt
+
+
+def _bev(box):
+    return OrientedBoxBEV(box.x, box.y, box.l, box.w, box.theta)
+
+
+def _bits(score):
+    return score.value.hex(), score.clamped
+
+
+@settings(deadline=None)
+@given(pair=_unit_pairs(), alpha=st.floats(0.0, 8.0),
+       method=st.sampled_from([GEOMETRIC, ARITHMETIC]))
+def test_bev_metrics_are_the_unit_height_3d_metrics_bit_for_bit(pair, alpha, method):
+    p, g = pair
+    cfg = WeightConfig(alpha=alpha, method=method)
+    assert _bits(iou_bev(_bev(p), _bev(g))) == _bits(iou_3d(p, g))
+    assert _bits(ec_iou_bev(_bev(p), _bev(g), cfg)) == _bits(ec_iou_3d(p, g, cfg))
+
+
+@settings(deadline=None)
+@given(g=_unit_boxes(), alpha=st.floats(0.0, 8.0), method=st.sampled_from(METHODS))
+def test_ec_iou_3d_of_a_box_with_itself_is_one(g, alpha, method):
+    assert ec_iou_3d(g, g, WeightConfig(alpha=alpha, method=method, mc_samples=64)).value == 1.0
+
+
+@settings(deadline=None)
+@given(pair=_unit_pairs(), alpha=st.floats(0.0, 8.0), method=st.sampled_from(METHODS),
+       clipped=st.booleans())
+def test_weighted_area_is_the_single_config_weighted_areas(pair, alpha, method, clipped):
+    p, g = pair
+    poly = box_to_polygon(g)
+    if clipped:
+        poly = intersect_convex(box_to_polygon(p), poly)
+    cfg = WeightConfig(alpha=alpha, method=method, mc_samples=64)
+    assert weighted_area(g, poly, cfg).hex() == weighted_areas(g, poly, [cfg])[0].hex()
+
+
+def test_ec_iou_refuses_an_alpha_whose_weights_leave_float_range():
+    # Every weight of this box underflows to 0 at alpha 1e5, and so would
+    # the ratio's denominator for a perfect prediction.
+    g = Box3D(x=1.2, y=0, l=2, w=2, theta=0, z=0, h=1.5)
+    with pytest.raises(ValueError, match="alpha 100000"):
+        ec_iou_3d(g, g, WeightConfig(alpha=1e5))
+    with pytest.raises(ValueError, match="alpha 100000"):
+        ec_iou_bev(_bev(g), _bev(g), WeightConfig(alpha=1e5))
+    # Each near-corner weight is 1.5e308, so their arithmetic sum is inf.
+    near_weight = 10.0 / math.hypot(8.0, 1.0)
+    cfg = WeightConfig(alpha=math.log(1.5e308) / math.log(near_weight), method=ARITHMETIC)
+    with pytest.raises(ValueError, match=r"alpha 3294\.47 \(denominator inf\)"):
+        ec_iou_bev(G_REF, G_REF, cfg)

@@ -92,6 +92,16 @@ def test_mean_vertex_weight_errors():
         mean_vertex_weight(G_REF, box_to_polygon(G_REF), WeightConfig(method=MONTE_CARLO))
 
 
+def test_weights_that_overflow_are_a_value_error_naming_alpha():
+    near = box_to_polygon(OrientedBoxBEV(5, 0, 1, 1, 0))
+    for method in (GEOMETRIC, ARITHMETIC, MONTE_CARLO):
+        cfg = WeightConfig(alpha=1e5, method=method, mc_samples=64)
+        with pytest.raises(ValueError, match="alpha 100000 overflows"):
+            weighted_area(G_REF, near, cfg)
+    with pytest.raises(ValueError, match="alpha 100000 overflows"):
+        mean_vertex_weight(G_REF, near, WeightConfig(alpha=1e5, method=ARITHMETIC))
+
+
 def test_geometric_below_arithmetic():
     rng = np.random.default_rng(29)
     for _ in range(200):
