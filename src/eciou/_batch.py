@@ -30,6 +30,11 @@ def wrap_angle(theta: np.ndarray) -> np.ndarray:
     return np.where(in_range, theta, np.mod(theta + math.pi, 2.0 * math.pi) - math.pi)
 
 
+def valid_boxes(boxes: np.ndarray) -> np.ndarray:
+    """Per-row mask of (N, 5) boxes with finite parameters and positive sides."""
+    return np.isfinite(boxes).all(axis=1) & (boxes[:, 2] > 0.0) & (boxes[:, 3] > 0.0)
+
+
 def corners(boxes: np.ndarray) -> np.ndarray:
     """Corner coordinates of (N, 5) boxes as (N, 4, 2), CCW."""
     local = _LOCAL[None, :, :] * boxes[:, None, 2:4]
@@ -234,11 +239,6 @@ class BatchEvaluator:
         kinds, else the IoU. eval_ec_iou is the geometric EC-IoU at
         eval_alpha, or None when eval_alpha is None.
         """
-        ok = (
-            np.isfinite(boxes).all(axis=1)
-            & (boxes[:, 2] > 0.0)
-            & (boxes[:, 3] > 0.0)
-        )
         p_corners = corners(boxes)
         clip, iou = self._clip(p_corners)
         metric = self._ec_iou(clip, alpha, method) if kind.ego_centric else iou
@@ -255,7 +255,7 @@ class BatchEvaluator:
             if kind.family == "eiou":
                 loss = loss + (boxes[:, 2] - self.targets[:, 2]) ** 2 / c_l**2
                 loss = loss + (boxes[:, 3] - self.targets[:, 3]) ** 2 / c_w**2
-        return np.where(ok, loss, np.nan), iou, metric, eval_ec
+        return np.where(valid_boxes(boxes), loss, np.nan), iou, metric, eval_ec
 
     @functools.cached_property
     def _probes(self) -> "BatchEvaluator":

@@ -32,7 +32,7 @@ from .geometry import Box3D, OrientedBoxBEV
 from .losses import LossKind
 from .metrics import ec_iou_3d, ec_iou_bev, iou_3d, iou_bev, sweep_curve
 from .simulate import ScenarioConfig, run_simulation
-from .weighting import DegenerateDistanceError, METHODS, WeightConfig
+from .weighting import DegenerateDistanceError, METHODS, WeightConfig, weight_extremes
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -125,6 +125,7 @@ def _parse_box(values: list[float], mode: str, flag: str):
 def _cmd_metric(args) -> None:
     pred = _parse_box(args.pred, args.mode, "--pred")
     gt = _parse_box(args.gt, args.mode, "--gt")
+    weight_extremes(gt, 1.0)  # EC-IoU weights are undefined on the ego
     cfg = _weight_config(args)
     if args.mode == "bev":
         iou = iou_bev(pred, gt)

@@ -24,9 +24,9 @@ import math
 from dataclasses import asdict, dataclass, field
 from typing import Callable
 
-from .geometry import Box3D, box_to_polygon, circumcircles_disjoint
+from .geometry import Box3D, circumcircles_disjoint
 from .metrics import ec_iou_3d, ec_iou_bev, iou_3d, iou_bev
-from .weighting import DEGENERATE_DISTANCE, WeightConfig
+from .weighting import WeightConfig, weight_extremes
 
 PREDICTIONS = "predictions"
 GROUND_TRUTHS = "ground-truths"
@@ -94,21 +94,12 @@ def parse_records(path: str, kind: str) -> list[DetectionRecord]:
                 raise RecordParseError(path, line_number, f"score {score} outside [0, 1]")
             try:
                 box = Box3D(x=x, y=y, l=l, w=w, theta=theta, z=z, h=h)
+                # EC-IoU weights are undefined on the ego; a ground truth is
+                # refused here, since disjoint pairs never reach the metrics.
+                if not want_score:
+                    weight_extremes(box, 1.0)
             except ValueError as exc:
                 raise RecordParseError(path, line_number, str(exc)) from exc
-            # EC-IoU weights are undefined at the ego origin. A ground truth's
-            # weighted area reads its center and corners; they are checked
-            # here because _affinity skips the metrics on disjoint pairs.
-            if not want_score and math.hypot(x, y) < DEGENERATE_DISTANCE:
-                raise RecordParseError(
-                    path, line_number, "ground-truth center coincides with the ego origin"
-                )
-            if not want_score and any(
-                math.hypot(vx, vy) < DEGENERATE_DISTANCE for vx, vy in box_to_polygon(box).vertices
-            ):
-                raise RecordParseError(
-                    path, line_number, "ground-truth corner coincides with the ego origin"
-                )
             records.append(DetectionRecord(frame_id, label, box, score))
     return records
 
@@ -236,7 +227,12 @@ def average_precision_40(frame_results: list[MatchResult]) -> float:
 
 
 def _mean_or_none(values: list[float]) -> float | None:
-    return sum(values) / len(values) if values else None
+    if not values:
+        return None
+    total = 0.0
+    for v in values:  # left to right: from Python 3.12 float sum() compensates
+        total += v
+    return total / len(values)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from .geometry import (
     intersect_convex,
     polygon_area,
 )
-from .weighting import GEOMETRIC, WeightConfig, weighted_area, weighted_areas
+from .weighting import GEOMETRIC, WeightConfig, weight_extremes, weighted_area, weighted_areas
 
 
 @dataclass(frozen=True)
@@ -148,10 +148,12 @@ def sweep_curve(
     One row per sample x in [x_lo, x_hi] at the given step; the prediction
     keeps g's dimensions, heading, and y coordinate. With monte-carlo, each
     polygon's points are drawn once and weighted at every alpha, and g's
-    once per call.
+    once per call. A g the ego lies on or inside raises
+    DegenerateDistanceError.
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
+    weight_extremes(g, 1.0)  # EC-IoU weights are undefined on the ego
     x_lo, x_hi = x_range
     n_steps = int(math.floor((x_hi - x_lo) / step + 1e-9))
     configs = [

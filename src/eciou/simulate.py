@@ -14,6 +14,7 @@ descents go through it.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import numbers
@@ -39,6 +40,16 @@ GRAD_STEP = 0.03
 
 class ConfigError(ValueError):
     """A scenario document does not match the expected schema."""
+
+
+def _number(key: str, value) -> float:
+    """value as a float if it is a finite real number, bools excluded;
+    anything else is a ConfigError naming key."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):  # an int beyond float range
+            if math.isfinite(value):
+                return float(value)
+    raise ConfigError(f"{key} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -87,15 +98,14 @@ class ScenarioConfig:
     eval_alpha: float = 4.0
 
     def __post_init__(self) -> None:
-        if self.grid_extent <= 0.0:
+        if _number("grid_extent", self.grid_extent) <= 0.0:
             raise ConfigError("grid_extent must be positive")
         for name in ("grid_points_per_axis", "iterations"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
                 raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
-        alpha = self.eval_alpha
-        if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real) or not 0.0 <= alpha < math.inf:
-            raise ConfigError(f"eval_alpha must be finite and >= 0, got {alpha!r}")
+        if _number("eval_alpha", self.eval_alpha) < 0.0:
+            raise ConfigError(f"eval_alpha must be >= 0, got {self.eval_alpha!r}")
         if not (self.target_dims and self.target_thetas and self.anchor_ratios and self.anchor_scales):
             raise ConfigError("target and anchor lists must be non-empty")
         for target in self.targets():
@@ -125,13 +135,13 @@ class ScenarioConfig:
         try:
             if "target_center" in kwargs:
                 cx, cy = kwargs["target_center"]
-                kwargs["target_center"] = (float(cx), float(cy))
+                kwargs["target_center"] = tuple(_number("target_center", v) for v in (cx, cy))
             for key in ("target_dims", "anchor_ratios"):
                 if key in kwargs:
-                    kwargs[key] = tuple((float(l), float(w)) for l, w in kwargs[key])
+                    kwargs[key] = tuple((_number(key, l), _number(key, w)) for l, w in kwargs[key])
             for key in ("target_thetas", "anchor_scales"):
                 if key in kwargs:
-                    kwargs[key] = tuple(float(v) for v in kwargs[key])
+                    kwargs[key] = tuple(_number(key, v) for v in kwargs[key])
             if "step_rule" in kwargs:
                 rule = kwargs["step_rule"]
                 if not isinstance(rule, dict):
@@ -139,7 +149,10 @@ class ScenarioConfig:
                 bad = set(rule) - set(StepRule.__dataclass_fields__)
                 if bad:
                     raise ConfigError(f"unknown step_rule keys: {sorted(bad)}")
-                fields = {k: v if k == "metric_boost" else float(v) for k, v in rule.items()}
+                fields = {
+                    k: v if k == "metric_boost" else _number(f"step_rule.{k}", v)
+                    for k, v in rule.items()
+                }
                 kwargs["step_rule"] = StepRule(**fields)
             return cls(**kwargs)
         except ConfigError:
@@ -318,10 +331,7 @@ def _descend_batch(
             scale = np.full(n, rate)
         stepped = cur - scale[:, None] * np.where(ok[:, None], grads, 0.0)
         stepped[:, 4] = _batch.wrap_angle(stepped[:, 4])
-        valid_step = (
-            np.isfinite(stepped).all(axis=1) & (stepped[:, 2] > 0.0) & (stepped[:, 3] > 0.0)
-        )
-        healthy = converged | (ok & valid_step)
+        healthy = converged | (ok & _batch.valid_boxes(stepped))
         move = active & healthy & ~converged
         active &= healthy
         cur = np.where(move[:, None], stepped, cur)

@@ -190,6 +190,8 @@ def weight_extremes(gt: OrientedBoxBEV, alpha: float) -> tuple[float, float]:
     ny = min(max(oy, -hw), hw)
     rho_near = math.hypot(ox - nx, oy - ny)
     if rho_near < DEGENERATE_DISTANCE:
-        raise DegenerateDistanceError("ego origin lies on or inside the ground truth")
+        raise DegenerateDistanceError(
+            "ego origin lies on a corner or an edge of the ground truth, or inside it"
+        )
     rho_far = max(math.hypot(ox - px, oy - py) for px in (-hl, hl) for py in (-hw, hw))
     return (rho_c / rho_far) ** alpha, (rho_c / rho_near) ** alpha

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import nearby_box, random_offside_gt
 from eciou import _batch
-from eciou.geometry import box_to_polygon, intersect_convex, polygon_area
+from eciou.geometry import OrientedBoxBEV, box_to_polygon, intersect_convex, polygon_area
 from eciou.losses import ALL_KINDS, loss_gradient, loss_value
 from eciou.metrics import ec_iou_bev, iou_bev
 from eciou.weighting import ARITHMETIC, GEOMETRIC, WeightConfig
@@ -30,6 +30,27 @@ def test_corners_match_scalar():
     for i, g in enumerate(gs):
         scalar = np.array(box_to_polygon(g).vertices)
         assert np.allclose(batch[i], scalar, atol=1e-12)
+
+
+def test_valid_boxes_are_the_boxes_the_scalar_path_can_build():
+    rows = np.array([
+        [1.0, 2.0, 3.0, 4.0, 0.5],
+        [1.0, 2.0, 3.0, 4.0, 10.0],  # any finite heading wraps
+        [math.nan, 2.0, 3.0, 4.0, 0.0],
+        [1.0, 2.0, 0.0, 4.0, 0.0],
+        [1.0, 2.0, 3.0, 0.0, 0.0],
+        [1.0, 2.0, -3.0, 4.0, 0.0],
+        [1.0, 2.0, 3.0, -1.0, 0.0],
+        [1.0, 2.0, 3.0, 4.0, math.inf],
+    ])
+    buildable = []
+    for row in rows:
+        try:
+            OrientedBoxBEV(*row)
+            buildable.append(True)
+        except ValueError:
+            buildable.append(False)
+    assert _batch.valid_boxes(rows).tolist() == buildable == [True, True] + [False] * 6
 
 
 def test_clip_areas_match_scalar():

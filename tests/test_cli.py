@@ -180,7 +180,8 @@ def test_eval_ground_truth_on_ego_is_data_error(tmp_path):
 
 
 def test_eval_degenerate_intersection_is_data_error(tmp_path, capsys):
-    # The intersection's corner sits on the ego origin, so its weight is undefined.
+    # The ego lies on the ground truth's near edge, so the ground truth is
+    # refused where it is parsed.
     preds = tmp_path / "preds.txt"
     gts = tmp_path / "gts.txt"
     preds.write_text("f0 car 1.0 1.0 0.0 2.0 2.0 1.0 0.0 0.9\n")
@@ -208,6 +209,10 @@ NEAR_METRIC = ["metric", "--mode", "3d", "--pred", "1.2", "0", "0", "2", "2", "1
                "--gt", "1.2", "0", "0", "2", "2", "1.5", "0"]
 NEAR_SWEEP = ["sweep", "--gt", "1.2", "0", "2", "2", "0", "--range", "1.2", "1.2"]
 ARITH = ["--method", "arithmetic"]
+# A ground truth the ego lies inside: its weighted area diverges for alpha >= 2.
+INSIDE_GT = ["0.5", "0", "4", "2", "0"]
+INSIDE_GT_3D = ["0.5", "0", "0", "4", "2", "1.5", "0"]
+ALPHA_4 = ["--alpha", "4"]
 
 # The exit-code contract: 1 = usage or config, 2 = data. Paths in braces
 # name the files that _contract_argv writes.
@@ -231,6 +236,13 @@ CONTRACT = {
     "sim-string-metric-boost": (["sim", "--config", "{string_metric_boost}"], 1),
     "sim-nan-step-rate": (["sim", "--config", "{nan_step_rate}"], 1),
     "sim-infinite-decay-factor": (["sim", "--config", "{infinite_decay_factor}"], 1),
+    "sim-boolean-step-rate": (["sim", "--config", "{boolean_step_rate}"], 1),
+    "sim-string-step-rate": (["sim", "--config", "{string_step_rate}"], 1),
+    "sim-boolean-anchor-scale": (["sim", "--config", "{boolean_anchor_scale}"], 1),
+    "sim-string-target-center": (["sim", "--config", "{string_target_center}"], 1),
+    "sim-boolean-grid-extent": (["sim", "--config", "{boolean_grid_extent}"], 1),
+    "sim-string-grid-extent": (["sim", "--config", "{string_grid_extent}"], 1),
+    "sim-huge-integer-target-center": (["sim", "--config", "{huge_integer_target_center}"], 1),
     "sim-duplicate-kinds": (["sim", "--config", "{tiny}", "--kinds", "iou,ec-iou,iou"], 1),
     "eval-duplicate-classes": (EVAL + ["--classes", "car,pedestrian,car"], 1),
     "eval-unrepresentable-alpha": (NEAR_EVAL + ["--alpha", "100000"], 1),
@@ -243,6 +255,12 @@ CONTRACT = {
     "eval-gt-corner-on-ego": (["eval", "--preds", "{far_preds}", "--gts", "{corner_gts}"], 2),
     "sweep-unwritable-out": (["sweep", "--out", "/nonexistent-dir/x.csv"], 2),
     "metric-gt-on-ego": (METRIC[:8] + ["0", "0", "4", "2", "0"], 2),
+    "eval-gt-contains-ego": (["eval", "--preds", "{inside_preds}", "--gts", "{inside_gts}"]
+                             + ALPHA_4, 2),
+    "metric-gt-contains-ego": (METRIC[:8] + INSIDE_GT + ALPHA_4, 2),
+    "metric-3d-gt-contains-ego": (["metric", "--mode", "3d", "--pred"] + INSIDE_GT_3D
+                                  + ["--gt"] + INSIDE_GT_3D + ALPHA_4, 2),
+    "sweep-gt-contains-ego": (["sweep", "--gt"] + INSIDE_GT + ["--alphas", "4"], 2),
 }
 
 
@@ -261,6 +279,13 @@ SCENARIOS = {
     "string_metric_boost": {"step_rule": {"metric_boost": "no"}},
     "nan_step_rate": {"step_rule": {"rate": math.nan}},
     "infinite_decay_factor": {"step_rule": {"decay_factor": math.inf}},
+    "boolean_step_rate": {"step_rule": {"rate": True}},
+    "string_step_rate": {"step_rule": {"rate": "0.1"}},
+    "boolean_anchor_scale": {"anchor_scales": [True]},
+    "string_target_center": {"target_center": ["8", "8"]},
+    "boolean_grid_extent": {"grid_extent": True},
+    "string_grid_extent": {"grid_extent": "6"},
+    "huge_integer_target_center": {"target_center": [10**400, 0]},
 }
 
 # A prediction far from a ground truth whose corner sits on the ego origin:
@@ -269,11 +294,14 @@ FAR_PREDS = "f0 car 30 0 0 4 2 1.5 0 0.9\n"
 CORNER_GTS = "f0 car 1 1 0 2 2 1.5 0\n"
 NEAR_PREDS = "f0 car 1.2 0 0 2 2 1.5 0 0.9\n"
 NEAR_GTS = "f0 car 1.2 0 0 2 2 1.5 0\n"
+INSIDE_PREDS = "f0 car 0.8 0 0 4 2 1.5 0 0.9\n"
+INSIDE_GTS = "f0 car 0.5 0 0 4 2 1.5 0\n"
 
 
 def _contract_argv(tmp_path, argv):
     files = {"preds": PREDS, "gts": GTS, "far_preds": FAR_PREDS, "corner_gts": CORNER_GTS,
-             "near_preds": NEAR_PREDS, "near_gts": NEAR_GTS}
+             "near_preds": NEAR_PREDS, "near_gts": NEAR_GTS,
+             "inside_preds": INSIDE_PREDS, "inside_gts": INSIDE_GTS}
     for name, raw in SCENARIOS.items():
         files[name] = json.dumps({"grid_points_per_axis": 1, "iterations": 2, **raw})
     paths = {"missing": str(tmp_path / "missing")}
@@ -317,6 +345,26 @@ def test_eval_ground_truth_corner_on_ego_names_file_and_line(tmp_path, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {tmp_path / 'corner_gts'}:1: ") and "corner" in err
+
+
+def test_eval_ground_truth_containing_the_ego_names_file_and_line(tmp_path, capsys):
+    assert main(_contract_argv(tmp_path, CONTRACT["eval-gt-contains-ego"][0])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / 'inside_gts'}:1: ") and "inside it" in err
+
+
+@pytest.mark.parametrize("row, key", [
+    ("sim-boolean-step-rate", "step_rule.rate"),
+    ("sim-string-step-rate", "step_rule.rate"),
+    ("sim-boolean-anchor-scale", "anchor_scales"),
+    ("sim-string-target-center", "target_center"),
+    ("sim-boolean-grid-extent", "grid_extent"),
+    ("sim-string-grid-extent", "grid_extent"),
+    ("sim-huge-integer-target-center", "target_center"),
+])
+def test_scenario_number_error_names_the_key(tmp_path, capsys, row, key):
+    assert main(_contract_argv(tmp_path, CONTRACT[row][0])) == 1
+    assert capsys.readouterr().err.startswith(f"error: {key} must be a finite number, got ")
 
 
 @pytest.mark.parametrize("argv, work", [

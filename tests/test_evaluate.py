@@ -20,6 +20,7 @@ from eciou.evaluate import (
     RecordParseError,
     UndefinedAPError,
     _affinity,
+    _mean_or_none,
     average_precision_40,
     evaluate_detections,
     match_greedy,
@@ -425,6 +426,13 @@ def test_tp_means_ignore_nearer_ground_truth_in_another_frame():
     assert means.matched == 1
     assert means.mean_iou == pytest.approx(iou_3d(pred.box, same_frame.box).value, abs=1e-12)
     assert tp_metric_means([pred], [other_frame], 2.0, CFG).matched == 0
+
+
+def test_mean_or_none_sums_left_to_right():
+    # A compensated sum (float sum() from Python 3.12) gives 0.5; the means
+    # in the report must not depend on the interpreter.
+    assert _mean_or_none([1.0, 1e100, 1.0, -1e100]) == 0.0
+    assert _mean_or_none([]) is None
 
 
 def test_tp_means_validates_threshold():

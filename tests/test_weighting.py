@@ -197,8 +197,10 @@ def test_weight_extremes_vs_grid_search():
 
 
 def test_weight_extremes_origin_inside_raises():
-    with pytest.raises(DegenerateDistanceError):
-        weight_extremes(OrientedBoxBEV(0.5, 0, 4, 2, 0), 1.0)
+    # Inside, on an edge, on a corner: the message names each case.
+    for gt in (OrientedBoxBEV(0.5, 0, 4, 2, 0), OrientedBoxBEV(0.5, 0, 1, 2, 0), OrientedBoxBEV(1, 1, 2, 2, 0)):
+        with pytest.raises(DegenerateDistanceError, match="on a corner or an edge .*, or inside it"):
+            weight_extremes(gt, 1.0)
 
 
 def test_weight_spread_shrinks_with_distance():
