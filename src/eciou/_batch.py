@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .geometry import AREA_EPS
+from .geometry import AREA_EPS, MIN_RELATIVE_SIDE
 from .weighting import ARITHMETIC, DEGENERATE_DISTANCE, GEOMETRIC
 
 # Local corner pattern, CCW from (+l/2, +w/2); scaled by (l, w) per box.
@@ -31,8 +31,10 @@ def wrap_angle(theta: np.ndarray) -> np.ndarray:
 
 
 def valid_boxes(boxes: np.ndarray) -> np.ndarray:
-    """Per-row mask of (N, 5) boxes with finite parameters and positive sides."""
-    return np.isfinite(boxes).all(axis=1) & (boxes[:, 2] > 0.0) & (boxes[:, 3] > 0.0)
+    """Per-row mask of the (N, 5) boxes OrientedBoxBEV accepts: finite
+    parameters and sides of at least MIN_RELATIVE_SIDE * max(1, distance)."""
+    floor = MIN_RELATIVE_SIDE * np.maximum(1.0, np.hypot(boxes[:, 0], boxes[:, 1]))
+    return np.isfinite(boxes).all(axis=1) & (boxes[:, 2] >= floor) & (boxes[:, 3] >= floor)
 
 
 def corners(boxes: np.ndarray) -> np.ndarray:

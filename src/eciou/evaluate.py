@@ -13,8 +13,9 @@ starting a comment.
 
 Pairs whose footprints' circumcircles are disjoint score exactly 0.0 under
 every metric, so they skip the clipper. The shortcut is always on and
-exact for boxes whose sides exceed about 1e-6 of their distance to the
-ego: the report is the same, byte for byte, as scoring every pair.
+exact, since no box has a side below geometry.MIN_RELATIVE_SIDE of its
+distance to the ego: the report is the same, byte for byte, as scoring
+every pair.
 """
 
 from __future__ import annotations
@@ -252,8 +253,8 @@ def tp_metric_means(
 ) -> TPMeans:
     """Match by BEV center distance (greedy by score, nearest first), then
     average the 3D metrics over the matched pairs. Means are None with no TPs."""
-    if center_dist_threshold <= 0.0:
-        raise ValueError("center_dist_threshold must be positive")
+    if not center_dist_threshold > 0.0:  # NaN too; inf means no limit
+        raise ValueError(f"center_dist_threshold must be positive, got {center_dist_threshold}")
     pairs = []
     for frame_preds, frame_gts in _by_frame(preds, gts):
         # Nearest first: the negated BEV center distance is the affinity.
@@ -311,14 +312,19 @@ def evaluate_detections(
     """Full per-class report: AP40 under both affinities, TP-metric means,
     and TP/FP/FN counts taken from the count_affinity matching."""
     _check_choices(mode, count_affinity)
-    if tp_distance <= 0.0:
+    if not tp_distance > 0.0:  # NaN too; inf means no limit
         raise ValueError(f"tp_distance must be positive, got {tp_distance}")
     if len(set(classes)) != len(classes):
         raise ValueError(f"duplicate classes in {','.join(classes)}")
-    thresholds = thresholds or {}
+    given = thresholds or {}
+    thresholds = {
+        label: given.get(label, DEFAULT_THRESHOLDS.get(label, FALLBACK_THRESHOLD)) for label in classes
+    }
+    for label, threshold in thresholds.items():
+        if not 0.0 <= threshold <= 1.0:  # NaN too
+            raise ValueError(f"threshold for class {label!r} must be in [0, 1], got {threshold}")
     class_reports: dict[str, ClassReport] = {}
-    for label in classes:
-        threshold = thresholds.get(label, DEFAULT_THRESHOLDS.get(label, FALLBACK_THRESHOLD))
+    for label, threshold in thresholds.items():
         cls_preds = [p for p in preds if p.class_label == label]
         cls_gts = [g for g in gts if g.class_label == label]
         frames = _by_frame(cls_preds, cls_gts)

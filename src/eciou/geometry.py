@@ -17,6 +17,11 @@ DEDUP_TOL = 1e-12
 AREA_EPS = 1e-12
 # Relative slack on the circumcircle test of circumcircles_disjoint.
 DISJOINT_MARGIN = 1e-9
+# Smallest box side as a fraction of max(1, the center's distance to the
+# ego). The shoelace area's rounding noise grows with the square of the
+# coordinates; below this floor it can exceed AREA_EPS and flip a box's
+# winding.
+MIN_RELATIVE_SIDE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -38,8 +43,12 @@ class OrientedBoxBEV:
         for name in ("x", "y", "l", "w", "theta"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"box field {name} must be finite")
-        if self.l <= 0.0 or self.w <= 0.0:
-            raise ValueError(f"box sides must be positive, got l={self.l} w={self.w}")
+        floor = MIN_RELATIVE_SIDE * max(1.0, math.hypot(self.x, self.y))
+        if self.l < floor or self.w < floor:
+            raise ValueError(
+                f"box sides must be at least {floor:g} ({MIN_RELATIVE_SIDE:g} of max(1, distance "
+                f"to the ego)), got l={self.l} w={self.w}"
+            )
         if not -math.pi <= self.theta < math.pi:
             object.__setattr__(self, "theta", (self.theta + math.pi) % _TWO_PI - math.pi)
 
@@ -170,8 +179,8 @@ def circumcircles_disjoint(a: OrientedBoxBEV, b: OrientedBoxBEV) -> bool:
     Each footprint lies inside its circumcircle, so such boxes share no
     point, whatever their headings. The margin keeps the answer exact under
     rounding: intersect_convex returns the empty polygon for every such
-    pair while the boxes' sides are above about 1e-6 of their distance to
-    the ego.
+    pair, since no box has a side below MIN_RELATIVE_SIDE of its distance
+    to the ego.
     """
     reach = 0.5 * (math.hypot(a.l, a.w) + math.hypot(b.l, b.w))
     return math.hypot(a.x - b.x, a.y - b.y) > reach * (1.0 + DISJOINT_MARGIN)

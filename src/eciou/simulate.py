@@ -27,7 +27,7 @@ from . import _batch
 from .geometry import OrientedBoxBEV
 from .losses import ALL_KINDS, LossKind, NonFiniteGradientError, loss_gradient, loss_value
 from .metrics import ec_iou_bev, iou_bev
-from .weighting import ARITHMETIC, GEOMETRIC, DegenerateDistanceError, WeightConfig, weight_extremes
+from .weighting import ARITHMETIC, GEOMETRIC, WeightConfig, weight_extremes
 
 DEFAULT_LOSS_CFG = WeightConfig(alpha=1.0, method=GEOMETRIC)
 
@@ -52,6 +52,16 @@ def _number(key: str, value) -> float:
     raise ConfigError(f"{key} must be a finite number, got {value!r}")
 
 
+def _floats(key: str, value, shape: str = "list"):
+    """value as floats through _number if it is a list or tuple of the shape
+    "list", "pair" or "list of pairs"; anything else is a ConfigError naming key."""
+    if not isinstance(value, (list, tuple)) or (shape == "pair" and len(value) != 2):
+        raise ConfigError(f"{key} must be a {shape} of numbers, got {value!r}")
+    if shape == "list of pairs":
+        return tuple(_floats(key, v, "pair") for v in value)
+    return tuple(_number(key, v) for v in value)
+
+
 @dataclass(frozen=True)
 class StepRule:
     """Decayed learning rate with an optional convergence-adaptive boost.
@@ -67,10 +77,12 @@ class StepRule:
     metric_boost: bool = True
 
     def __post_init__(self) -> None:
+        for name in ("rate", "decay_factor", "decay_at"):
+            object.__setattr__(self, name, _number(f"step_rule.{name}", getattr(self, name)))
         for name in ("rate", "decay_factor"):
             value = getattr(self, name)
-            if not 0.0 < value < math.inf:  # false for NaN too
-                raise ConfigError(f"step {name} must be finite and positive, got {value!r}")
+            if value <= 0.0:
+                raise ConfigError(f"step {name} must be positive, got {value!r}")
         if not 0.0 <= self.decay_at <= 1.0:
             raise ConfigError("decay_at must be a fraction of the run in [0, 1]")
         if not isinstance(self.metric_boost, bool):
@@ -98,6 +110,11 @@ class ScenarioConfig:
     eval_alpha: float = 4.0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "target_center", _floats("target_center", self.target_center, "pair"))
+        for name in ("target_dims", "anchor_ratios"):
+            object.__setattr__(self, name, _floats(name, getattr(self, name), "list of pairs"))
+        for name in ("target_thetas", "anchor_scales"):
+            object.__setattr__(self, name, _floats(name, getattr(self, name)))
         if _number("grid_extent", self.grid_extent) <= 0.0:
             raise ConfigError("grid_extent must be positive")
         for name in ("grid_points_per_axis", "iterations"):
@@ -108,11 +125,13 @@ class ScenarioConfig:
             raise ConfigError(f"eval_alpha must be >= 0, got {self.eval_alpha!r}")
         if not (self.target_dims and self.target_thetas and self.anchor_ratios and self.anchor_scales):
             raise ConfigError("target and anchor lists must be non-empty")
-        for target in self.targets():
-            try:
+        if not isinstance(self.step_rule, StepRule):
+            raise ConfigError(f"step_rule must be a StepRule, got {self.step_rule!r}")
+        try:
+            for target in self.targets():
                 weight_extremes(target, 1.0)  # EC-IoU weights are undefined on the ego
-            except DegenerateDistanceError as exc:
-                raise ConfigError(f"target {target}: {exc}") from exc
+        except ValueError as exc:  # a side the box refuses, or DegenerateDistanceError
+            raise ConfigError(f"bad target: {exc}") from exc
 
     def targets(self) -> list[OrientedBoxBEV]:
         """Every target, dims-major then heading."""
@@ -127,38 +146,19 @@ class ScenarioConfig:
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
         if not isinstance(raw, dict):
             raise ConfigError("scenario config must be a JSON object")
-        known = set(cls.__dataclass_fields__)
-        unknown = set(raw) - known
+        unknown = set(raw) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         kwargs = dict(raw)
-        try:
-            if "target_center" in kwargs:
-                cx, cy = kwargs["target_center"]
-                kwargs["target_center"] = tuple(_number("target_center", v) for v in (cx, cy))
-            for key in ("target_dims", "anchor_ratios"):
-                if key in kwargs:
-                    kwargs[key] = tuple((_number(key, l), _number(key, w)) for l, w in kwargs[key])
-            for key in ("target_thetas", "anchor_scales"):
-                if key in kwargs:
-                    kwargs[key] = tuple(_number(key, v) for v in kwargs[key])
-            if "step_rule" in kwargs:
-                rule = kwargs["step_rule"]
-                if not isinstance(rule, dict):
-                    raise ConfigError("step_rule must be an object")
-                bad = set(rule) - set(StepRule.__dataclass_fields__)
-                if bad:
-                    raise ConfigError(f"unknown step_rule keys: {sorted(bad)}")
-                fields = {
-                    k: v if k == "metric_boost" else _number(f"step_rule.{k}", v)
-                    for k, v in rule.items()
-                }
-                kwargs["step_rule"] = StepRule(**fields)
-            return cls(**kwargs)
-        except ConfigError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad scenario config: {exc}") from exc
+        if "step_rule" in kwargs:
+            rule = kwargs["step_rule"]
+            if not isinstance(rule, dict):
+                raise ConfigError("step_rule must be an object")
+            bad = set(rule) - set(StepRule.__dataclass_fields__)
+            if bad:
+                raise ConfigError(f"unknown step_rule keys: {sorted(bad)}")
+            kwargs["step_rule"] = StepRule(**rule)
+        return cls(**kwargs)
 
     @classmethod
     def from_json(cls, path: str) -> "ScenarioConfig":

@@ -178,7 +178,10 @@ def weight_extremes(gt: OrientedBoxBEV, alpha: float) -> tuple[float, float]:
     The maximum sits at the point of the box closest to the origin (the
     origin's projection onto the rectangle), the minimum at the farthest
     corner. Raises DegenerateDistanceError when the origin lies on or
-    inside the box.
+    inside the box, or within 2 * DEGENERATE_DISTANCE of it: box_to_polygon
+    computes the corners in world coordinates, which round differently from
+    these box-local ones, and the margin keeps an admitted box's corners
+    clear of DEGENERATE_DISTANCE.
     """
     rho_c = _center_distance(gt)
     c, s = math.cos(gt.theta), math.sin(gt.theta)
@@ -189,7 +192,7 @@ def weight_extremes(gt: OrientedBoxBEV, alpha: float) -> tuple[float, float]:
     nx = min(max(ox, -hl), hl)
     ny = min(max(oy, -hw), hw)
     rho_near = math.hypot(ox - nx, oy - ny)
-    if rho_near < DEGENERATE_DISTANCE:
+    if rho_near < 2.0 * DEGENERATE_DISTANCE:
         raise DegenerateDistanceError(
             "ego origin lies on a corner or an edge of the ground truth, or inside it"
         )

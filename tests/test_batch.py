@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import nearby_box, random_offside_gt
 from eciou import _batch
-from eciou.geometry import OrientedBoxBEV, box_to_polygon, intersect_convex, polygon_area
+from eciou.geometry import MIN_RELATIVE_SIDE, OrientedBoxBEV, box_to_polygon, intersect_convex, polygon_area
 from eciou.losses import ALL_KINDS, loss_gradient, loss_value
 from eciou.metrics import ec_iou_bev, iou_bev
 from eciou.weighting import ARITHMETIC, GEOMETRIC, WeightConfig
@@ -42,6 +42,12 @@ def test_valid_boxes_are_the_boxes_the_scalar_path_can_build():
         [1.0, 2.0, -3.0, 4.0, 0.0],
         [1.0, 2.0, 3.0, -1.0, 0.0],
         [1.0, 2.0, 3.0, 4.0, math.inf],
+        # The size floor: MIN_RELATIVE_SIDE of max(1, distance to the ego).
+        [3.0, 4.0, 5.0 * MIN_RELATIVE_SIDE, 1.0, 0.0],
+        [0.3, 0.4, 1.0, MIN_RELATIVE_SIDE, 0.0],
+        [3.0, 4.0, np.nextafter(5.0 * MIN_RELATIVE_SIDE, 0.0), 1.0, 0.0],
+        [0.3, 0.4, 1.0, np.nextafter(MIN_RELATIVE_SIDE, 0.0), 0.0],
+        [300.0, 300.0, 1e-6, 1e-6, 0.3],
     ])
     buildable = []
     for row in rows:
@@ -50,7 +56,9 @@ def test_valid_boxes_are_the_boxes_the_scalar_path_can_build():
             buildable.append(True)
         except ValueError:
             buildable.append(False)
-    assert _batch.valid_boxes(rows).tolist() == buildable == [True, True] + [False] * 6
+    assert _batch.valid_boxes(rows).tolist() == buildable == (
+        [True, True] + [False] * 6 + [True, True] + [False] * 3
+    )
 
 
 def test_clip_areas_match_scalar():

@@ -213,11 +213,18 @@ ARITH = ["--method", "arithmetic"]
 INSIDE_GT = ["0.5", "0", "4", "2", "0"]
 INSIDE_GT_3D = ["0.5", "0", "0", "4", "2", "1.5", "0"]
 ALPHA_4 = ["--alpha", "4"]
+# A 1 um box 424 m out: below the size floor, where the shoelace area's
+# rounding noise exceeds AREA_EPS.
+TINY_BOX = ["300", "300", "1e-6", "1e-6", "0.3"]
 
 # The exit-code contract: 1 = usage or config, 2 = data. Paths in braces
 # name the files that _contract_argv writes.
 CONTRACT = {
     "eval-tp-dist-zero": (EVAL + ["--tp-dist", "0"], 1),
+    "eval-tp-dist-nan": (EVAL + ["--tp-dist", "nan"], 1),
+    "eval-nan-threshold": (EVAL + ["--thresholds", "nan,0.5"], 1),
+    "eval-threshold-above-one": (EVAL + ["--thresholds", "2,0.5"], 1),
+    "metric-box-below-size-floor": (["metric", "--pred"] + TINY_BOX + ["--gt"] + TINY_BOX, 1),
     "eval-negative-alpha": (EVAL + ["--alpha", "-1"], 1),
     "metric-negative-alpha": (METRIC + ["--alpha", "-1"], 1),
     "metric-zero-samples": (METRIC + ["--samples", "0"], 1),
@@ -253,6 +260,8 @@ CONTRACT = {
     "sweep-unrepresentable-alpha-arithmetic": (NEAR_SWEEP + ["--alphas", "100000"] + ARITH, 1),
     "eval-missing-preds": (["eval", "--preds", "{missing}", "--gts", "{gts}"], 2),
     "eval-gt-corner-on-ego": (["eval", "--preds", "{far_preds}", "--gts", "{corner_gts}"], 2),
+    "eval-gt-within-margin-of-ego": (["eval", "--preds", "{knife_preds}", "--gts", "{knife_gts}"], 2),
+    "eval-pred-below-size-floor": (["eval", "--preds", "{tiny_preds}", "--gts", "{tiny_gts}"], 2),
     "sweep-unwritable-out": (["sweep", "--out", "/nonexistent-dir/x.csv"], 2),
     "metric-gt-on-ego": (METRIC[:8] + ["0", "0", "4", "2", "0"], 2),
     "eval-gt-contains-ego": (["eval", "--preds", "{inside_preds}", "--gts", "{inside_gts}"]
@@ -296,12 +305,22 @@ NEAR_PREDS = "f0 car 1.2 0 0 2 2 1.5 0 0.9\n"
 NEAR_GTS = "f0 car 1.2 0 0 2 2 1.5 0\n"
 INSIDE_PREDS = "f0 car 0.8 0 0 4 2 1.5 0 0.9\n"
 INSIDE_GTS = "f0 car 0.5 0 0 4 2 1.5 0\n"
+# The ego 1.0000000827e-9 from the ground truth in box-local coordinates,
+# though box_to_polygon puts a corner 9.99999998e-10 from it: refused by the
+# 2 * DEGENERATE_DISTANCE admission margin.
+KNIFE_PREDS = "f0 car 0.15058434031134932 -0.6908866458783205 0 1 1 1 0 0.9\n"
+KNIFE_GTS = "f0 car 0.15058434031134932 -0.6908866458783205 0 1 1 1 1.0\n"
+# A 1 um prediction about 300 m out; box_to_polygon used to find it wound clockwise.
+TINY_PREDS = "f0 car -153.95200623879273 257.4854943002629 0.5 1e-6 1e-6 1.5 -0.416844178988669 0.9\n"
+TINY_GTS = "f0 car -153.95200623879273 257.4854943002629 0.5 4 2 1.5 0\n"
 
 
 def _contract_argv(tmp_path, argv):
     files = {"preds": PREDS, "gts": GTS, "far_preds": FAR_PREDS, "corner_gts": CORNER_GTS,
              "near_preds": NEAR_PREDS, "near_gts": NEAR_GTS,
-             "inside_preds": INSIDE_PREDS, "inside_gts": INSIDE_GTS}
+             "inside_preds": INSIDE_PREDS, "inside_gts": INSIDE_GTS,
+             "knife_preds": KNIFE_PREDS, "knife_gts": KNIFE_GTS,
+             "tiny_preds": TINY_PREDS, "tiny_gts": TINY_GTS}
     for name, raw in SCENARIOS.items():
         files[name] = json.dumps({"grid_points_per_axis": 1, "iterations": 2, **raw})
     paths = {"missing": str(tmp_path / "missing")}
@@ -351,6 +370,15 @@ def test_eval_ground_truth_containing_the_ego_names_file_and_line(tmp_path, caps
     assert main(_contract_argv(tmp_path, CONTRACT["eval-gt-contains-ego"][0])) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {tmp_path / 'inside_gts'}:1: ") and "inside it" in err
+
+
+@pytest.mark.parametrize("row, name", [
+    ("eval-gt-within-margin-of-ego", "knife_gts"),
+    ("eval-pred-below-size-floor", "tiny_preds"),
+])
+def test_eval_refused_box_names_file_and_line(tmp_path, capsys, row, name):
+    assert main(_contract_argv(tmp_path, CONTRACT[row][0])) == 2
+    assert capsys.readouterr().err.startswith(f"error: {tmp_path / name}:1: ")
 
 
 @pytest.mark.parametrize("row, key", [

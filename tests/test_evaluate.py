@@ -436,8 +436,10 @@ def test_mean_or_none_sums_left_to_right():
 
 
 def test_tp_means_validates_threshold():
-    with pytest.raises(ValueError):
-        tp_metric_means([], [], 0.0, CFG)
+    for bad in (0.0, math.nan):
+        with pytest.raises(ValueError):
+            tp_metric_means([], [], bad, CFG)
+    assert tp_metric_means([_pred(10, 0, 0.9)], [_gt(40, 0)], math.inf, CFG).matched == 1
 
 
 # ---- full report ----
@@ -471,6 +473,10 @@ def test_evaluate_detections_empty_predictions():
         ({"count_affinity": "giou"}, "affinity"),
         ({"tp_distance": 0.0}, "tp_distance"),
         ({"tp_distance": -1.0}, "tp_distance"),
+        ({"tp_distance": math.nan}, "tp_distance"),
+        ({"thresholds": {"pedestrian": math.nan}}, "class 'pedestrian'"),
+        ({"thresholds": {"pedestrian": 2.0}}, "class 'pedestrian'"),
+        ({"thresholds": {"car": -0.1}}, "class 'car'"),
     ],
 )
 def test_evaluate_detections_checks_inputs_before_matching(monkeypatch, kwargs, message):

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import mc_intersection_area, random_box
 from eciou.geometry import (
+    MIN_RELATIVE_SIDE,
     Box3D,
     ConvexPolygon,
     EMPTY_POLYGON,
@@ -14,6 +17,8 @@ from eciou.geometry import (
     intersect_convex,
     polygon_area,
 )
+from eciou.metrics import ec_iou_bev, iou_bev
+from eciou.weighting import WeightConfig
 
 
 def test_box_validation():
@@ -25,6 +30,8 @@ def test_box_validation():
         OrientedBoxBEV(0, 0, 1, 1, math.nan)
     with pytest.raises(ValueError):
         Box3D(x=0, y=0, l=1, w=1, theta=0, z=0, h=0)
+    with pytest.raises(ValueError, match="at least"):
+        OrientedBoxBEV(300, 300, 1e-6, 1e-6, 0.3)  # below the size floor 424 m out
 
 
 def test_theta_canonicalized():
@@ -153,3 +160,23 @@ def test_enclosing_aabb_symmetric():
         min_x, min_y, max_x, max_y = enclosing_aabb(a, b)
         assert enclosing_aabb(a, b) == enclosing_aabb(b, a)
         assert min_x < max_x and min_y < max_y
+
+
+def _floor_box(x, y, theta):
+    side = MIN_RELATIVE_SIDE * max(1.0, math.hypot(x, y))
+    return OrientedBoxBEV(x, y, side, side, theta)
+
+
+@settings(deadline=None, max_examples=300)
+@given(log_d=st.floats(math.log(0.3), math.log(3000.0)), phi=st.floats(-math.pi, math.pi),
+       theta=st.floats(-math.pi, math.pi), shift=st.floats(-1.0, 1.0), turn=st.floats(-1.0, 1.0))
+def test_boxes_at_the_size_floor_build_and_score(log_d, phi, theta, shift, turn):
+    # Below the floor the shoelace area's rounding noise exceeds AREA_EPS,
+    # and box_to_polygon can find a box wound clockwise.
+    x, y = math.exp(log_d) * math.cos(phi), math.exp(log_d) * math.sin(phi)
+    g = _floor_box(x, y, theta)
+    p = _floor_box(x + shift * g.l, y, theta + turn)
+    for a, b in ((g, g), (p, g), (g, p)):
+        box_to_polygon(a)
+        for score in (iou_bev(a, b), ec_iou_bev(a, b, WeightConfig(alpha=1.0))):
+            assert 0.0 <= score.value <= 1.0

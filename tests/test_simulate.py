@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eciou.geometry import OrientedBoxBEV
 from eciou.losses import ALL_KINDS, LossKind
@@ -126,6 +128,82 @@ def test_config_accepts_targets_clear_of_the_ego():
     # The same 3 x 1 target with its near edge 0.5 m in front of the ego.
     cfg = ScenarioConfig.from_dict({"target_center": [2, 0], "target_dims": [[3, 1]], "target_thetas": [0]})
     assert cfg.targets() == [OrientedBoxBEV(2, 0, 3, 1, 0)]
+
+
+# Any value a JSON document can hold, non-finite floats and integers beyond
+# float range included.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.just(10**400) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=8,
+)
+_SIDE = st.floats(0.1, 5.0) | st.integers(1, 5)
+_SIDES = st.lists(st.lists(_SIDE | _JSON, min_size=1, max_size=3), max_size=2)
+# Values near the valid ones, so that some documents build a config.
+_FIELDS = {
+    "target_center": st.lists(st.floats(-20.0, 20.0) | st.integers(-20, 20), min_size=1, max_size=3),
+    "target_dims": _SIDES,
+    "target_thetas": st.lists(st.floats(-4.0, 4.0), max_size=2),
+    "grid_extent": _SIDE,
+    "grid_points_per_axis": st.integers(0, 3),
+    "anchor_ratios": _SIDES,
+    "anchor_scales": st.lists(_SIDE, max_size=2),
+    "iterations": st.integers(0, 3),
+    "eval_alpha": st.floats(-1.0, 8.0),
+}
+_STEP_FIELDS = {
+    "rate": st.floats(-1.0, 1.0),
+    "decay_factor": st.floats(-1.0, 1.0),
+    "decay_at": st.floats(-0.5, 1.5),
+    "metric_boost": st.booleans(),
+}
+
+
+def _document(fields):
+    return st.fixed_dictionaries({}, optional={k: v | _JSON for k, v in fields.items()})
+
+
+def _built(build, doc):
+    try:
+        return build(doc)
+    except ConfigError as exc:
+        return f"ConfigError: {exc}"
+
+
+def _direct(doc):
+    kwargs = dict(doc)
+    if "step_rule" in kwargs:
+        kwargs["step_rule"] = StepRule(**kwargs["step_rule"])
+    return ScenarioConfig(**kwargs)
+
+
+def _tuples(value):
+    return tuple(_tuples(v) for v in value) if isinstance(value, list) else value
+
+
+@settings(deadline=None, max_examples=300)
+@given(doc=_document(_FIELDS), rule=st.none() | _document(_STEP_FIELDS))
+@example(doc={"anchor_scales": [True]}, rule=None)
+@example(doc={"target_dims": [[True, 1.0]]}, rule=None)
+@example(doc={"target_center": ["8", "8"]}, rule=None)
+@example(doc={"anchor_ratios": [[1, 2, 3]]}, rule=None)
+@example(doc={"target_dims": 5}, rule=None)
+@example(doc={"target_center": [6, 6]}, rule=None)
+@example(doc={}, rule={"rate": True})
+@example(doc={}, rule={"rate": "0.1"})
+@example(doc={}, rule={"decay_at": "0.5"})
+def test_from_dict_and_direct_construction_agree(doc, rule):
+    """from_dict only maps JSON keys: on any document it refuses with the
+    same ConfigError as direct construction, or builds the same config."""
+    if rule is not None:
+        doc = {**doc, "step_rule": rule}
+    cfg = _built(ScenarioConfig.from_dict, doc)
+    assert cfg == _built(_direct, doc)
+    if isinstance(cfg, ScenarioConfig):
+        # Tuples, as the library passes them, give the same config as lists.
+        assert _direct({k: v if k == "step_rule" else _tuples(v) for k, v in doc.items()}) == cfg
+        assert all(type(v) is float for v in cfg.target_center + cfg.target_thetas + cfg.anchor_scales)
+        assert all(type(v) is float for pair in cfg.target_dims + cfg.anchor_ratios for v in pair)
 
 
 def test_run_case_identity_stays_put():
