@@ -5,6 +5,12 @@ arrays so that thousands of regression cases advance in lockstep. The
 clipping stage order and every formula match the scalar implementation;
 tests pin agreement between the two routes.
 
+Like `evaluate`, the kernel skips pairs whose circumcircles are disjoint
+(`circumcircles_disjoint`): only the other rows are clipped, measured and
+weighted, and the skipped rows get an intersection of exactly 0. That is
+the value the full clip gives them, and every row scores the same bits in
+any batch (see clip_quads_xy), so the shortcut changes no output.
+
 Internal module: the public simulator API lives in `simulate`.
 """
 
@@ -15,7 +21,7 @@ import math
 
 import numpy as np
 
-from .geometry import AREA_EPS, MIN_RELATIVE_SIDE
+from .geometry import AREA_EPS, DISJOINT_MARGIN, MIN_RELATIVE_SIDE
 from .weighting import ARITHMETIC, DEGENERATE_DISTANCE, GEOMETRIC
 
 # Local corner pattern, CCW from (+l/2, +w/2); scaled by (l, w) per box.
@@ -35,6 +41,14 @@ def valid_boxes(boxes: np.ndarray) -> np.ndarray:
     parameters and sides of at least MIN_RELATIVE_SIDE * max(1, distance)."""
     floor = MIN_RELATIVE_SIDE * np.maximum(1.0, np.hypot(boxes[:, 0], boxes[:, 1]))
     return np.isfinite(boxes).all(axis=1) & (boxes[:, 2] >= floor) & (boxes[:, 3] >= floor)
+
+
+def circumcircles_disjoint(boxes: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Per-row geometry.circumcircles_disjoint of (N, 5) boxes and targets;
+    False where a center or side is nan."""
+    gap = np.hypot(boxes[:, 0] - targets[:, 0], boxes[:, 1] - targets[:, 1])
+    reach = 0.5 * (np.hypot(boxes[:, 2], boxes[:, 3]) + np.hypot(targets[:, 2], targets[:, 3]))
+    return gap > reach * (1.0 + DISJOINT_MARGIN)
 
 
 def corners(boxes: np.ndarray) -> np.ndarray:
@@ -85,18 +99,22 @@ def clip_quads_xy(
         s_y = _prev_along_ring(y, counts_safe)
         s_in = _prev_along_ring(inside, counts_safe)
         s_cross = _prev_along_ring(cross, counts_safe)
+        crossing = (inside != s_in) & valid
+        # Temporaries go as soon as they are dead: on a stacked (5N, 5) probe
+        # call they set the process's peak memory.
+        del cross, valid, counts_safe, s_in
 
         dx = x - s_x
         dy = y - s_y
         denom = ex * dy - ey * dx
+        crossing &= denom != 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
             t = -s_cross / denom
+            del s_cross, denom
             ix = s_x + t * dx
+            del s_x, dx
             iy = s_y + t * dy
-        crossing = (inside != s_in) & valid & (denom != 0.0)
-        # Temporaries go as soon as they are dead: on a stacked (5N, 5) probe
-        # call they set the process's peak memory.
-        del cross, valid, counts_safe, s_x, s_y, s_in, s_cross, dx, dy, denom, t
+            del s_y, dy, t
 
         # Candidate stream per vertex: [crossing point, vertex itself].
         cand_x = np.empty((n, 2 * k))
@@ -128,8 +146,9 @@ def clip_quads_xy(
     return x, y, counts
 
 
-def precompute_clip(clip: np.ndarray) -> tuple:
-    """Per-stage edge constants for a fixed (N, 4, 2) clip polygon array.
+def precompute_clip(clip: np.ndarray) -> np.ndarray:
+    """Edge constants for a fixed (N, 4, 2) clip polygon array, as one
+    (4, 3, N, 1) array: (ex, ey, b) per stage, so that one index selects rows.
 
     Stage order matches the scalar clipper: edges (3->0), (0->1), (1->2),
     (2->3). cross(v) = ex * vy - ey * vx - b is the signed side of v.
@@ -142,7 +161,7 @@ def precompute_clip(clip: np.ndarray) -> tuple:
         ey = (c2[:, 1] - c1[:, 1])[:, None]
         b = ex * c1[:, 1][:, None] - ey * c1[:, 0][:, None]
         stages.append((ex, ey, b))
-    return tuple(stages)
+    return np.array(stages)
 
 
 def ring_area(x: np.ndarray, y: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -208,19 +227,33 @@ class BatchEvaluator:
             self._mean_weight_g[key] = mean_weight(gx, gy, four, self.rho_c, alpha, method)
         return self._mean_weight_g[key] * self.area_g
 
-    def _clip(self, p_corners: np.ndarray):
-        """Intersection buffers, intersection and prediction areas, and IoU."""
-        x, y, counts = clip_quads_xy(p_corners[..., 0], p_corners[..., 1], self.clip_const)
-        inter = ring_area(x, y, counts)
-        inter = np.where(inter > AREA_EPS, inter, 0.0)
+    def _clip(self, boxes: np.ndarray, p_corners: np.ndarray):
+        """Kept-row mask and intersection buffers, per-row intersection and
+        prediction areas, and IoU.
+
+        Only rows whose circumcircles meet their target's (and nan rows)
+        are clipped; the buffers hold those rows alone. A disjoint pair's
+        boxes share no point, and for boxes above the size floor the full
+        clip of such a pair measures at most AREA_EPS, so the 0.0 given here
+        is the intersection the full clip gives.
+        """
+        keep = ~circumcircles_disjoint(boxes, self.targets)
+        kept = p_corners[keep]
+        clip_const = self.clip_const[:, :, keep]
+        x, y, counts = clip_quads_xy(kept[..., 0], kept[..., 1], clip_const)
+        ring = ring_area(x, y, counts)
+        inter = np.zeros(len(boxes))
+        inter[keep] = np.where(ring > AREA_EPS, ring, 0.0)
         area_p = quad_area(p_corners)
         iou = np.clip(inter / (self.area_g + area_p - inter), 0.0, 1.0)
-        return (x, y, counts, inter, area_p), iou
+        return (keep, x, y, counts, inter, area_p), iou
 
     def _ec_iou(self, clip, alpha: float, method: str) -> np.ndarray:
-        x, y, counts, inter, area_p = clip
-        wa_inter = np.where(
-            inter > 0.0, mean_weight(x, y, counts, self.rho_c, alpha, method) * inter, 0.0
+        keep, x, y, counts, inter, area_p = clip
+        ring = inter[keep]
+        wa_inter = np.zeros(len(inter))
+        wa_inter[keep] = np.where(
+            ring > 0.0, mean_weight(x, y, counts, self.rho_c[keep], alpha, method) * ring, 0.0
         )
         with np.errstate(invalid="ignore"):
             ec = np.clip(wa_inter / (self._wa_g(alpha, method) + (area_p - inter)), 0.0, 1.0)
@@ -228,7 +261,7 @@ class BatchEvaluator:
 
     def scores(self, boxes: np.ndarray, alpha: float, method: str = GEOMETRIC):
         """(iou, ec_iou) arrays for prediction boxes against the targets."""
-        clip, iou = self._clip(corners(boxes))
+        clip, iou = self._clip(boxes, corners(boxes))
         return iou, self._ec_iou(clip, alpha, method)
 
     def loss_and_scores(
@@ -242,7 +275,7 @@ class BatchEvaluator:
         eval_alpha, or None when eval_alpha is None.
         """
         p_corners = corners(boxes)
-        clip, iou = self._clip(p_corners)
+        clip, iou = self._clip(boxes, p_corners)
         metric = self._ec_iou(clip, alpha, method) if kind.ego_centric else iou
         eval_ec = None if eval_alpha is None else self._ec_iou(clip, eval_alpha, GEOMETRIC)
         loss = 1.0 - metric

@@ -20,8 +20,9 @@ DISJOINT_MARGIN = 1e-9
 # Smallest box side as a fraction of max(1, the center's distance to the
 # ego). The shoelace area's rounding noise grows with the square of the
 # coordinates; below this floor it can exceed AREA_EPS and flip a box's
-# winding.
-MIN_RELATIVE_SIDE = 1e-6
+# winding. The floor also keeps every box's area at 4 * AREA_EPS or more,
+# so that no box measures as empty.
+MIN_RELATIVE_SIDE = 2e-6
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,12 @@ DEFAULT_LOSS_CFG = WeightConfig(alpha=1.0, method=GEOMETRIC)
 # central-difference gradients.
 GRAD_STEP = 0.03
 
+# Largest scenario run_simulation accepts: cases (targets * grid^2 * ratios
+# * scales) and descent iterations. The full-size scenario has 9126 cases
+# and 180 iterations.
+MAX_CASES = 100_000
+MAX_ITERATIONS = 100_000
+
 
 class ConfigError(ValueError):
     """A scenario document does not match the expected schema."""
@@ -125,6 +131,21 @@ class ScenarioConfig:
             raise ConfigError(f"eval_alpha must be >= 0, got {self.eval_alpha!r}")
         if not (self.target_dims and self.target_thetas and self.anchor_ratios and self.anchor_scales):
             raise ConfigError("target and anchor lists must be non-empty")
+        ratios = [v for pair in self.anchor_ratios for v in pair]
+        for name, values in (("anchor_ratios", ratios), ("anchor_scales", self.anchor_scales)):
+            if min(values) <= 0.0:
+                raise ConfigError(f"{name} entries must be positive, got {getattr(self, name)!r}")
+        if self.iterations > MAX_ITERATIONS:
+            raise ConfigError(f"iterations must be at most {MAX_ITERATIONS}")
+        cases = (
+            len(self.target_dims) * len(self.target_thetas) * self.grid_points_per_axis**2
+            * len(self.anchor_ratios) * len(self.anchor_scales)
+        )
+        if cases > MAX_CASES:
+            raise ConfigError(
+                f"grid_points_per_axis, anchor_ratios and anchor_scales give more than {MAX_CASES} "
+                "cases (targets * grid_points_per_axis^2 * ratios * scales)"
+            )
         if not isinstance(self.step_rule, StepRule):
             raise ConfigError(f"step_rule must be a StepRule, got {self.step_rule!r}")
         try:

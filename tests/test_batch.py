@@ -1,6 +1,7 @@
 """The vectorized kernel must agree with the scalar reference path."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +10,15 @@ from hypothesis import strategies as st
 
 from conftest import nearby_box, random_offside_gt
 from eciou import _batch
-from eciou.geometry import MIN_RELATIVE_SIDE, OrientedBoxBEV, box_to_polygon, intersect_convex, polygon_area
+from eciou.geometry import (
+    AREA_EPS,
+    DISJOINT_MARGIN,
+    MIN_RELATIVE_SIDE,
+    OrientedBoxBEV,
+    box_to_polygon,
+    intersect_convex,
+    polygon_area,
+)
 from eciou.losses import ALL_KINDS, loss_gradient, loss_value
 from eciou.metrics import ec_iou_bev, iou_bev
 from eciou.weighting import ARITHMETIC, GEOMETRIC, WeightConfig
@@ -240,6 +249,122 @@ def test_loss_and_scores_agree_with_scores(batch, loss_alpha, eval_alpha, method
             assert np.array_equal(got_ec, eval_ec[rows], equal_nan=True)
             own = loss_ec[rows] if kind.ego_centric else got_iou
             assert np.array_equal(metric, own, equal_nan=True)
+
+
+# ---- disjoint-row shortcut ----
+
+
+def _aimed(draw, l, w, direction):
+    """A heading that puts one of the box's corners on the ray at direction."""
+    return direction + draw(st.sampled_from([1.0, -1.0])) * math.atan2(w, l) + draw(
+        st.sampled_from([0.0, math.pi]))
+
+
+# Relative center distances near the circumradius sum: within a few
+# DISJOINT_MARGINs of it, and a few orders of magnitude beyond.
+_NEAR_TOUCH = st.builds(
+    lambda u, scale: u * scale, st.floats(-4.0, 4.0),
+    st.sampled_from([DISJOINT_MARGIN * 10.0**k for k in range(7)]),
+)
+
+
+def _sides(floor):
+    """(l, w), each of 0.5 to 4 m or of 1 to 4 times the size floor."""
+    side = st.floats(0.5, 4.0) | st.floats(1.001, 4.0).map(lambda k: k * floor)
+    return st.tuples(side, side)
+
+
+@st.composite
+def _pair_rows(draw, gaps=st.one_of(_NEAR_TOUCH, st.floats(-1.0, 2.0))):
+    """(target, box) rows with centers reach * (1 + gap) apart, reach being
+    the sum of the circumradii, from 0.3 to 3000 m out; sides are often at
+    the size floor, and in half of the draws the boxes point a corner at
+    each other, the closest they come at that distance."""
+    rho = math.exp(draw(st.floats(math.log(0.3), math.log(3000.0))))
+    phi = draw(st.floats(-math.pi, math.pi))
+    gl, gw = draw(_sides(MIN_RELATIVE_SIDE * max(1.0, rho)))
+    # Centers lie at most 1.5 * (hypot(gl, gw) + hypot(l, w)) apart.
+    l, w = draw(_sides(MIN_RELATIVE_SIDE * max(1.0, rho + 1.5 * math.hypot(gl, gw) + 9.0)))
+    reach = 0.5 * (math.hypot(l, w) + math.hypot(gl, gw))
+    dist = reach * (1.0 + draw(gaps))
+    d = draw(st.floats(-math.pi, math.pi))
+    if draw(st.booleans()):
+        theta, g_theta = _aimed(draw, l, w, d + math.pi), _aimed(draw, gl, gw, d)
+    else:
+        theta, g_theta = draw(st.floats(-math.pi, math.pi)), draw(st.floats(-math.pi, math.pi))
+    gx, gy = rho * math.cos(phi), rho * math.sin(phi)
+    return (gx, gy, gl, gw, g_theta), (gx + dist * math.cos(d), gy + dist * math.sin(d), l, w, theta)
+
+
+def _batch_of(rows):
+    targets, boxes = zip(*rows)
+    return np.array(targets), np.array(boxes)
+
+
+@settings(deadline=None, max_examples=300)
+@given(rows=st.lists(_pair_rows(), min_size=1, max_size=16))
+def test_rows_called_disjoint_clip_to_nothing(rows):
+    # The premise of the shortcut: clipped in full, every row the mask skips
+    # measures at most AREA_EPS, so its intersection is 0.0 either way.
+    targets, boxes = _batch_of(rows)
+    assert _batch.valid_boxes(targets).all() and _batch.valid_boxes(boxes).all()
+    disjoint = _batch.circumcircles_disjoint(boxes, targets)
+    pc = _batch.corners(boxes)
+    x, y, counts = _batch.clip_quads_xy(
+        pc[..., 0], pc[..., 1], _batch.precompute_clip(_batch.corners(targets))
+    )
+    assert (_batch.ring_area(x, y, counts)[disjoint] <= AREA_EPS).all()
+
+
+def _spoil(row, field, value):
+    box = list(row[1])
+    box[field] = value
+    return row[0], tuple(box)
+
+
+# Rows the kernel must still score as before: a nan center or side (kept on
+# the clipped path by the mask), a nan or infinite heading or center, and
+# sides the boxes refuse.
+_SPOILED_ROWS = st.one_of(
+    st.tuples(_pair_rows(), st.integers(0, 4), st.just(math.nan)),
+    st.tuples(_pair_rows(), st.sampled_from([0, 1, 4]), st.sampled_from([math.inf, -math.inf])),
+    st.tuples(_pair_rows(), st.integers(2, 3), st.sampled_from([-1.0, 0.0, 1e-9])),
+).map(lambda spoiled: _spoil(*spoiled))
+
+
+def _full_clip():
+    """Clip every row: the reference the shortcut must match bit for bit."""
+    return mock.patch.object(
+        _batch, "circumcircles_disjoint", lambda boxes, targets: np.zeros(len(boxes), dtype=bool)
+    )
+
+
+@settings(deadline=None)
+@given(
+    rows=st.lists(st.one_of(_pair_rows(), _SPOILED_ROWS), min_size=1, max_size=12),
+    alpha=st.floats(0.0, 8.0),
+    method=st.sampled_from([GEOMETRIC, ARITHMETIC]),
+)
+def test_skipping_disjoint_rows_changes_no_output(rows, alpha, method):
+    targets, boxes = _batch_of(rows)
+
+    def outputs():
+        ev = _batch.BatchEvaluator(targets)
+        return (
+            [ev.scores(boxes, alpha, method)]
+            + [ev.loss_and_scores(kind, boxes, alpha, method, eval_alpha=4.0) for kind in ALL_KINDS]
+            + [ev.gradient(kind, boxes, alpha, method, h=0.03) for kind in ALL_KINDS]
+        )
+
+    got = outputs()
+    with _full_clip():
+        want = outputs()
+    for g, w in zip(got, want):
+        for a, b in zip(g, w):
+            assert np.array_equal(a, b, equal_nan=True)
+    invalid = ~_batch.valid_boxes(boxes)
+    for loss, *_ in got[1 : 1 + len(ALL_KINDS)]:
+        assert np.isnan(loss[invalid]).all()
 
 
 def test_invalid_boxes_flagged():

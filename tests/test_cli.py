@@ -216,6 +216,11 @@ ALPHA_4 = ["--alpha", "4"]
 # A 1 um box 424 m out: below the size floor, where the shoelace area's
 # rounding noise exceeds AREA_EPS.
 TINY_BOX = ["300", "300", "1e-6", "1e-6", "0.3"]
+# 1 um sides about 1 m out measure AREA_EPS itself, so a floor that allowed
+# them let `metric` score such a box against itself as empty (iou=0.000000,
+# exit 0). FLOOR_BOX has sides at the floor, 2e-6, there.
+NEAR_TINY_BOX = ["-0.2995", "0.954", "1e-6", "1e-6", "0"]
+FLOOR_BOX = ["-0.2995", "0.954", "2e-6", "2e-6", "0"]
 
 # The exit-code contract: 1 = usage or config, 2 = data. Paths in braces
 # name the files that _contract_argv writes.
@@ -225,6 +230,8 @@ CONTRACT = {
     "eval-nan-threshold": (EVAL + ["--thresholds", "nan,0.5"], 1),
     "eval-threshold-above-one": (EVAL + ["--thresholds", "2,0.5"], 1),
     "metric-box-below-size-floor": (["metric", "--pred"] + TINY_BOX + ["--gt"] + TINY_BOX, 1),
+    "metric-box-below-size-floor-near-ego": (["metric", "--pred"] + NEAR_TINY_BOX
+                                             + ["--gt"] + NEAR_TINY_BOX, 1),
     "eval-negative-alpha": (EVAL + ["--alpha", "-1"], 1),
     "metric-negative-alpha": (METRIC + ["--alpha", "-1"], 1),
     "metric-zero-samples": (METRIC + ["--samples", "0"], 1),
@@ -250,6 +257,11 @@ CONTRACT = {
     "sim-boolean-grid-extent": (["sim", "--config", "{boolean_grid_extent}"], 1),
     "sim-string-grid-extent": (["sim", "--config", "{string_grid_extent}"], 1),
     "sim-huge-integer-target-center": (["sim", "--config", "{huge_integer_target_center}"], 1),
+    "sim-negative-anchor-scale": (["sim", "--config", "{negative_anchor_scale}"], 1),
+    "sim-zero-anchor-ratio": (["sim", "--config", "{zero_anchor_ratio}"], 1),
+    "sim-huge-grid": (["sim", "--config", "{huge_grid}"], 1),
+    "sim-too-many-cases": (["sim", "--config", "{too_many_cases}"], 1),
+    "sim-huge-iterations": (["sim", "--config", "{huge_iterations}"], 1),
     "sim-duplicate-kinds": (["sim", "--config", "{tiny}", "--kinds", "iou,ec-iou,iou"], 1),
     "eval-duplicate-classes": (EVAL + ["--classes", "car,pedestrian,car"], 1),
     "eval-unrepresentable-alpha": (NEAR_EVAL + ["--alpha", "100000"], 1),
@@ -295,6 +307,12 @@ SCENARIOS = {
     "boolean_grid_extent": {"grid_extent": True},
     "string_grid_extent": {"grid_extent": "6"},
     "huge_integer_target_center": {"target_center": [10**400, 0]},
+    "negative_anchor_scale": {"anchor_scales": [-1]},
+    "zero_anchor_ratio": {"anchor_ratios": [[1, 0]]},
+    "huge_grid": {"grid_points_per_axis": 10**400},
+    # 6 targets * 43^2 * 3 ratios * 3 scales = 99,846 cases is the largest grid.
+    "too_many_cases": {"grid_points_per_axis": 44},
+    "huge_iterations": {"iterations": 10**400},
 }
 
 # A prediction far from a ground truth whose corner sits on the ego origin:
@@ -393,6 +411,23 @@ def test_eval_refused_box_names_file_and_line(tmp_path, capsys, row, name):
 def test_scenario_number_error_names_the_key(tmp_path, capsys, row, key):
     assert main(_contract_argv(tmp_path, CONTRACT[row][0])) == 1
     assert capsys.readouterr().err.startswith(f"error: {key} must be a finite number, got ")
+
+
+def test_metric_scores_a_box_at_the_size_floor_against_itself(capsys):
+    assert main(["metric", "--pred"] + FLOOR_BOX + ["--gt"] + FLOOR_BOX) == 0
+    assert capsys.readouterr().out.strip() == "iou=1.000000 ec_iou=1.000000 clamped=false"
+
+
+@pytest.mark.parametrize("row, message", [
+    ("sim-negative-anchor-scale", "anchor_scales entries must be positive"),
+    ("sim-zero-anchor-ratio", "anchor_ratios entries must be positive"),
+    ("sim-huge-grid", "grid_points_per_axis, anchor_ratios and anchor_scales give more than 100000 cases"),
+    ("sim-too-many-cases", "grid_points_per_axis, anchor_ratios and anchor_scales give more than 100000 cases"),
+    ("sim-huge-iterations", "iterations must be at most 100000"),
+])
+def test_scenario_range_error_names_the_key(tmp_path, capsys, row, message):
+    assert main(_contract_argv(tmp_path, CONTRACT[row][0])) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 @pytest.mark.parametrize("argv, work", [

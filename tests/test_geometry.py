@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import mc_intersection_area, random_box
@@ -168,6 +168,9 @@ def _floor_box(x, y, theta):
 
 
 @settings(deadline=None, max_examples=300)
+# About 1 m out: under a floor of 1e-6 this box's area is AREA_EPS itself,
+# and its shifted copy measures as empty (an EC-IoU "denominator 0" error).
+@example(log_d=4.8794616723098995e-08, phi=1.875, theta=0.0, shift=4.8794616723098995e-08, turn=0.0)
 @given(log_d=st.floats(math.log(0.3), math.log(3000.0)), phi=st.floats(-math.pi, math.pi),
        theta=st.floats(-math.pi, math.pi), shift=st.floats(-1.0, 1.0), turn=st.floats(-1.0, 1.0))
 def test_boxes_at_the_size_floor_build_and_score(log_d, phi, theta, shift, turn):

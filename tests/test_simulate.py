@@ -12,6 +12,8 @@ from eciou.losses import ALL_KINDS, LossKind
 from eciou.metrics import ec_iou_bev, iou_bev
 from eciou.simulate import (
     DEFAULT_LOSS_CFG,
+    MAX_CASES,
+    MAX_ITERATIONS,
     ConfigError,
     RegressionCase,
     ScenarioConfig,
@@ -73,6 +75,22 @@ def test_config_validation():
     with pytest.raises(ConfigError, match="metric_boost"):
         StepRule(metric_boost=1)
     assert ScenarioConfig(iterations=np.int64(3), eval_alpha=0).iterations == 3
+
+
+def test_config_refuses_anchor_sizes_and_scenarios_it_cannot_run():
+    for bad, key in (
+        ({"anchor_scales": (-1.0,)}, "anchor_scales entries must be positive"),
+        ({"anchor_scales": (1.0, 0)}, "anchor_scales entries must be positive"),
+        ({"anchor_ratios": ((1.0, -2.0),)}, "anchor_ratios entries must be positive"),
+        ({"anchor_ratios": ((math.inf, 1.0),)}, "anchor_ratios must be a finite number"),
+        ({"grid_points_per_axis": 10**400}, f"more than {MAX_CASES} cases"),
+        ({"grid_points_per_axis": 44}, f"more than {MAX_CASES} cases"),
+        ({"iterations": MAX_ITERATIONS + 1}, f"iterations must be at most {MAX_ITERATIONS}"),
+    ):
+        with pytest.raises(ConfigError, match=key):
+            ScenarioConfig(**bad)
+    # 6 targets * 43^2 grid points * 3 ratios * 3 scales = 99,846 cases.
+    assert ScenarioConfig(grid_points_per_axis=43, iterations=MAX_ITERATIONS).iterations == MAX_ITERATIONS
 
 
 def test_config_from_dict_rejects_unknown_keys():
