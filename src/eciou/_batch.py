@@ -3,7 +3,9 @@
 Mirrors the scalar geometry, metric, and loss paths over (N, 5) parameter
 arrays so that thousands of regression cases advance in lockstep. The
 clipping stage order and every formula match the scalar implementation;
-tests pin agreement between the two routes.
+tests pin agreement between the two routes. Vertices travel as separate
+(x, y) coordinate planes, each (N, 4) for box corners or zero-padded for
+clipped rings, from `corners` to the weights.
 
 Like `evaluate`, the kernel skips pairs whose circumcircles are disjoint
 (`circumcircles_disjoint`): only the other rows are clipped, measured and
@@ -51,14 +53,15 @@ def circumcircles_disjoint(boxes: np.ndarray, targets: np.ndarray) -> np.ndarray
     return gap > reach * (1.0 + DISJOINT_MARGIN)
 
 
-def corners(boxes: np.ndarray) -> np.ndarray:
-    """Corner coordinates of (N, 5) boxes as (N, 4, 2), CCW."""
-    local = _LOCAL[None, :, :] * boxes[:, None, 2:4]
+def corners(boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Corner coordinates of (N, 5) boxes as (N, 4) x and y planes, CCW."""
+    lx = _LOCAL[:, 0] * boxes[:, 2:3]
+    ly = _LOCAL[:, 1] * boxes[:, 3:4]
     c = np.cos(boxes[:, 4])[:, None]
     s = np.sin(boxes[:, 4])[:, None]
-    x = boxes[:, None, 0] + local[..., 0] * c - local[..., 1] * s
-    y = boxes[:, None, 1] + local[..., 0] * s + local[..., 1] * c
-    return np.stack([x, y], axis=-1)
+    x = boxes[:, None, 0] + lx * c - ly * s
+    y = boxes[:, None, 1] + lx * s + ly * c
+    return x, y
 
 
 def _prev_along_ring(arr: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -146,8 +149,8 @@ def clip_quads_xy(
     return x, y, counts
 
 
-def precompute_clip(clip: np.ndarray) -> np.ndarray:
-    """Edge constants for a fixed (N, 4, 2) clip polygon array, as one
+def precompute_clip(cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
+    """Edge constants for fixed clip quads with (N, 4) corner planes, as one
     (4, 3, N, 1) array: (ex, ey, b) per stage, so that one index selects rows.
 
     Stage order matches the scalar clipper: edges (3->0), (0->1), (1->2),
@@ -155,11 +158,9 @@ def precompute_clip(clip: np.ndarray) -> np.ndarray:
     """
     stages = []
     for j in range(4):
-        c1 = clip[:, (j - 1) % 4]
-        c2 = clip[:, j]
-        ex = (c2[:, 0] - c1[:, 0])[:, None]
-        ey = (c2[:, 1] - c1[:, 1])[:, None]
-        b = ex * c1[:, 1][:, None] - ey * c1[:, 0][:, None]
+        ex = (cx[:, j] - cx[:, j - 1])[:, None]
+        ey = (cy[:, j] - cy[:, j - 1])[:, None]
+        b = ex * cy[:, j - 1][:, None] - ey * cx[:, j - 1][:, None]
         stages.append((ex, ey, b))
     return np.array(stages)
 
@@ -175,9 +176,8 @@ def ring_area(x: np.ndarray, y: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.maximum(0.5 * np.where(valid, terms, 0.0).sum(axis=1), 0.0)
 
 
-def quad_area(quads: np.ndarray) -> np.ndarray:
-    """Shoelace area of (N, 4, 2) corner quads."""
-    x, y = quads[..., 0], quads[..., 1]
+def quad_area(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Shoelace area of quads with (N, 4) corner planes."""
     nx, ny = np.roll(x, -1, axis=1), np.roll(y, -1, axis=1)
     return np.maximum(0.5 * (x * ny - nx * y).sum(axis=1), 0.0)
 
@@ -212,22 +212,20 @@ class BatchEvaluator:
 
     def __init__(self, targets: np.ndarray):
         self.targets = np.asarray(targets, dtype=np.float64)
-        self.g_corners = corners(self.targets)
-        self.area_g = quad_area(self.g_corners)
+        self.gx, self.gy = corners(self.targets)
+        self.area_g = quad_area(self.gx, self.gy)
         self.rho_c = np.hypot(self.targets[:, 0], self.targets[:, 1])
-        self.clip_const = precompute_clip(self.g_corners)
+        self.clip_const = precompute_clip(self.gx, self.gy)
         self._mean_weight_g: dict[tuple[float, str], np.ndarray] = {}
 
     def _wa_g(self, alpha: float, method: str) -> np.ndarray:
         key = (alpha, method)
         if key not in self._mean_weight_g:
-            gx = self.g_corners[..., 0]
-            gy = self.g_corners[..., 1]
             four = np.full(len(self.targets), 4)
-            self._mean_weight_g[key] = mean_weight(gx, gy, four, self.rho_c, alpha, method)
+            self._mean_weight_g[key] = mean_weight(self.gx, self.gy, four, self.rho_c, alpha, method)
         return self._mean_weight_g[key] * self.area_g
 
-    def _clip(self, boxes: np.ndarray, p_corners: np.ndarray):
+    def _clip(self, boxes: np.ndarray, px: np.ndarray, py: np.ndarray):
         """Kept-row mask and intersection buffers, per-row intersection and
         prediction areas, and IoU.
 
@@ -238,13 +236,11 @@ class BatchEvaluator:
         is the intersection the full clip gives.
         """
         keep = ~circumcircles_disjoint(boxes, self.targets)
-        kept = p_corners[keep]
-        clip_const = self.clip_const[:, :, keep]
-        x, y, counts = clip_quads_xy(kept[..., 0], kept[..., 1], clip_const)
+        x, y, counts = clip_quads_xy(px[keep], py[keep], self.clip_const[:, :, keep])
         ring = ring_area(x, y, counts)
         inter = np.zeros(len(boxes))
         inter[keep] = np.where(ring > AREA_EPS, ring, 0.0)
-        area_p = quad_area(p_corners)
+        area_p = quad_area(px, py)
         iou = np.clip(inter / (self.area_g + area_p - inter), 0.0, 1.0)
         return (keep, x, y, counts, inter, area_p), iou
 
@@ -261,7 +257,7 @@ class BatchEvaluator:
 
     def scores(self, boxes: np.ndarray, alpha: float, method: str = GEOMETRIC):
         """(iou, ec_iou) arrays for prediction boxes against the targets."""
-        clip, iou = self._clip(boxes, corners(boxes))
+        clip, iou = self._clip(boxes, *corners(boxes))
         return iou, self._ec_iou(clip, alpha, method)
 
     def loss_and_scores(
@@ -274,17 +270,17 @@ class BatchEvaluator:
         kinds, else the IoU. eval_ec_iou is the geometric EC-IoU at
         eval_alpha, or None when eval_alpha is None.
         """
-        p_corners = corners(boxes)
-        clip, iou = self._clip(boxes, p_corners)
+        px, py = corners(boxes)
+        clip, iou = self._clip(boxes, px, py)
         metric = self._ec_iou(clip, alpha, method) if kind.ego_centric else iou
         eval_ec = None if eval_alpha is None else self._ec_iou(clip, eval_alpha, GEOMETRIC)
         loss = 1.0 - metric
         if kind.family in ("diou", "eiou"):
-            both = np.concatenate([p_corners, self.g_corners], axis=1)
-            lo = both.min(axis=1)
-            hi = both.max(axis=1)
-            c_l = hi[:, 0] - lo[:, 0]
-            c_w = hi[:, 1] - lo[:, 1]
+            # Sides of the box enclosing both; maximum/minimum keep a nan row nan.
+            c_l = np.maximum(px.max(axis=1), self.gx.max(axis=1)) - np.minimum(
+                px.min(axis=1), self.gx.min(axis=1))
+            c_w = np.maximum(py.max(axis=1), self.gy.max(axis=1)) - np.minimum(
+                py.min(axis=1), self.gy.min(axis=1))
             dist_sq = ((boxes[:, :2] - self.targets[:, :2]) ** 2).sum(axis=1)
             loss = loss + dist_sq / (c_l**2 + c_w**2)
             if kind.family == "eiou":
@@ -298,7 +294,7 @@ class BatchEvaluator:
         return BatchEvaluator(np.tile(self.targets, (5, 1)))
 
     def gradient(
-        self, kind, boxes: np.ndarray, alpha: float, method: str = GEOMETRIC, h: float = 1e-4
+        self, kind, boxes: np.ndarray, alpha: float, method: str = GEOMETRIC, *, h: float
     ) -> tuple[np.ndarray, np.ndarray]:
         """Central-difference gradients (N, 5) and a per-row finite mask.
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import nearby_box, random_offside_gt
+from conftest import nearby_box, random_offside_gt, rotated_about_ego, turned_pairs
 from eciou import _batch
 from eciou.geometry import (
     AREA_EPS,
@@ -24,21 +24,24 @@ from eciou.metrics import ec_iou_bev, iou_bev
 from eciou.weighting import ARITHMETIC, GEOMETRIC, WeightConfig
 
 
+def _rows(boxes):
+    return np.array([(b.x, b.y, b.l, b.w, b.theta) for b in boxes])
+
+
 def _pair_arrays(rng, n, shift=0.6):
     gs = [random_offside_gt(rng, dist_lo=5.0) for _ in range(n)]
     ps = [nearby_box(rng, g, shift_scale=shift) for g in gs]
-    g_arr = np.array([(g.x, g.y, g.l, g.w, g.theta) for g in gs])
-    p_arr = np.array([(p.x, p.y, p.l, p.w, p.theta) for p in ps])
-    return gs, ps, g_arr, p_arr
+    return gs, ps, _rows(gs), _rows(ps)
 
 
 def test_corners_match_scalar():
     rng = np.random.default_rng(1)
     gs, _, g_arr, _ = _pair_arrays(rng, 50)
-    batch = _batch.corners(g_arr)
+    x, y = _batch.corners(g_arr)
     for i, g in enumerate(gs):
         scalar = np.array(box_to_polygon(g).vertices)
-        assert np.allclose(batch[i], scalar, atol=1e-12)
+        assert np.allclose(x[i], scalar[:, 0], atol=1e-12)
+        assert np.allclose(y[i], scalar[:, 1], atol=1e-12)
 
 
 def test_valid_boxes_are_the_boxes_the_scalar_path_can_build():
@@ -73,9 +76,9 @@ def test_valid_boxes_are_the_boxes_the_scalar_path_can_build():
 def test_clip_areas_match_scalar():
     rng = np.random.default_rng(2)
     gs, ps, g_arr, p_arr = _pair_arrays(rng, 300)
-    pc = _batch.corners(p_arr)
-    gc = _batch.corners(g_arr)
-    x, y, counts = _batch.clip_quads_xy(pc[..., 0], pc[..., 1], _batch.precompute_clip(gc))
+    x, y, counts = _batch.clip_quads_xy(
+        *_batch.corners(p_arr), _batch.precompute_clip(*_batch.corners(g_arr))
+    )
     areas = _batch.ring_area(x, y, counts)
     assert counts.max() <= 8
     for i, (p, g) in enumerate(zip(ps, gs)):
@@ -112,7 +115,7 @@ def test_losses_and_gradients_match_scalar():
     cfg = WeightConfig(alpha=1.0)
     for kind in ALL_KINDS:
         batch_loss = ev.loss_and_scores(kind, p_arr, 1.0)[0]
-        grads, ok = ev.gradient(kind, p_arr, 1.0)
+        grads, ok = ev.gradient(kind, p_arr, 1.0, h=1e-4)
         assert ok.all()
         for i, (p, g) in enumerate(zip(ps, gs)):
             assert batch_loss[i] == pytest.approx(loss_value(kind, p, g, cfg), abs=1e-9)
@@ -166,14 +169,13 @@ def test_stacked_gradient_equals_per_parameter_probes(method):
 def test_clip_buffers_are_cut_to_the_longest_ring():
     rng = np.random.default_rng(12)
     for g_arr, p_arr in (_pair_arrays(rng, 200)[2:], _axis_aligned_pairs(rng, 200)):
-        pc = _batch.corners(p_arr)
         x, y, counts = _batch.clip_quads_xy(
-            pc[..., 0], pc[..., 1], _batch.precompute_clip(_batch.corners(g_arr))
+            *_batch.corners(p_arr), _batch.precompute_clip(*_batch.corners(g_arr))
         )
         assert x.shape == y.shape == (len(p_arr), max(counts.max(), 8))
     assert counts.max() == 4  # the axis-aligned rings still get 8 columns
     empty = np.empty((0, 4))
-    x, y, counts = _batch.clip_quads_xy(empty, empty, _batch.precompute_clip(np.empty((0, 4, 2))))
+    x, y, counts = _batch.clip_quads_xy(empty, empty, _batch.precompute_clip(empty, empty))
     assert counts.shape == (0,) and x.shape[0] == y.shape[0] == 0
 
 
@@ -309,9 +311,8 @@ def test_rows_called_disjoint_clip_to_nothing(rows):
     targets, boxes = _batch_of(rows)
     assert _batch.valid_boxes(targets).all() and _batch.valid_boxes(boxes).all()
     disjoint = _batch.circumcircles_disjoint(boxes, targets)
-    pc = _batch.corners(boxes)
     x, y, counts = _batch.clip_quads_xy(
-        pc[..., 0], pc[..., 1], _batch.precompute_clip(_batch.corners(targets))
+        *_batch.corners(boxes), _batch.precompute_clip(*_batch.corners(targets))
     )
     assert (_batch.ring_area(x, y, counts)[disjoint] <= AREA_EPS).all()
 
@@ -339,6 +340,8 @@ def _full_clip():
     )
 
 
+# The spoiled rows take cos and sin of inf and subtract inf from inf.
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @settings(deadline=None)
 @given(
     rows=st.lists(st.one_of(_pair_rows(), _SPOILED_ROWS), min_size=1, max_size=12),
@@ -365,6 +368,66 @@ def test_skipping_disjoint_rows_changes_no_output(rows, alpha, method):
     invalid = ~_batch.valid_boxes(boxes)
     for loss, *_ in got[1 : 1 + len(ALL_KINDS)]:
         assert np.isnan(loss[invalid]).all()
+
+
+# ---- agreement with the scalar path on generated pairs ----
+
+
+def _assert_scores_match_scalar(pairs, scored_pairs, alpha, method):
+    """Batch scores of scored_pairs against scalar scores of pairs, to 1e-9."""
+    cfg = WeightConfig(alpha=alpha, method=method)
+    preds, targets = zip(*scored_pairs)
+    iou, ec = _batch.BatchEvaluator(_rows(targets)).scores(_rows(preds), alpha, method)
+    for i, (p, g) in enumerate(pairs):
+        assert iou[i] == pytest.approx(iou_bev(p, g).value, abs=1e-9)
+        assert ec[i] == pytest.approx(ec_iou_bev(p, g, cfg).value, abs=1e-9)
+
+
+@settings(deadline=None)
+@given(
+    pairs=st.lists(turned_pairs(), min_size=1, max_size=12),
+    angle=st.floats(-math.pi, math.pi),
+    alpha=st.floats(0.0, 8.0),
+    method=st.sampled_from([GEOMETRIC, ARITHMETIC]),
+)
+def test_batch_scores_do_not_change_when_both_boxes_turn_about_the_ego(pairs, angle, alpha, method):
+    turned = [(rotated_about_ego(p, angle), rotated_about_ego(g, angle)) for p, g in pairs]
+    _assert_scores_match_scalar(pairs, turned, alpha, method)
+
+
+@st.composite
+def _nested_pairs(draw):
+    """(prediction, target) with the prediction strictly inside the target.
+
+    Any relative heading is drawn: strictly nested boxes share no edge line,
+    so the clippers' collinear-vertex defect cannot arise.
+    """
+    rho, phi = draw(st.floats(8.0, 40.0)), draw(st.floats(-math.pi, math.pi))
+    gl, gw = draw(st.floats(0.5, 4.0)), draw(st.floats(0.5, 4.0))
+    theta, turn = draw(st.floats(-math.pi, math.pi)), draw(st.floats(-math.pi, math.pi))
+    l, w = draw(st.floats(0.2, 1.0)), draw(st.floats(0.2, 1.0))
+    c, s = abs(math.cos(turn)), abs(math.sin(turn))
+    # Half-extents of the turned prediction along the target's axes, scaled
+    # to a fraction of the target's.
+    reach_l, reach_w = 0.5 * (l * c + w * s), 0.5 * (l * s + w * c)
+    scale = draw(st.floats(0.05, 0.95)) * min(0.5 * gl / reach_l, 0.5 * gw / reach_w)
+    u = draw(st.floats(-0.95, 0.95)) * (0.5 * gl - scale * reach_l)
+    v = draw(st.floats(-0.95, 0.95)) * (0.5 * gw - scale * reach_w)
+    g = OrientedBoxBEV(rho * math.cos(phi), rho * math.sin(phi), gl, gw, theta)
+    # The prediction placed in the target's frame, then turned with it.
+    offset = rotated_about_ego(OrientedBoxBEV(u, v, l * scale, w * scale, turn), theta)
+    p = OrientedBoxBEV(g.x + offset.x, g.y + offset.y, offset.l, offset.w, offset.theta)
+    return p, g
+
+
+@settings(deadline=None)
+@given(
+    pairs=st.lists(_nested_pairs(), min_size=1, max_size=12),
+    alpha=st.floats(0.0, 8.0),
+    method=st.sampled_from([GEOMETRIC, ARITHMETIC]),
+)
+def test_nested_pairs_score_as_on_the_scalar_path(pairs, alpha, method):
+    _assert_scores_match_scalar(pairs, pairs, alpha, method)
 
 
 def test_invalid_boxes_flagged():
