@@ -7,11 +7,12 @@ tests pin agreement between the two routes. Vertices travel as separate
 (x, y) coordinate planes, each (N, 4) for box corners or zero-padded for
 clipped rings, from `corners` to the weights.
 
-Like `evaluate`, the kernel skips pairs whose circumcircles are disjoint
-(`circumcircles_disjoint`): only the other rows are clipped, measured and
-weighted, and the skipped rows get an intersection of exactly 0. That is
-the value the full clip gives them, and every row scores the same bits in
-any batch (see clip_quads_xy), so the shortcut changes no output.
+The clip step gives a row an intersection of nan if `valid_boxes` refuses
+its box, so that its IoU, every EC-IoU and its loss are nan; exactly 0, the
+value the full clip gives, if its circumcircles and its target's are
+disjoint (`circumcircles_disjoint`, as in `evaluate`); and the clip
+otherwise. Only those last rows are clipped, measured and weighted, and
+every row scores the same bits in any batch (see clip_quads_xy).
 
 Internal module: the public simulator API lives in `simulate`.
 """
@@ -73,13 +74,16 @@ def _prev_along_ring(arr: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 
 def clip_quads_xy(
-    sx: np.ndarray, sy: np.ndarray, clip_const: tuple
+    sx: np.ndarray, sy: np.ndarray, cx: np.ndarray, cy: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sutherland-Hodgman intersection of CCW quads against fixed clip quads.
+    """Sutherland-Hodgman intersection of CCW subject quads against CCW clip quads.
 
-    sx, sy: (N, 4) subject corner coordinates. clip_const comes from
-    precompute_clip. Returns zero-padded (x, y) buffers and per-row counts.
-    Rows with fewer than 3 vertices are degenerate (empty) regions.
+    sx, sy, cx, cy: (N, 4) corner coordinates of the subject and clip quads.
+    Returns zero-padded (x, y) buffers and per-row counts. Rows with fewer
+    than 3 vertices are degenerate (empty) regions.
+
+    Stage order matches the scalar clipper: clip edges (3->0), (0->1),
+    (1->2), (2->3). cross(v) = ex * vy - ey * vx - b is the signed side of v.
 
     Each stage cuts the buffers to the longest ring; the returned buffers are
     max(counts.max(), _MIN_WIDTH) wide. numpy sums a row of 8 or more values
@@ -90,9 +94,11 @@ def clip_quads_xy(
     counts = np.full(n, 4, dtype=np.int64)
     x, y = sx, sy
 
-    for stage, (ex, ey, b) in enumerate(clip_const):
+    for stage in range(4):
+        ex = (cx[:, stage] - cx[:, stage - 1])[:, None]
+        ey = (cy[:, stage] - cy[:, stage - 1])[:, None]
+        b = ex * cy[:, stage - 1][:, None] - ey * cx[:, stage - 1][:, None]
         k = x.shape[1]
-        # Signed side of each vertex relative to the clip edge.
         cross = ex * y - ey * x - b
         valid = np.arange(k)[None, :] < counts[:, None]
         inside = (cross >= 0.0) & valid
@@ -100,12 +106,11 @@ def clip_quads_xy(
         counts_safe = np.maximum(counts, 1)
         s_x = _prev_along_ring(x, counts_safe)
         s_y = _prev_along_ring(y, counts_safe)
-        s_in = _prev_along_ring(inside, counts_safe)
         s_cross = _prev_along_ring(cross, counts_safe)
-        crossing = (inside != s_in) & valid
+        crossing = (inside != (s_cross >= 0.0)) & valid
         # Temporaries go as soon as they are dead: on a stacked (5N, 5) probe
         # call they set the process's peak memory.
-        del cross, valid, counts_safe, s_in
+        del cross, valid, counts_safe
 
         dx = x - s_x
         dy = y - s_y
@@ -137,7 +142,7 @@ def clip_quads_xy(
         flat = np.nonzero(cvalid)
         slots = (flat[0], pos[flat])
         del pos, cvalid
-        floor = _MIN_WIDTH if stage == len(clip_const) - 1 else 1
+        floor = _MIN_WIDTH if stage == 3 else 1
         width = max(int(counts.max(initial=0)), floor)
         x = np.zeros((n, width))
         x[slots] = cand_x[flat]
@@ -147,22 +152,6 @@ def clip_quads_xy(
         del cand_y
 
     return x, y, counts
-
-
-def precompute_clip(cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
-    """Edge constants for fixed clip quads with (N, 4) corner planes, as one
-    (4, 3, N, 1) array: (ex, ey, b) per stage, so that one index selects rows.
-
-    Stage order matches the scalar clipper: edges (3->0), (0->1), (1->2),
-    (2->3). cross(v) = ex * vy - ey * vx - b is the signed side of v.
-    """
-    stages = []
-    for j in range(4):
-        ex = (cx[:, j] - cx[:, j - 1])[:, None]
-        ey = (cy[:, j] - cy[:, j - 1])[:, None]
-        b = ex * cy[:, j - 1][:, None] - ey * cx[:, j - 1][:, None]
-        stages.append((ex, ey, b))
-    return np.array(stages)
 
 
 def ring_area(x: np.ndarray, y: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -215,7 +204,6 @@ class BatchEvaluator:
         self.gx, self.gy = corners(self.targets)
         self.area_g = quad_area(self.gx, self.gy)
         self.rho_c = np.hypot(self.targets[:, 0], self.targets[:, 1])
-        self.clip_const = precompute_clip(self.gx, self.gy)
         self._mean_weight_g: dict[tuple[float, str], np.ndarray] = {}
 
     def _wa_g(self, alpha: float, method: str) -> np.ndarray:
@@ -229,16 +217,16 @@ class BatchEvaluator:
         """Kept-row mask and intersection buffers, per-row intersection and
         prediction areas, and IoU.
 
-        Only rows whose circumcircles meet their target's (and nan rows)
-        are clipped; the buffers hold those rows alone. A disjoint pair's
-        boxes share no point, and for boxes above the size floor the full
-        clip of such a pair measures at most AREA_EPS, so the 0.0 given here
-        is the intersection the full clip gives.
+        A row's intersection is nan if valid_boxes refuses its box, exactly
+        0 if its circumcircles are disjoint (above the size floor the full
+        clip of such a pair measures at most AREA_EPS), and the clip
+        otherwise; the buffers hold the clipped rows alone.
         """
-        keep = ~circumcircles_disjoint(boxes, self.targets)
-        x, y, counts = clip_quads_xy(px[keep], py[keep], self.clip_const[:, :, keep])
+        valid = valid_boxes(boxes)
+        keep = valid & ~circumcircles_disjoint(boxes, self.targets)
+        x, y, counts = clip_quads_xy(px[keep], py[keep], self.gx[keep], self.gy[keep])
         ring = ring_area(x, y, counts)
-        inter = np.zeros(len(boxes))
+        inter = np.where(valid, 0.0, np.nan)
         inter[keep] = np.where(ring > AREA_EPS, ring, 0.0)
         area_p = quad_area(px, py)
         iou = np.clip(inter / (self.area_g + area_p - inter), 0.0, 1.0)
@@ -264,7 +252,7 @@ class BatchEvaluator:
         self, kind, boxes: np.ndarray, alpha: float, method: str = GEOMETRIC,
         eval_alpha: float | None = None,
     ):
-        """(loss, iou, metric, eval_ec_iou) from one clip; loss is nan for invalid boxes.
+        """(loss, iou, metric, eval_ec_iou) from one clip; all four are nan for invalid boxes.
 
         metric is the kind's own score: the EC-IoU at alpha for ego-centric
         kinds, else the IoU. eval_ec_iou is the geometric EC-IoU at
@@ -286,7 +274,7 @@ class BatchEvaluator:
             if kind.family == "eiou":
                 loss = loss + (boxes[:, 2] - self.targets[:, 2]) ** 2 / c_l**2
                 loss = loss + (boxes[:, 3] - self.targets[:, 3]) ** 2 / c_w**2
-        return np.where(valid_boxes(boxes), loss, np.nan), iou, metric, eval_ec
+        return loss, iou, metric, eval_ec
 
     @functools.cached_property
     def _probes(self) -> "BatchEvaluator":

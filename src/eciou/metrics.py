@@ -24,6 +24,9 @@ from .geometry import (
 )
 from .weighting import GEOMETRIC, WeightConfig, weight_extremes, weighted_area, weighted_areas
 
+# Most rows one sweep_curve call may write; the same bound as simulate.MAX_CASES.
+MAX_SWEEP_ROWS = 100_000
+
 
 @dataclass(frozen=True)
 class MetricScore:
@@ -149,12 +152,22 @@ def sweep_curve(
     keeps g's dimensions, heading, and y coordinate. With monte-carlo, each
     polygon's points are drawn once and weighted at every alpha, and g's
     once per call. A g the ego lies on or inside raises
-    DegenerateDistanceError.
+    DegenerateDistanceError. A range that is not finite or runs backwards, a
+    step that is not finite and positive, no alphas, or more than
+    MAX_SWEEP_ROWS rows raise ValueError.
     """
-    if step <= 0.0:
-        raise ValueError("step must be positive")
-    weight_extremes(g, 1.0)  # EC-IoU weights are undefined on the ego
     x_lo, x_hi = x_range
+    if not (math.isfinite(x_lo) and math.isfinite(x_hi) and x_lo <= x_hi):
+        raise ValueError(f"range must be finite with LO <= HI, got {x_lo:g} {x_hi:g}")
+    if not (math.isfinite(step) and step > 0.0):
+        raise ValueError(f"step must be finite and positive, got {step:g}")
+    if not alphas:
+        raise ValueError("alphas must name at least one alpha")
+    # At most MAX_SWEEP_ROWS - 1 steps give at most MAX_SWEEP_ROWS rows; an
+    # inf quotient fails the test too.
+    if not (x_hi - x_lo) / step <= MAX_SWEEP_ROWS - 1:
+        raise ValueError(f"range and step give more than {MAX_SWEEP_ROWS} rows")
+    weight_extremes(g, 1.0)  # EC-IoU weights are undefined on the ego
     n_steps = int(math.floor((x_hi - x_lo) / step + 1e-9))
     configs = [
         WeightConfig(alpha=a, method=method, mc_samples=mc_samples, mc_seed=mc_seed)

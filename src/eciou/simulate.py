@@ -148,11 +148,16 @@ class ScenarioConfig:
             )
         if not isinstance(self.step_rule, StepRule):
             raise ConfigError(f"step_rule must be a StepRule, got {self.step_rule!r}")
+        # EC-IoU weights are undefined on the ego, and must stay inside (0, inf).
+        overflow = ConfigError(f"eval_alpha {self.eval_alpha:g} puts the EC-IoU weights of a target out of float range")
         try:
-            for target in self.targets():
-                weight_extremes(target, 1.0)  # EC-IoU weights are undefined on the ego
+            weights = [weight_extremes(target, self.eval_alpha) for target in self.targets()]
         except ValueError as exc:  # a side the box refuses, or DegenerateDistanceError
             raise ConfigError(f"bad target: {exc}") from exc
+        except OverflowError:  # the largest weight
+            raise overflow from None
+        if min(w_min for w_min, _ in weights) == 0.0:  # the smallest weight
+            raise overflow
 
     def targets(self) -> list[OrientedBoxBEV]:
         """Every target, dims-major then heading."""

@@ -117,3 +117,19 @@ def turned_pairs(draw):
 def rotated_about_ego(box: OrientedBoxBEV, angle: float) -> OrientedBoxBEV:
     c, s = math.cos(angle), math.sin(angle)
     return OrientedBoxBEV(c * box.x - s * box.y, s * box.x + c * box.y, box.l, box.w, box.theta + angle)
+
+
+def collinear_pairs() -> list[tuple[OrientedBoxBEV, OrientedBoxBEV]]:
+    """252 (prediction, target) pairs whose boxes share both long edge lines.
+
+    Targets (10, 5, 4, 2, 0.1 k) for k = -31..31; each prediction is its
+    target moved -1, -0.5, 0.5 or 1 m along the heading. Both clippers
+    leave a spurious vertex on some of these rings.
+    """
+    pairs = []
+    for k in range(-31, 32):
+        g = OrientedBoxBEV(10.0, 5.0, 4.0, 2.0, 0.1 * k)
+        c, s = math.cos(g.theta), math.sin(g.theta)
+        for d in (-1.0, -0.5, 0.5, 1.0):
+            pairs.append((OrientedBoxBEV(g.x + d * c, g.y + d * s, g.l, g.w, g.theta), g))
+    return pairs

@@ -120,6 +120,16 @@ def test_sim_small_config(tmp_path, capsys):
     assert len(lines) == 1 + 2 * 5
 
 
+@pytest.mark.filterwarnings("error")
+def test_sim_scores_an_eval_alpha_whose_weights_stay_in_float_range(tmp_path, capsys):
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps({"grid_points_per_axis": 1, "iterations": 2, "eval_alpha": 1000}))
+    assert main(["sim", "--config", str(config)]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.strip().split("\n")[1:]]
+    assert len(rows) == 6 * 3
+    assert all(math.isfinite(float(value)) for row in rows for value in row[2:])
+
+
 def test_sim_bad_schema_exits_one(tmp_path, capsys):
     config = tmp_path / "bad.json"
     config.write_text(json.dumps({"grid": 5}))
@@ -238,6 +248,14 @@ CONTRACT = {
     "sweep-zero-length-gt": (["sweep", "--gt", "10", "0", "0", "2", "0"], 1),
     "sweep-zero-step": (["sweep", "--step", "0"], 1),
     "sweep-negative-alpha": (["sweep", "--alphas", "-1"], 1),
+    "sweep-no-alphas": (["sweep", "--alphas", ""], 1),
+    "sweep-infinite-range": (["sweep", "--range", "0", "inf"], 1),
+    "sweep-nan-range": (["sweep", "--range", "nan", "15"], 1),
+    "sweep-backwards-range": (["sweep", "--range", "15", "5"], 1),
+    "sweep-nan-step": (["sweep", "--step", "nan"], 1),
+    "sweep-infinite-step": (["sweep", "--step", "inf"], 1),
+    "sweep-too-many-rows": (["sweep", "--step", "1e-9"], 1),
+    "sweep-row-count-beyond-float-range": (["sweep", "--range", "0", "1e300", "--step", "1e-10"], 1),
     "sim-target-centred-on-ego": (["sim", "--config", "{centred}"], 1),
     "sim-ego-inside-target": (["sim", "--config", "{inside}"], 1),
     "sim-missing-config": (["sim", "--config", "{missing}"], 1),
@@ -262,6 +280,8 @@ CONTRACT = {
     "sim-huge-grid": (["sim", "--config", "{huge_grid}"], 1),
     "sim-too-many-cases": (["sim", "--config", "{too_many_cases}"], 1),
     "sim-huge-iterations": (["sim", "--config", "{huge_iterations}"], 1),
+    "sim-unrepresentable-alpha": (["sim", "--config", "{overflowing_eval_alpha}"], 1),
+    "sim-underflowing-eval-alpha": (["sim", "--config", "{underflowing_eval_alpha}"], 1),
     "sim-duplicate-kinds": (["sim", "--config", "{tiny}", "--kinds", "iou,ec-iou,iou"], 1),
     "eval-duplicate-classes": (EVAL + ["--classes", "car,pedestrian,car"], 1),
     "eval-unrepresentable-alpha": (NEAR_EVAL + ["--alpha", "100000"], 1),
@@ -313,6 +333,13 @@ SCENARIOS = {
     # 6 targets * 43^2 * 3 ratios * 3 scales = 99,846 cases is the largest grid.
     "too_many_cases": {"grid_points_per_axis": 44},
     "huge_iterations": {"iterations": 10**400},
+    # The largest weight over the default targets leaves float range from
+    # eval_alpha 3,649 on.
+    "overflowing_eval_alpha": {"eval_alpha": 100000},
+    # A thin target across the line of sight: its smallest weight underflows
+    # to 0 from eval_alpha 6,448 on, its largest overflows only from 141,600.
+    "underflowing_eval_alpha": {"target_center": [10, 0], "target_dims": [[0.1, 10]],
+                                "target_thetas": [0], "eval_alpha": 10000},
 }
 
 # A prediction far from a ground truth whose corner sits on the ego origin:
@@ -424,10 +451,25 @@ def test_metric_scores_a_box_at_the_size_floor_against_itself(capsys):
     ("sim-huge-grid", "grid_points_per_axis, anchor_ratios and anchor_scales give more than 100000 cases"),
     ("sim-too-many-cases", "grid_points_per_axis, anchor_ratios and anchor_scales give more than 100000 cases"),
     ("sim-huge-iterations", "iterations must be at most 100000"),
+    ("sim-underflowing-eval-alpha", "eval_alpha 10000 puts the EC-IoU weights of a target out of float range"),
 ])
 def test_scenario_range_error_names_the_key(tmp_path, capsys, row, message):
     assert main(_contract_argv(tmp_path, CONTRACT[row][0])) == 1
     assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("row, message", [
+    ("sweep-no-alphas", "alphas must name at least one alpha"),
+    ("sweep-infinite-range", "range must be finite with LO <= HI, got 0 inf"),
+    ("sweep-backwards-range", "range must be finite with LO <= HI, got 15 5"),
+    ("sweep-nan-step", "step must be finite and positive, got nan"),
+    ("sweep-infinite-step", "step must be finite and positive, got inf"),
+    ("sweep-too-many-rows", "range and step give more than 100000 rows"),
+    ("sweep-row-count-beyond-float-range", "range and step give more than 100000 rows"),
+])
+def test_sweep_flag_error_names_the_flag(tmp_path, capsys, row, message):
+    assert main(_contract_argv(tmp_path, CONTRACT[row][0])) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("argv, work", [

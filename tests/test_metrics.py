@@ -14,7 +14,7 @@ from conftest import (
     turned_pairs,
 )
 from eciou.geometry import Box3D, OrientedBoxBEV, box_to_polygon, intersect_convex
-from eciou.metrics import MetricScore, ec_iou_3d, ec_iou_bev, iou_3d, iou_bev, sweep_curve
+from eciou.metrics import MAX_SWEEP_ROWS, MetricScore, ec_iou_3d, ec_iou_bev, iou_3d, iou_bev, sweep_curve
 from eciou.weighting import (
     ARITHMETIC,
     GEOMETRIC,
@@ -204,6 +204,12 @@ def test_sweep_csv_format():
 def test_sweep_rejects_bad_step():
     with pytest.raises(ValueError):
         sweep_curve(G_REF, (5, 15), 0.0)
+
+
+def test_sweep_refuses_more_rows_than_its_bound():
+    # MAX_SWEEP_ROWS steps would give MAX_SWEEP_ROWS + 1 rows.
+    with pytest.raises(ValueError, match=f"more than {MAX_SWEEP_ROWS} rows"):
+        sweep_curve(G_REF, (0.0, 1.0), 1.0 / MAX_SWEEP_ROWS)
 
 
 @st.composite

@@ -89,6 +89,15 @@ def test_config_refuses_anchor_sizes_and_scenarios_it_cannot_run():
     ):
         with pytest.raises(ConfigError, match=key):
             ScenarioConfig(**bad)
+    # The largest weight over the default targets overflows from eval_alpha
+    # 3,649 on; the smallest over a thin target across the line of sight
+    # underflows to 0 from 6,448 on.
+    thin = {"target_center": (10.0, 0.0), "target_dims": ((0.1, 10.0),), "target_thetas": (0.0,)}
+    for bad in ({"eval_alpha": 3649}, {**thin, "eval_alpha": 6448}):
+        with pytest.raises(ConfigError, match=r"^eval_alpha \d+ puts the EC-IoU weights"):
+            ScenarioConfig(**bad)
+    ScenarioConfig(eval_alpha=3648)
+    ScenarioConfig(**thin, eval_alpha=6447)
     # 6 targets * 43^2 grid points * 3 ratios * 3 scales = 99,846 cases.
     assert ScenarioConfig(grid_points_per_axis=43, iterations=MAX_ITERATIONS).iterations == MAX_ITERATIONS
 
