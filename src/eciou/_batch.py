@@ -252,7 +252,7 @@ class BatchEvaluator:
         self, kind, boxes: np.ndarray, alpha: float, method: str = GEOMETRIC,
         eval_alpha: float | None = None,
     ):
-        """(loss, iou, metric, eval_ec_iou) from one clip; all four are nan for invalid boxes.
+        """(loss, iou, metric, eval_ec_iou) from one clip; each is nan where a box is invalid.
 
         metric is the kind's own score: the EC-IoU at alpha for ego-centric
         kinds, else the IoU. eval_ec_iou is the geometric EC-IoU at
