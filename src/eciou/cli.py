@@ -30,7 +30,7 @@ from .evaluate import (
 )
 from .geometry import Box3D, OrientedBoxBEV
 from .losses import LossKind
-from .metrics import ec_iou_3d, ec_iou_bev, iou_3d, iou_bev, sweep_curve
+from .metrics import scores_3d, scores_bev, sweep_curve
 from .simulate import ScenarioConfig, run_simulation
 from .weighting import DegenerateDistanceError, METHODS, WeightConfig, weight_extremes
 
@@ -127,12 +127,7 @@ def _cmd_metric(args) -> None:
     gt = _parse_box(args.gt, args.mode, "--gt")
     weight_extremes(gt, 1.0)  # EC-IoU weights are undefined on the ego
     cfg = _weight_config(args)
-    if args.mode == "bev":
-        iou = iou_bev(pred, gt)
-        ec = ec_iou_bev(pred, gt, cfg)
-    else:
-        iou = iou_3d(pred, gt)
-        ec = ec_iou_3d(pred, gt, cfg)
+    iou, ec = (scores_bev if args.mode == "bev" else scores_3d)(pred, gt, cfg)
     print(f"iou={iou.value:.6f} ec_iou={ec.value:.6f} clamped={'true' if ec.clamped else 'false'}")
 
 

@@ -11,11 +11,12 @@ Record files are whitespace-separated, one box per line:
 with meters/radians, a score in [0, 1] on predictions only, and `#`
 starting a comment.
 
-Pairs whose footprints' circumcircles are disjoint score exactly 0.0 under
-every metric, so they skip the clipper. The shortcut is always on and
-exact, since no box has a side below geometry.MIN_RELATIVE_SIDE of its
-distance to the ego: the report is the same, byte for byte, as scoring
-every pair.
+The matchings score a pair whose footprints' circumcircles are disjoint as
+exactly 0.0 without clipping it. The shortcut is always on and exact, since
+no box has a side below geometry.MIN_RELATIVE_SIDE of its distance to the
+ego: the report is the same, byte for byte, as scoring every pair. The TP
+means score each of their pairs once, taking its IoU and EC-IoU from one
+clip.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 from .geometry import Box3D, circumcircles_disjoint
-from .metrics import ec_iou_3d, ec_iou_bev, iou_3d, iou_bev
+from .metrics import ec_iou_3d, ec_iou_bev, iou_3d, iou_bev, scores_3d
 from .weighting import WeightConfig, weight_extremes
 
 PREDICTIONS = "predictions"
@@ -74,8 +75,15 @@ def parse_records(path: str, kind: str) -> list[DetectionRecord]:
     want_score = kind == PREDICTIONS
     n_fields = 10 if want_score else 9
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
+    # Bytes that are not UTF-8 decode to lone surrogates, which do not encode
+    # back, so the line that holds them is the one named.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for line_number, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                byte = ord(line[exc.start]) & 0xFF
+                raise RecordParseError(path, line_number, f"not UTF-8: byte 0x{byte:02x}") from exc
             text = line.split("#", 1)[0].strip()
             if not text:
                 continue
@@ -255,7 +263,7 @@ def tp_metric_means(
     average the 3D metrics over the matched pairs. Means are None with no TPs."""
     if not center_dist_threshold > 0.0:  # NaN too; inf means no limit
         raise ValueError(f"center_dist_threshold must be positive, got {center_dist_threshold}")
-    pairs = []
+    ious, ec_ious = [], []
     for frame_preds, frame_gts in _by_frame(preds, gts):
         # Nearest first: the negated BEV center distance is the affinity.
         result = _greedy(
@@ -264,10 +272,11 @@ def tp_metric_means(
             lambda p, g: -math.hypot(p.box.x - g.box.x, p.box.y - g.box.y),
             -center_dist_threshold,
         )
-        pairs.extend((p, g) for p, g, _ in result.matches)
-    ious = [_affinity(p, g, IOU_AFFINITY, cfg, MODE_3D) for p, g in pairs]
-    ec_ious = [_affinity(p, g, EC_IOU_AFFINITY, cfg, MODE_3D) for p, g in pairs]
-    return TPMeans(_mean_or_none(ious), _mean_or_none(ec_ious), len(pairs))
+        for p, g, _ in result.matches:
+            iou, ec_iou = scores_3d(p.box, g.box, cfg)
+            ious.append(iou.value)
+            ec_ious.append(ec_iou.value)
+    return TPMeans(_mean_or_none(ious), _mean_or_none(ec_ious), len(ious))
 
 
 @dataclass(frozen=True)

@@ -46,16 +46,7 @@ def _clamp(raw: float) -> MetricScore:
     return MetricScore(max(raw, 0.0))
 
 
-def _iou(p: OrientedBoxBEV, g: OrientedBoxBEV, v: float, h_p: float, h_g: float) -> MetricScore:
-    """Volume IoU of footprints extruded to heights h_p, h_g that share v."""
-    poly_p = box_to_polygon(p)
-    poly_g = box_to_polygon(g)
-    inter = polygon_area(intersect_convex(poly_p, poly_g)) * v
-    union = polygon_area(poly_p) * h_p + polygon_area(poly_g) * h_g - inter
-    return MetricScore(min(max(inter / union, 0.0), 1.0))
-
-
-def _ec_ious(
+def _scores(
     p: OrientedBoxBEV,
     g: OrientedBoxBEV,
     poly_g: ConvexPolygon,
@@ -64,31 +55,44 @@ def _ec_ious(
     v: float,
     h_p: float,
     h_g: float,
-) -> list[MetricScore]:
-    """EC-IoU under each of cfgs, given g's weighted area under each; heights
-    and vertical overlap as in _iou. The weighting ignores the gravity axis."""
+) -> tuple[MetricScore, list[MetricScore]]:
+    """IoU and the EC-IoU under each of cfgs, from one clip of the footprints
+    extruded to heights h_p, h_g that share the vertical overlap v. wa_g holds
+    g's weighted area under each of cfgs; the weighting ignores the gravity axis."""
     poly_p = box_to_polygon(p)
     inter = intersect_convex(poly_p, poly_g)
+    vol_i = polygon_area(inter) * v
+    vol_p = polygon_area(poly_p) * h_p
+    iou = MetricScore(min(max(vol_i / (vol_p + polygon_area(poly_g) * h_g - vol_i), 0.0), 1.0))
     # Grouping the extra volume keeps ec_iou(g, g) exactly 1 where v rounds to h_g.
-    extra = polygon_area(poly_p) * h_p - polygon_area(inter) * v
-    scores = []
-    for cfg, wa, wa_gt in zip(cfgs, weighted_areas(g, inter, cfgs), wa_g):
+    extra = vol_p - vol_i
+    wa_i = weighted_areas(g, inter, cfgs) if cfgs else []
+    ec_ious = []
+    for cfg, wa, wa_gt in zip(cfgs, wa_i, wa_g):
         denom = wa_gt * h_g + extra
         if not 0.0 < denom < math.inf:  # the weights under- or overflowed
             raise ValueError(f"EC-IoU is undefined at alpha {cfg.alpha:g} (denominator {denom:g})")
-        scores.append(_clamp(wa * v / denom))
-    return scores
+        ec_ious.append(_clamp(wa * v / denom))
+    return iou, ec_ious
 
 
 def iou_bev(p: OrientedBoxBEV, g: OrientedBoxBEV) -> MetricScore:
     """Plain intersection-over-union of the two box footprints."""
-    return _iou(p, g, 1.0, 1.0, 1.0)
+    return _scores(p, g, box_to_polygon(g), (), (), 1.0, 1.0, 1.0)[0]
+
+
+def scores_bev(
+    p: OrientedBoxBEV, g: OrientedBoxBEV, cfg: WeightConfig
+) -> tuple[MetricScore, MetricScore]:
+    """(IoU, EC-IoU) of the two box footprints, both from one clip."""
+    poly_g = box_to_polygon(g)
+    iou, (ec_iou,) = _scores(p, g, poly_g, (cfg,), (weighted_area(g, poly_g, cfg),), 1.0, 1.0, 1.0)
+    return iou, ec_iou
 
 
 def ec_iou_bev(p: OrientedBoxBEV, g: OrientedBoxBEV, cfg: WeightConfig) -> MetricScore:
     """Ego-centric IoU: weighted intersection over weighted-gt + extra area."""
-    poly_g = box_to_polygon(g)
-    return _ec_ious(p, g, poly_g, (cfg,), (weighted_area(g, poly_g, cfg),), 1.0, 1.0, 1.0)[0]
+    return scores_bev(p, g, cfg)[1]
 
 
 def _vertical_overlap(p: Box3D, g: Box3D) -> float:
@@ -99,14 +103,19 @@ def _vertical_overlap(p: Box3D, g: Box3D) -> float:
 
 def iou_3d(p: Box3D, g: Box3D) -> MetricScore:
     """Volume IoU: BEV areas times heights, with the shared vertical overlap."""
-    return _iou(p, g, _vertical_overlap(p, g), p.h, g.h)
+    return _scores(p, g, box_to_polygon(g), (), (), _vertical_overlap(p, g), p.h, g.h)[0]
+
+
+def scores_3d(p: Box3D, g: Box3D, cfg: WeightConfig) -> tuple[MetricScore, MetricScore]:
+    """(3D IoU, 3D EC-IoU), both from one clip; the weighting ignores the gravity axis."""
+    poly_g, v = box_to_polygon(g), _vertical_overlap(p, g)
+    iou, (ec_iou,) = _scores(p, g, poly_g, (cfg,), (weighted_area(g, poly_g, cfg),), v, p.h, g.h)
+    return iou, ec_iou
 
 
 def ec_iou_3d(p: Box3D, g: Box3D, cfg: WeightConfig) -> MetricScore:
     """3D ego-centric IoU; the weighting ignores the gravity axis."""
-    poly_g = box_to_polygon(g)
-    wa_g = (weighted_area(g, poly_g, cfg),)
-    return _ec_ious(p, g, poly_g, (cfg,), wa_g, _vertical_overlap(p, g), p.h, g.h)[0]
+    return scores_3d(p, g, cfg)[1]
 
 
 @dataclass(frozen=True)
@@ -153,8 +162,8 @@ def sweep_curve(
     polygon's points are drawn once and weighted at every alpha, and g's
     once per call. A g the ego lies on or inside raises
     DegenerateDistanceError. A range that is not finite or runs backwards, a
-    step that is not finite and positive, no alphas, or more than
-    MAX_SWEEP_ROWS rows raise ValueError.
+    step that is not finite and positive, no alphas, two alphas that give
+    one column name, or more than MAX_SWEEP_ROWS rows raise ValueError.
     """
     x_lo, x_hi = x_range
     if not (math.isfinite(x_lo) and math.isfinite(x_hi) and x_lo <= x_hi):
@@ -163,6 +172,12 @@ def sweep_curve(
         raise ValueError(f"step must be finite and positive, got {step:g}")
     if not alphas:
         raise ValueError("alphas must name at least one alpha")
+    columns: set[str] = set()
+    for a in alphas:
+        column = f"eciou_a{_fmt_alpha(a)}"
+        if column in columns:
+            raise ValueError(f"alpha {a!r} repeats the column {column}")
+        columns.add(column)
     # At most MAX_SWEEP_ROWS - 1 steps give at most MAX_SWEEP_ROWS rows; an
     # inf quotient fails the test too.
     if not (x_hi - x_lo) / step <= MAX_SWEEP_ROWS - 1:
@@ -179,13 +194,6 @@ def sweep_curve(
     for i in range(n_steps + 1):
         x = x_lo + i * step
         p = OrientedBoxBEV(x, g.y, g.l, g.w, g.theta)
-        rows.append(
-            SweepRow(
-                x=x,
-                iou=iou_bev(p, g).value,
-                ec_iou=tuple(
-                    s.value for s in _ec_ious(p, g, poly_g, configs, wa_g, 1.0, 1.0, 1.0)
-                ),
-            )
-        )
+        iou, ec_ious = _scores(p, g, poly_g, configs, wa_g, 1.0, 1.0, 1.0)
+        rows.append(SweepRow(x=x, iou=iou.value, ec_iou=tuple(s.value for s in ec_ious)))
     return SweepTable(alphas=tuple(alphas), method=method, rows=tuple(rows))

@@ -26,6 +26,11 @@ ARITHMETIC = "arithmetic"
 MONTE_CARLO = "monte-carlo"
 METHODS = (GEOMETRIC, ARITHMETIC, MONTE_CARLO)
 
+# Most Monte Carlo points one weighted area may draw. A weighted area holds
+# several float arrays of this length at once: one `metric` call at the
+# bound peaks near 800 MiB (x86-64, numpy 2.4.6).
+MAX_MC_SAMPLES = 10_000_000
+
 
 class DegenerateDistanceError(ValueError):
     """The ego origin coincides with (or lies inside) the queried geometry."""
@@ -45,8 +50,8 @@ class WeightConfig:
             raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
-        if self.mc_samples < 1:
-            raise ValueError("mc_samples must be >= 1")
+        if not 1 <= self.mc_samples <= MAX_MC_SAMPLES:
+            raise ValueError(f"mc_samples must be in [1, {MAX_MC_SAMPLES}], got {self.mc_samples}")
 
 
 def _center_distance(gt: OrientedBoxBEV) -> float:

@@ -60,6 +60,12 @@ def test_metric_degenerate_distance_is_data_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_malformed_number_list_exits_one():
+    with pytest.raises(SystemExit) as err:
+        main(["sweep", "--alphas", "1,x"])
+    assert err.value.code == 1
+
+
 def test_unknown_flag_exits_one():
     with pytest.raises(SystemExit) as err:
         main(["metric", "--pred", "1", "0", "4", "2", "0", "--gt", "1", "0", "4", "2", "0", "--bogus"])
@@ -223,6 +229,7 @@ ARITH = ["--method", "arithmetic"]
 INSIDE_GT = ["0.5", "0", "4", "2", "0"]
 INSIDE_GT_3D = ["0.5", "0", "0", "4", "2", "1.5", "0"]
 ALPHA_4 = ["--alpha", "4"]
+SHORT_SWEEP = ["sweep", "--range", "9", "9.2", "--step", "0.1"]
 # A 1 um box 424 m out: below the size floor, where the shoelace area's
 # rounding noise exceeds AREA_EPS.
 TINY_BOX = ["300", "300", "1e-6", "1e-6", "0.3"]
@@ -256,6 +263,16 @@ CONTRACT = {
     "sweep-infinite-step": (["sweep", "--step", "inf"], 1),
     "sweep-too-many-rows": (["sweep", "--step", "1e-9"], 1),
     "sweep-row-count-beyond-float-range": (["sweep", "--range", "0", "1e300", "--step", "1e-10"], 1),
+    "sweep-repeated-alpha": (SHORT_SWEEP + ["--alphas", "1,1"], 1),
+    "sweep-alphas-sharing-a-column": (SHORT_SWEEP + ["--alphas", "1,1.0000001"], 1),
+    "sweep-too-many-samples": (SHORT_SWEEP + ["--method", "monte-carlo", "--samples", "10000001"], 1),
+    "metric-too-many-samples": (METRIC + ["--method", "monte-carlo", "--samples", "10000001"], 1),
+    "metric-3d-wrong-arity": (["metric", "--mode", "3d", "--pred", "1", "2", "3",
+                               "--gt", "10", "0", "0", "4", "2", "1.5", "0"], 1),
+    "sim-no-kinds": (["sim", "--config", "{tiny}", "--kinds", ","], 1),
+    "eval-no-classes": (EVAL + ["--classes", ","], 1),
+    "sim-list-config": (["sim", "--config", "{list_config}"], 1),
+    "sim-integer-step-rule": (["sim", "--config", "{integer_step_rule}"], 1),
     "sim-target-centred-on-ego": (["sim", "--config", "{centred}"], 1),
     "sim-ego-inside-target": (["sim", "--config", "{inside}"], 1),
     "sim-missing-config": (["sim", "--config", "{missing}"], 1),
@@ -291,6 +308,7 @@ CONTRACT = {
     "sweep-unrepresentable-alpha": (NEAR_SWEEP + ["--alphas", "100000"], 1),
     "sweep-unrepresentable-alpha-arithmetic": (NEAR_SWEEP + ["--alphas", "100000"] + ARITH, 1),
     "eval-missing-preds": (["eval", "--preds", "{missing}", "--gts", "{gts}"], 2),
+    "eval-preds-not-utf8": (["eval", "--preds", "{not_utf8_preds}", "--gts", "{gts}"], 2),
     "eval-gt-corner-on-ego": (["eval", "--preds", "{far_preds}", "--gts", "{corner_gts}"], 2),
     "eval-gt-within-margin-of-ego": (["eval", "--preds", "{knife_preds}", "--gts", "{knife_gts}"], 2),
     "eval-pred-below-size-floor": (["eval", "--preds", "{tiny_preds}", "--gts", "{tiny_gts}"], 2),
@@ -318,6 +336,7 @@ SCENARIOS = {
     "nan_eval_alpha": {"eval_alpha": math.nan},
     "negative_eval_alpha": {"eval_alpha": -1},
     "string_metric_boost": {"step_rule": {"metric_boost": "no"}},
+    "integer_step_rule": {"step_rule": 5},
     "nan_step_rate": {"step_rule": {"rate": math.nan}},
     "infinite_decay_factor": {"step_rule": {"decay_factor": math.inf}},
     "boolean_step_rate": {"step_rule": {"rate": True}},
@@ -358,6 +377,7 @@ KNIFE_GTS = "f0 car 0.15058434031134932 -0.6908866458783205 0 1 1 1 1.0\n"
 # A 1 um prediction about 300 m out; box_to_polygon used to find it wound clockwise.
 TINY_PREDS = "f0 car -153.95200623879273 257.4854943002629 0.5 1e-6 1e-6 1.5 -0.416844178988669 0.9\n"
 TINY_GTS = "f0 car -153.95200623879273 257.4854943002629 0.5 4 2 1.5 0\n"
+NOT_UTF8_PREDS = b"f0 car 1 2 0 4 2 1.5 0 0.9\xff\n"
 
 
 def _contract_argv(tmp_path, argv):
@@ -365,12 +385,13 @@ def _contract_argv(tmp_path, argv):
              "near_preds": NEAR_PREDS, "near_gts": NEAR_GTS,
              "inside_preds": INSIDE_PREDS, "inside_gts": INSIDE_GTS,
              "knife_preds": KNIFE_PREDS, "knife_gts": KNIFE_GTS,
-             "tiny_preds": TINY_PREDS, "tiny_gts": TINY_GTS}
+             "tiny_preds": TINY_PREDS, "tiny_gts": TINY_GTS,
+             "not_utf8_preds": NOT_UTF8_PREDS, "list_config": "[]"}
     for name, raw in SCENARIOS.items():
         files[name] = json.dumps({"grid_points_per_axis": 1, "iterations": 2, **raw})
     paths = {"missing": str(tmp_path / "missing")}
     for name, text in files.items():
-        (tmp_path / name).write_text(text)
+        (tmp_path / name).write_bytes(text if isinstance(text, bytes) else text.encode())
         paths[name] = str(tmp_path / name)
     return [arg.format(**paths) for arg in argv]
 
@@ -415,6 +436,12 @@ def test_eval_ground_truth_containing_the_ego_names_file_and_line(tmp_path, caps
     assert main(_contract_argv(tmp_path, CONTRACT["eval-gt-contains-ego"][0])) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {tmp_path / 'inside_gts'}:1: ") and "inside it" in err
+
+
+def test_eval_record_file_that_is_not_utf8_names_file_and_line(tmp_path, capsys):
+    assert main(_contract_argv(tmp_path, CONTRACT["eval-preds-not-utf8"][0])) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {tmp_path / 'not_utf8_preds'}:1: not UTF-8: byte 0xff\n"
 
 
 @pytest.mark.parametrize("row, name", [
@@ -466,6 +493,9 @@ def test_scenario_range_error_names_the_key(tmp_path, capsys, row, message):
     ("sweep-infinite-step", "step must be finite and positive, got inf"),
     ("sweep-too-many-rows", "range and step give more than 100000 rows"),
     ("sweep-row-count-beyond-float-range", "range and step give more than 100000 rows"),
+    ("sweep-repeated-alpha", "alpha 1.0 repeats the column eciou_a1"),
+    ("sweep-alphas-sharing-a-column", "alpha 1.0000001 repeats the column eciou_a1"),
+    ("sweep-too-many-samples", "mc_samples must be in [1, 10000000], got 10000001"),
 ])
 def test_sweep_flag_error_names_the_flag(tmp_path, capsys, row, message):
     assert main(_contract_argv(tmp_path, CONTRACT[row][0])) == 1

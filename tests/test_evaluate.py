@@ -27,7 +27,7 @@ from eciou.evaluate import (
     parse_records,
     tp_metric_means,
 )
-from eciou.geometry import DISJOINT_MARGIN, Box3D, circumcircles_disjoint
+from eciou.geometry import DISJOINT_MARGIN, Box3D, circumcircles_disjoint, intersect_convex
 from eciou.metrics import ec_iou_3d, ec_iou_bev, iou_3d, iou_bev
 from eciou.weighting import ARITHMETIC, GEOMETRIC, MONTE_CARLO, WeightConfig
 
@@ -94,6 +94,27 @@ def test_parse_records_errors_carry_line_numbers(tmp_path):
     with pytest.raises(RecordParseError, match="corner") as err:
         parse_records(str(path), GROUND_TRUTHS)
     assert err.value.line_number == 2
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("lines_before", [2, 400])
+def test_parse_records_names_the_line_of_bytes_that_are_not_utf8(tmp_path, newline, lines_before):
+    # 400 lines put the bad byte past the reader's first 8 KB decoding chunk.
+    path = tmp_path / "preds.txt"
+    good = b"f0 car 10 0 0.9 4 2 1.6 0 0.9" + newline
+    path.write_bytes(good * lines_before)
+    assert len(parse_records(str(path), PREDICTIONS)) == lines_before
+    path.write_bytes(good * lines_before + b"f0 car 1 2 0 4 2 1.5 0 0.9\xff" + newline + good)
+    with pytest.raises(RecordParseError, match="not UTF-8: byte 0xff") as err:
+        parse_records(str(path), PREDICTIONS)
+    assert err.value.line_number == lines_before + 1
+    assert f":{lines_before + 1}: " in str(err.value)
+
+
+def test_parse_records_reads_utf8_labels(tmp_path):
+    path = tmp_path / "gts.txt"
+    path.write_bytes("f0 caf\u00e9 10 0 0.9 4 2 1.6 0\n".encode("utf-8"))
+    assert parse_records(str(path), GROUND_TRUTHS)[0].class_label == "caf\u00e9"
 
 
 def test_parse_records_gts_reject_score_column(tmp_path):
@@ -407,6 +428,22 @@ def test_tp_means_equal_direct_metric_calls_with_a_disjoint_pair():
     boxes = [(p.box, g.box) for p, g in zip(preds, gts)]
     assert means.mean_iou == sum(iou_3d(p, g).value for p, g in boxes) / 2
     assert means.mean_ec_iou == sum(ec_iou_3d(p, g, CFG).value for p, g in boxes) / 2
+
+
+def test_tp_means_clip_each_pair_once(monkeypatch):
+    import eciou.metrics
+
+    clips = []
+
+    def counted(a, b):
+        clips.append(1)
+        return intersect_convex(a, b)
+
+    monkeypatch.setattr(eciou.metrics, "intersect_convex", counted)
+    preds = [_pred(10.6, 0.2, 0.9), _pred(20.3, 0, 0.8), _pred(21.5, 5, 0.7, l=0.8, w=0.6)]
+    gts = [_gt(10, 0), _gt(20, 0), _gt(20, 5, l=0.8, w=0.6)]
+    assert tp_metric_means(preds, gts, 2.0, CFG).matched == 3
+    assert len(clips) == 3
 
 
 def test_tp_means_nearest_first():

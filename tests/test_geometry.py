@@ -30,6 +30,9 @@ def test_box_validation():
         OrientedBoxBEV(0, 0, 1, 1, math.nan)
     with pytest.raises(ValueError):
         Box3D(x=0, y=0, l=1, w=1, theta=0, z=0, h=0)
+    for z, h in ((math.nan, 1.0), (math.inf, 1.0), (0.0, math.nan), (0.0, math.inf)):
+        with pytest.raises(ValueError, match="z and h must be finite"):
+            Box3D(x=5, y=0, l=1, w=1, theta=0, z=z, h=h)
     with pytest.raises(ValueError, match="at least"):
         OrientedBoxBEV(300, 300, 1e-6, 1e-6, 0.3)  # below the size floor 424 m out
 
@@ -102,6 +105,12 @@ def test_intersect_disjoint():
     a = box_to_polygon(OrientedBoxBEV(0, 0, 2, 2, 0))
     b = box_to_polygon(OrientedBoxBEV(10, 0, 2, 2, 0))
     assert intersect_convex(a, b).is_empty
+
+
+def test_intersect_with_the_empty_polygon_is_empty():
+    a = box_to_polygon(OrientedBoxBEV(0, 0, 2, 2, 0))
+    assert intersect_convex(a, EMPTY_POLYGON) is EMPTY_POLYGON
+    assert intersect_convex(EMPTY_POLYGON, a) is EMPTY_POLYGON
 
 
 def test_intersect_partial_overlap():

@@ -14,7 +14,17 @@ from conftest import (
     turned_pairs,
 )
 from eciou.geometry import Box3D, OrientedBoxBEV, box_to_polygon, intersect_convex
-from eciou.metrics import MAX_SWEEP_ROWS, MetricScore, ec_iou_3d, ec_iou_bev, iou_3d, iou_bev, sweep_curve
+from eciou.metrics import (
+    MAX_SWEEP_ROWS,
+    MetricScore,
+    ec_iou_3d,
+    ec_iou_bev,
+    iou_3d,
+    iou_bev,
+    scores_3d,
+    scores_bev,
+    sweep_curve,
+)
 from eciou.weighting import (
     ARITHMETIC,
     GEOMETRIC,
@@ -212,6 +222,33 @@ def test_sweep_refuses_more_rows_than_its_bound():
         sweep_curve(G_REF, (0.0, 1.0), 1.0 / MAX_SWEEP_ROWS)
 
 
+@pytest.mark.parametrize("alphas, message", [
+    ((1.0, 1.0), "alpha 1.0 repeats the column eciou_a1"),
+    ((2.0, 1.0, 1.0000001), "alpha 1.0000001 repeats the column eciou_a1"),
+])
+def test_sweep_refuses_alphas_that_repeat_a_column(alphas, message):
+    with pytest.raises(ValueError, match=message):
+        sweep_curve(G_REF, (9.0, 9.2), 0.1, alphas=alphas)
+
+
+def test_sweep_scores_each_row_with_one_clip(monkeypatch):
+    import eciou.metrics
+
+    clips = []
+
+    def counted(a, b):
+        clips.append(1)
+        return intersect_convex(a, b)
+
+    monkeypatch.setattr(eciou.metrics, "intersect_convex", counted)
+    table = sweep_curve(G_REF, (9.0, 9.2), 0.1, alphas=(1.0, 2.0, 4.0))
+    assert len(clips) == len(table.rows) == 3
+    scores_bev(OrientedBoxBEV(9, 0, 4, 2, 0), G_REF, WeightConfig())
+    scores_3d(Box3D(x=9, y=0, l=4, w=2, theta=0, z=0, h=1), Box3D(x=10, y=0, l=4, w=2, theta=0, z=0, h=1),
+              WeightConfig())
+    assert len(clips) == 5
+
+
 @st.composite
 def _unit_boxes(draw, near=None):
     """A Box3D with z = 0 and h = 1 whose circumcircle stays clear of the
@@ -251,6 +288,16 @@ def test_bev_metrics_are_the_unit_height_3d_metrics_bit_for_bit(pair, alpha, met
     cfg = WeightConfig(alpha=alpha, method=method)
     assert _bits(iou_bev(_bev(p), _bev(g))) == _bits(iou_3d(p, g))
     assert _bits(ec_iou_bev(_bev(p), _bev(g), cfg)) == _bits(ec_iou_3d(p, g, cfg))
+
+
+@settings(deadline=None)
+@given(pair=_unit_pairs(), alpha=st.floats(0.0, 8.0), method=st.sampled_from(METHODS))
+def test_pair_scores_are_the_single_metrics_bit_for_bit(pair, alpha, method):
+    p, g = pair
+    cfg = WeightConfig(alpha=alpha, method=method, mc_samples=64)
+    assert [_bits(s) for s in scores_3d(p, g, cfg)] == [_bits(iou_3d(p, g)), _bits(ec_iou_3d(p, g, cfg))]
+    p, g = _bev(p), _bev(g)
+    assert [_bits(s) for s in scores_bev(p, g, cfg)] == [_bits(iou_bev(p, g)), _bits(ec_iou_bev(p, g, cfg))]
 
 
 @settings(deadline=None)

@@ -74,6 +74,8 @@ def test_config_validation():
             ScenarioConfig(**bad)
     with pytest.raises(ConfigError, match="metric_boost"):
         StepRule(metric_boost=1)
+    with pytest.raises(ConfigError, match="step_rule must be a StepRule"):
+        ScenarioConfig(step_rule=5)
     assert ScenarioConfig(iterations=np.int64(3), eval_alpha=0).iterations == 3
 
 
@@ -256,7 +258,18 @@ def test_run_case_improves_overlapping_anchor():
 
 
 def test_batch_descent_matches_scalar_run_case():
-    cfg = ScenarioConfig(grid_points_per_axis=2, iterations=15)
+    _assert_batch_descent_matches_run_case(ScenarioConfig(grid_points_per_axis=2, iterations=15))
+
+
+def test_unboosted_batch_descent_matches_scalar_run_case():
+    # Without the metric boost each step takes the plain rate.
+    rule = StepRule(metric_boost=False)
+    _assert_batch_descent_matches_run_case(
+        ScenarioConfig(grid_points_per_axis=2, iterations=15, step_rule=rule)
+    )
+
+
+def _assert_batch_descent_matches_run_case(cfg):
     cases = build_scenario(cfg)[:48]
     anchors = np.array([(c.anchor.x, c.anchor.y, c.anchor.l, c.anchor.w, c.anchor.theta) for c in cases])
     targets = np.array([(c.target.x, c.target.y, c.target.l, c.target.w, c.target.theta) for c in cases])

@@ -8,6 +8,7 @@ from eciou.geometry import ConvexPolygon, OrientedBoxBEV, box_to_polygon, inters
 from eciou.weighting import (
     ARITHMETIC,
     GEOMETRIC,
+    MAX_MC_SAMPLES,
     MONTE_CARLO,
     DegenerateDistanceError,
     WeightConfig,
@@ -28,6 +29,10 @@ def test_weight_config_validation():
         WeightConfig(method="nearest")
     with pytest.raises(ValueError):
         WeightConfig(mc_samples=0)
+    assert WeightConfig(mc_samples=MAX_MC_SAMPLES).mc_samples == MAX_MC_SAMPLES
+    # Refused before any point is drawn: the arrays would not fit in memory.
+    with pytest.raises(ValueError, match=f"mc_samples must be in \\[1, {MAX_MC_SAMPLES}\\]"):
+        WeightConfig(method=MONTE_CARLO, mc_samples=MAX_MC_SAMPLES + 1)
 
 
 def test_point_weight_center_is_one():
@@ -90,6 +95,9 @@ def test_mean_vertex_weight_errors():
         mean_vertex_weight(G_REF, ConvexPolygon(()), WeightConfig())
     with pytest.raises(ValueError):
         mean_vertex_weight(G_REF, box_to_polygon(G_REF), WeightConfig(method=MONTE_CARLO))
+    on_ego = ConvexPolygon(((0, 0), (1, 0), (1, 1), (0, 1)))
+    with pytest.raises(DegenerateDistanceError, match="vertex coincides with the ego"):
+        mean_vertex_weight(G_REF, on_ego, WeightConfig())
 
 
 def test_weights_that_overflow_are_a_value_error_naming_alpha():
@@ -162,6 +170,15 @@ def test_sample_in_polygon_uniformity():
     assert points_in_box(box, pts).all()
     # Mean of uniform samples converges on the centroid.
     assert np.allclose(pts.mean(axis=0), [box.x, box.y], atol=0.05)
+
+
+@pytest.mark.parametrize("vertices, message", [
+    (((9, 0), (11, 0)), "fewer than 3 vertices"),
+    (((9, 0), (10, 0), (11, 0)), "zero area"),
+])
+def test_sample_in_polygon_refuses_polygons_without_area(vertices, message):
+    with pytest.raises(ValueError, match=message):
+        sample_in_polygon(ConvexPolygon(vertices), 10, np.random.default_rng(0))
 
 
 def test_weight_extremes_reference_case():
