@@ -1,5 +1,5 @@
-"""Shared helpers: random box factories, a Hypothesis pair strategy and
-independent geometry oracles.
+"""Shared helpers: random box factories, a Hypothesis pair strategy,
+independent geometry oracles and a fixture that records the metrics' clips.
 
 The oracles here deliberately avoid the library's clipping path: containment
 is tested in box-local coordinates straight from the tuple parameters, so
@@ -11,9 +11,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import pytest
 from hypothesis import strategies as st
 
-from eciou.geometry import OrientedBoxBEV
+import eciou.metrics
+from eciou.geometry import OrientedBoxBEV, intersect_convex
 
 
 def random_box(rng: np.random.Generator, center_span: float = 20.0,
@@ -133,3 +135,16 @@ def collinear_pairs() -> list[tuple[OrientedBoxBEV, OrientedBoxBEV]]:
         for d in (-1.0, -0.5, 0.5, 1.0):
             pairs.append((OrientedBoxBEV(g.x + d * c, g.y + d * s, g.l, g.w, g.theta), g))
     return pairs
+
+
+@pytest.fixture
+def metric_clips(monkeypatch):
+    """The (subject, clip) polygons of every clip the metrics make, in order."""
+    clips = []
+
+    def recorded(a, b):
+        clips.append((a, b))
+        return intersect_convex(a, b)
+
+    monkeypatch.setattr(eciou.metrics, "intersect_convex", recorded)
+    return clips

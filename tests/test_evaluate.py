@@ -27,7 +27,7 @@ from eciou.evaluate import (
     parse_records,
     tp_metric_means,
 )
-from eciou.geometry import DISJOINT_MARGIN, Box3D, circumcircles_disjoint, intersect_convex
+from eciou.geometry import DISJOINT_MARGIN, Box3D, circumcircles_disjoint
 from eciou.metrics import ec_iou_3d, ec_iou_bev, iou_3d, iou_bev
 from eciou.weighting import ARITHMETIC, GEOMETRIC, MONTE_CARLO, WeightConfig
 
@@ -430,20 +430,11 @@ def test_tp_means_equal_direct_metric_calls_with_a_disjoint_pair():
     assert means.mean_ec_iou == sum(ec_iou_3d(p, g, CFG).value for p, g in boxes) / 2
 
 
-def test_tp_means_clip_each_pair_once(monkeypatch):
-    import eciou.metrics
-
-    clips = []
-
-    def counted(a, b):
-        clips.append(1)
-        return intersect_convex(a, b)
-
-    monkeypatch.setattr(eciou.metrics, "intersect_convex", counted)
+def test_tp_means_clip_each_pair_once(metric_clips):
     preds = [_pred(10.6, 0.2, 0.9), _pred(20.3, 0, 0.8), _pred(21.5, 5, 0.7, l=0.8, w=0.6)]
     gts = [_gt(10, 0), _gt(20, 0), _gt(20, 5, l=0.8, w=0.6)]
     assert tp_metric_means(preds, gts, 2.0, CFG).matched == 3
-    assert len(clips) == 3
+    assert len(metric_clips) == 3
 
 
 def test_tp_means_nearest_first():

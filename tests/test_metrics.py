@@ -231,22 +231,13 @@ def test_sweep_refuses_alphas_that_repeat_a_column(alphas, message):
         sweep_curve(G_REF, (9.0, 9.2), 0.1, alphas=alphas)
 
 
-def test_sweep_scores_each_row_with_one_clip(monkeypatch):
-    import eciou.metrics
-
-    clips = []
-
-    def counted(a, b):
-        clips.append(1)
-        return intersect_convex(a, b)
-
-    monkeypatch.setattr(eciou.metrics, "intersect_convex", counted)
+def test_sweep_rows_and_pair_scores_clip_once(metric_clips):
     table = sweep_curve(G_REF, (9.0, 9.2), 0.1, alphas=(1.0, 2.0, 4.0))
-    assert len(clips) == len(table.rows) == 3
+    assert len(metric_clips) == len(table.rows) == 3
     scores_bev(OrientedBoxBEV(9, 0, 4, 2, 0), G_REF, WeightConfig())
-    scores_3d(Box3D(x=9, y=0, l=4, w=2, theta=0, z=0, h=1), Box3D(x=10, y=0, l=4, w=2, theta=0, z=0, h=1),
-              WeightConfig())
-    assert len(clips) == 5
+    p, g = (Box3D(x=x, y=0, l=4, w=2, theta=0, z=0, h=1) for x in (9, 10))
+    scores_3d(p, g, WeightConfig())
+    assert len(metric_clips) == 5
 
 
 @st.composite
