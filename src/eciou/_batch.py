@@ -8,11 +8,11 @@ tests pin agreement between the two routes. Vertices travel as separate
 clipped rings, from `corners` to the weights.
 
 The clip step gives a row an intersection of nan if `valid_boxes` refuses
-its box, so that its IoU, every EC-IoU and its loss are nan; exactly 0, the
-value the full clip gives, if its circumcircles and its target's are
-disjoint (`circumcircles_disjoint`, as in `evaluate`); and the clip
-otherwise. Only those last rows are clipped, measured and weighted, and
-every row scores the same bits in any batch (see clip_quads_xy).
+its box (its IoU, every EC-IoU and its loss are then nan); exactly 0, as the
+full clip would, if its circumcircles and its target's are disjoint
+(`circumcircles_disjoint`); and the clip otherwise. Only rings that measure
+non-empty are weighted, and no padding slot enters a weight. Every row
+scores the same bits in any batch (see clip_quads_xy).
 
 Internal module: the public simulator API lives in `simulate`.
 """
@@ -179,18 +179,17 @@ def mean_weight(
     alpha: float,
     method: str = GEOMETRIC,
 ) -> np.ndarray:
-    """Vertex-mean weight of padded polygons; nan where a vertex is degenerate."""
+    """Vertex-mean weight of padded rings of 3 or more vertices; nan where a vertex is degenerate."""
     k = x.shape[1]
     valid = np.arange(k)[None, :] < counts[:, None]
-    rho = np.hypot(x, y)
+    rho = np.where(valid, np.hypot(x, y), rho_c[:, None])  # padding weighs 1: no overflow
     degenerate = (valid & (rho < DEGENERATE_DISTANCE)).any(axis=1)
     safe = np.maximum(rho, DEGENERATE_DISTANCE)
-    counts_safe = np.maximum(counts, 1)
     if method == GEOMETRIC:
-        mean_log = np.where(valid, np.log(safe), 0.0).sum(axis=1) / counts_safe
+        mean_log = np.where(valid, np.log(safe), 0.0).sum(axis=1) / counts
         out = np.exp(alpha * (np.log(rho_c) - mean_log))
     elif method == ARITHMETIC:
-        out = np.where(valid, (rho_c[:, None] / safe) ** alpha, 0.0).sum(axis=1) / counts_safe
+        out = np.where(valid, (rho_c[:, None] / safe) ** alpha, 0.0).sum(axis=1) / counts
     else:
         raise ValueError(f"unsupported batch method {method!r}")
     return np.where(degenerate, np.nan, out)
@@ -204,41 +203,39 @@ class BatchEvaluator:
         self.gx, self.gy = corners(self.targets)
         self.area_g = quad_area(self.gx, self.gy)
         self.rho_c = np.hypot(self.targets[:, 0], self.targets[:, 1])
-        self._mean_weight_g: dict[tuple[float, str], np.ndarray] = {}
+        self._weighted_area_g: dict[tuple[float, str], np.ndarray] = {}
 
     def _wa_g(self, alpha: float, method: str) -> np.ndarray:
         key = (alpha, method)
-        if key not in self._mean_weight_g:
-            four = np.full(len(self.targets), 4)
-            self._mean_weight_g[key] = mean_weight(self.gx, self.gy, four, self.rho_c, alpha, method)
-        return self._mean_weight_g[key] * self.area_g
+        if key not in self._weighted_area_g:
+            mean = mean_weight(self.gx, self.gy, np.full(len(self.targets), 4), self.rho_c, alpha, method)
+            self._weighted_area_g[key] = mean * self.area_g
+        return self._weighted_area_g[key]
 
     def _clip(self, boxes: np.ndarray, px: np.ndarray, py: np.ndarray):
-        """Kept-row mask and intersection buffers, per-row intersection and
-        prediction areas, and IoU.
+        """Row indices and buffers of the non-empty rings, per-row intersection
+        and prediction areas, and IoU.
 
         A row's intersection is nan if valid_boxes refuses its box, exactly
         0 if its circumcircles are disjoint (above the size floor the full
         clip of such a pair measures at most AREA_EPS), and the clip
-        otherwise; the buffers hold the clipped rows alone.
+        otherwise; a ring above AREA_EPS has 3 or more vertices.
         """
         valid = valid_boxes(boxes)
         keep = valid & ~circumcircles_disjoint(boxes, self.targets)
         x, y, counts = clip_quads_xy(px[keep], py[keep], self.gx[keep], self.gy[keep])
         ring = ring_area(x, y, counts)
+        full = ring > AREA_EPS
         inter = np.where(valid, 0.0, np.nan)
-        inter[keep] = np.where(ring > AREA_EPS, ring, 0.0)
+        inter[keep] = np.where(full, ring, 0.0)
         area_p = quad_area(px, py)
         iou = np.clip(inter / (self.area_g + area_p - inter), 0.0, 1.0)
-        return (keep, x, y, counts, inter, area_p), iou
+        return (np.flatnonzero(keep)[full], x[full], y[full], counts[full], inter, area_p), iou
 
     def _ec_iou(self, clip, alpha: float, method: str) -> np.ndarray:
-        keep, x, y, counts, inter, area_p = clip
-        ring = inter[keep]
+        rows, x, y, counts, inter, area_p = clip
         wa_inter = np.zeros(len(inter))
-        wa_inter[keep] = np.where(
-            ring > 0.0, mean_weight(x, y, counts, self.rho_c[keep], alpha, method) * ring, 0.0
-        )
+        wa_inter[rows] = mean_weight(x, y, counts, self.rho_c[rows], alpha, method) * inter[rows]
         with np.errstate(invalid="ignore"):
             ec = np.clip(wa_inter / (self._wa_g(alpha, method) + (area_p - inter)), 0.0, 1.0)
         return np.where(self.rho_c < DEGENERATE_DISTANCE, np.nan, ec)

@@ -14,10 +14,8 @@ descents go through it.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -27,7 +25,7 @@ from . import _batch
 from .geometry import OrientedBoxBEV
 from .losses import ALL_KINDS, LossKind, NonFiniteGradientError, loss_gradient, loss_value
 from .metrics import ec_iou_bev, iou_bev
-from .weighting import ARITHMETIC, GEOMETRIC, WeightConfig, weight_extremes
+from .weighting import ARITHMETIC, GEOMETRIC, WeightConfig, is_finite_real, is_integer, weight_extremes
 
 DEFAULT_LOSS_CFG = WeightConfig(alpha=1.0, method=GEOMETRIC)
 
@@ -51,11 +49,18 @@ class ConfigError(ValueError):
 def _number(key: str, value) -> float:
     """value as a float if it is a finite real number, bools excluded;
     anything else is a ConfigError naming key."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        with contextlib.suppress(OverflowError):  # an int beyond float range
-            if math.isfinite(value):
-                return float(value)
+    if is_finite_real(value):
+        return float(value)
     raise ConfigError(f"{key} must be a finite number, got {value!r}")
+
+
+def _weights_in_float_range(targets: list[OrientedBoxBEV], alpha: float) -> bool:
+    """Whether the EC-IoU weight over every target's region stays inside (0, inf)
+    at alpha; DegenerateDistanceError for a target it is undefined on."""
+    try:  # a Python float, so that the largest weight raises when it overflows
+        return min(weight_extremes(target, float(alpha))[0] for target in targets) > 0.0
+    except OverflowError:  # the largest weight
+        return False
 
 
 def _floats(key: str, value, shape: str = "list"):
@@ -125,7 +130,7 @@ class ScenarioConfig:
             raise ConfigError("grid_extent must be positive")
         for name in ("grid_points_per_axis", "iterations"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+            if not is_integer(value) or value < 1:
                 raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
         if _number("eval_alpha", self.eval_alpha) < 0.0:
             raise ConfigError(f"eval_alpha must be >= 0, got {self.eval_alpha!r}")
@@ -148,16 +153,12 @@ class ScenarioConfig:
             )
         if not isinstance(self.step_rule, StepRule):
             raise ConfigError(f"step_rule must be a StepRule, got {self.step_rule!r}")
-        # EC-IoU weights are undefined on the ego, and must stay inside (0, inf).
-        overflow = ConfigError(f"eval_alpha {self.eval_alpha:g} puts the EC-IoU weights of a target out of float range")
         try:
-            weights = [weight_extremes(target, self.eval_alpha) for target in self.targets()]
+            in_range = _weights_in_float_range(self.targets(), self.eval_alpha)
         except ValueError as exc:  # a side the box refuses, or DegenerateDistanceError
             raise ConfigError(f"bad target: {exc}") from exc
-        except OverflowError:  # the largest weight
-            raise overflow from None
-        if min(w_min for w_min, _ in weights) == 0.0:  # the smallest weight
-            raise overflow
+        if not in_range:
+            raise ConfigError(f"eval_alpha {self.eval_alpha:g} puts the EC-IoU weights of a target out of float range")
 
     def targets(self) -> list[OrientedBoxBEV]:
         """Every target, dims-major then heading."""
@@ -392,6 +393,8 @@ def run_simulation(
             f"run_simulation weights losses with {GEOMETRIC} or {ARITHMETIC} means, "
             f"not {loss_cfg.method}; descend single cases with run_case instead"
         )
+    if not _weights_in_float_range(cfg.targets(), loss_cfg.alpha):
+        raise ValueError(f"loss alpha {loss_cfg.alpha:g} puts the EC-IoU weights of a target out of float range")
     names = [kind.name for kind in kinds]
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate loss kinds in {','.join(names)}")

@@ -9,8 +9,10 @@ Carlo integration, which serves as the numerical reference for the former.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -32,6 +34,19 @@ METHODS = (GEOMETRIC, ARITHMETIC, MONTE_CARLO)
 MAX_MC_SAMPLES = 10_000_000
 
 
+def is_finite_real(value) -> bool:
+    """Whether value is a finite real number; bools are not numbers here."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):  # an int beyond float range
+            return math.isfinite(value)
+    return False
+
+
+def is_integer(value) -> bool:
+    """Whether value is an integer (numpy's included) and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 class DegenerateDistanceError(ValueError):
     """The ego origin coincides with (or lies inside) the queried geometry."""
 
@@ -46,10 +61,17 @@ class WeightConfig:
     mc_seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.alpha) and self.alpha >= 0.0):
-            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
+        if not (is_finite_real(self.alpha) and self.alpha >= 0.0):
+            raise ValueError(f"alpha must be a finite number >= 0, got {self.alpha!r}")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
+        # Stored as Python numbers: numpy integers cannot seed the sample
+        # stream, and a Python float raises where a weight overflows.
+        object.__setattr__(self, "alpha", float(self.alpha))
+        for name in ("mc_samples", "mc_seed"):
+            if not is_integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, int(getattr(self, name)))
         if not 1 <= self.mc_samples <= MAX_MC_SAMPLES:
             raise ValueError(f"mc_samples must be in [1, {MAX_MC_SAMPLES}], got {self.mc_samples}")
 

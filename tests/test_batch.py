@@ -481,6 +481,36 @@ def test_invalid_boxes_flagged():
     assert ev.loss_and_scores(ALL_KINDS[0], p_arr, 1.0)[0][0] == pytest.approx(0.0)
 
 
+def test_only_non_empty_rings_are_weighted():
+    # Every row mean_weight receives is a ring of 3 or more vertices that
+    # measures non-empty; the empty rings of the clip are not weighted.
+    rng = np.random.default_rng(11)
+    _, _, g_arr, p_arr = _pair_arrays(rng, 400, shift=1.5)
+    weighted, clipped = [], []
+    weigh, clip = _batch.mean_weight, _batch.clip_quads_xy
+
+    def recorded_weigh(x, y, counts, *args):
+        weighted.append((x, y, counts))
+        return weigh(x, y, counts, *args)
+
+    def recorded_clip(*planes):
+        clipped.append(clip(*planes))
+        return clipped[-1]
+
+    ev = _batch.BatchEvaluator(g_arr)
+    with mock.patch.object(_batch, "mean_weight", recorded_weigh), \
+            mock.patch.object(_batch, "clip_quads_xy", recorded_clip):
+        for method in (GEOMETRIC, ARITHMETIC):
+            ev.scores(p_arr, 2.0, method)
+            for kind in ALL_KINDS:
+                ev.loss_and_scores(kind, p_arr, 1.0, method, eval_alpha=4.0)
+                ev.gradient(kind, p_arr, 1.0, method, h=0.03)
+    for x, y, counts in weighted:
+        assert (counts >= 3).all() and (_batch.ring_area(x, y, counts) > AREA_EPS).all()
+    # Not vacuous: the clips gave empty rings.
+    assert sum(int((_batch.ring_area(*c) <= AREA_EPS).sum()) for c in clipped) > 0
+
+
 def test_wrap_angle_matches_box_canonicalization():
     import math
 

@@ -136,6 +136,24 @@ def test_sim_scores_an_eval_alpha_whose_weights_stay_in_float_range(tmp_path, ca
     assert all(math.isfinite(float(value)) for row in rows for value in row[2:])
 
 
+@pytest.mark.filterwarnings("error")
+def test_sim_prints_no_warning_where_clipped_rings_are_empty(tmp_path, capsys):
+    # On a 3 x 3 grid some clipped rings are empty; at eval_alpha 1000 a
+    # weight computed for one would overflow.
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps({
+        "grid_points_per_axis": 3, "iterations": 3, "anchor_scales": [1.0], "eval_alpha": 1000,
+    }))
+    assert main(["sim", "--config", str(config), "--kinds", "iou,ec-iou"]) == 0
+    captured = capsys.readouterr()
+    lines = captured.out.strip().split("\n")
+    assert lines[0] == "kind,iteration,mean_iou,mean_eciou"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [row[:2] for row in rows] == [[kind, str(t)] for kind in ("iou", "ec-iou") for t in range(4)]
+    assert all(0.0 <= float(value) <= 1.0 for row in rows for value in row[2:])
+    assert captured.err.split() == ["cases=162", "failed[iou]=0", "failed[ec-iou]=0"]
+
+
 def test_sim_bad_schema_exits_one(tmp_path, capsys):
     config = tmp_path / "bad.json"
     config.write_text(json.dumps({"grid": 5}))

@@ -33,6 +33,16 @@ def test_weight_config_validation():
     # Refused before any point is drawn: the arrays would not fit in memory.
     with pytest.raises(ValueError, match=f"mc_samples must be in \\[1, {MAX_MC_SAMPLES}\\]"):
         WeightConfig(method=MONTE_CARLO, mc_samples=MAX_MC_SAMPLES + 1)
+    # Numbers are finite reals and counts integers; a bool is neither.
+    for field, bad in (("alpha", True), ("alpha", "1"), ("alpha", math.nan), ("mc_samples", 2.5),
+                       ("mc_samples", True), ("mc_seed", 1.5), ("mc_seed", False), ("mc_seed", "0")):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            WeightConfig(**{field: bad})
+    # numpy scalars are accepted and stored as Python numbers, which score alike.
+    cfg = WeightConfig(alpha=np.float64(2.0), method=MONTE_CARLO, mc_samples=np.int64(64), mc_seed=np.int32(-3))
+    assert (type(cfg.alpha), type(cfg.mc_samples), type(cfg.mc_seed)) == (float, int, int)
+    plain = WeightConfig(alpha=2.0, method=MONTE_CARLO, mc_samples=64, mc_seed=-3)
+    assert weighted_area(G_REF, box_to_polygon(G_REF), cfg) == weighted_area(G_REF, box_to_polygon(G_REF), plain)
 
 
 def test_point_weight_center_is_one():
