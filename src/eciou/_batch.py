@@ -8,7 +8,8 @@ tests pin agreement between the two routes. Vertices travel as separate
 clipped rings, from `corners` to the weights.
 
 The clip step gives a row an intersection of nan if `valid_boxes` refuses
-its box (its IoU, every EC-IoU and its loss are then nan); exactly 0, as the
+its box (its IoU, every EC-IoU and its loss are then nan, and its target
+stands in for it in the arithmetic, which cannot overflow); exactly 0, as the
 full clip would, if its circumcircles and its target's are disjoint
 (`circumcircles_disjoint`); and the clip otherwise. Only rings that measure
 non-empty are weighted, and no padding slot enters a weight. Every row
@@ -24,7 +25,7 @@ import math
 
 import numpy as np
 
-from .geometry import AREA_EPS, DISJOINT_MARGIN, MIN_RELATIVE_SIDE
+from .geometry import AREA_EPS, DISJOINT_MARGIN, MAX_REACH, MIN_RELATIVE_SIDE
 from .weighting import ARITHMETIC, DEGENERATE_DISTANCE, GEOMETRIC
 
 # Local corner pattern, CCW from (+l/2, +w/2); scaled by (l, w) per box.
@@ -41,9 +42,15 @@ def wrap_angle(theta: np.ndarray) -> np.ndarray:
 
 def valid_boxes(boxes: np.ndarray) -> np.ndarray:
     """Per-row mask of the (N, 5) boxes OrientedBoxBEV accepts: finite
-    parameters and sides of at least MIN_RELATIVE_SIDE * max(1, distance)."""
-    floor = MIN_RELATIVE_SIDE * np.maximum(1.0, np.hypot(boxes[:, 0], boxes[:, 1]))
-    return np.isfinite(boxes).all(axis=1) & (boxes[:, 2] >= floor) & (boxes[:, 3] >= floor)
+    parameters, sides of at least MIN_RELATIVE_SIDE * max(1, distance) and a
+    reach distance + hypot(l, w) / 2 of at most MAX_REACH."""
+    distance = np.hypot(boxes[:, 0], boxes[:, 1])
+    floor = MIN_RELATIVE_SIDE * np.maximum(1.0, distance)
+    reach = distance + 0.5 * np.hypot(boxes[:, 2], boxes[:, 3])
+    return (
+        np.isfinite(boxes).all(axis=1) & (boxes[:, 2] >= floor) & (boxes[:, 3] >= floor)
+        & (reach <= MAX_REACH)
+    )
 
 
 def circumcircles_disjoint(boxes: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -212,16 +219,25 @@ class BatchEvaluator:
             self._weighted_area_g[key] = mean * self.area_g
         return self._weighted_area_g[key]
 
-    def _clip(self, boxes: np.ndarray, px: np.ndarray, py: np.ndarray):
-        """Row indices and buffers of the non-empty rings, per-row intersection
-        and prediction areas, and IoU.
+    def _admit(self, boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The valid_boxes mask, and the boxes with each refused row replaced
+        by its target: a refused box enters no arithmetic, so none of its
+        values can overflow or warn. Without a refused row the boxes are not
+        copied (a copy of each probe stack raised the peak RSS of sim)."""
+        valid = valid_boxes(boxes)
+        if valid.all():
+            return valid, boxes
+        return valid, np.where(valid[:, None], boxes, self.targets)
 
-        A row's intersection is nan if valid_boxes refuses its box, exactly
+    def _clip(self, valid: np.ndarray, boxes: np.ndarray, px: np.ndarray, py: np.ndarray):
+        """Row indices and buffers of the non-empty rings, per-row intersection
+        and prediction areas, and IoU, for boxes from _admit.
+
+        A row's intersection is nan if valid_boxes refused its box, exactly
         0 if its circumcircles are disjoint (above the size floor the full
         clip of such a pair measures at most AREA_EPS), and the clip
         otherwise; a ring above AREA_EPS has 3 or more vertices.
         """
-        valid = valid_boxes(boxes)
         keep = valid & ~circumcircles_disjoint(boxes, self.targets)
         x, y, counts = clip_quads_xy(px[keep], py[keep], self.gx[keep], self.gy[keep])
         ring = ring_area(x, y, counts)
@@ -242,7 +258,8 @@ class BatchEvaluator:
 
     def scores(self, boxes: np.ndarray, alpha: float, method: str = GEOMETRIC):
         """(iou, ec_iou) arrays for prediction boxes against the targets."""
-        clip, iou = self._clip(boxes, *corners(boxes))
+        valid, boxes = self._admit(boxes)
+        clip, iou = self._clip(valid, boxes, *corners(boxes))
         return iou, self._ec_iou(clip, alpha, method)
 
     def loss_and_scores(
@@ -255,8 +272,9 @@ class BatchEvaluator:
         kinds, else the IoU. eval_ec_iou is the geometric EC-IoU at
         eval_alpha, or None when eval_alpha is None.
         """
+        valid, boxes = self._admit(boxes)
         px, py = corners(boxes)
-        clip, iou = self._clip(boxes, px, py)
+        clip, iou = self._clip(valid, boxes, px, py)
         metric = self._ec_iou(clip, alpha, method) if kind.ego_centric else iou
         eval_ec = None if eval_alpha is None else self._ec_iou(clip, eval_alpha, GEOMETRIC)
         loss = 1.0 - metric

@@ -227,11 +227,18 @@ def average_precision_40(frame_results: list[MatchResult]) -> float:
         tp += int(is_tp)
         recalls.append(tp / n_gt)
         precisions.append(tp / rank)
+    # Recall never falls with rank, so the ranks that reach a recall point
+    # form a suffix, and the interpolated precision is a suffix maximum.
+    best = precisions + [0.0]
+    for k in range(len(precisions) - 1, -1, -1):
+        best[k] = max(best[k], best[k + 1])
     total = 0.0
+    k = 0
     for i in range(1, RECALL_POINTS + 1):
         r = i / RECALL_POINTS
-        best = max((p for p, rec in zip(precisions, recalls) if rec >= r - 1e-12), default=0.0)
-        total += best
+        while k < len(recalls) and not recalls[k] >= r - 1e-12:
+            k += 1
+        total += best[k]
     return total / RECALL_POINTS
 
 

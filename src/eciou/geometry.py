@@ -2,6 +2,12 @@
 
 Everything here is a pure function of its inputs; boxes and polygons are
 immutable and freely shareable.
+
+Boxes are checked where they are built: finite fields, sides above the size
+floor and a reach within MAX_REACH. Polygons built with ConvexPolygon(...)
+are checked too. The polygons this module builds for itself, the corners of
+box_to_polygon and the rings of intersect_convex, are not checked again:
+those checks could change no vertex and refuse none (see ConvexPolygon).
 """
 
 from __future__ import annotations
@@ -23,6 +29,11 @@ DISJOINT_MARGIN = 1e-9
 # winding. The floor also keeps every box's area at 4 * AREA_EPS or more,
 # so that no box measures as empty.
 MIN_RELATIVE_SIDE = 2e-6
+# Largest reach of a box, hypot(x, y) + hypot(l, w) / 2 in meters: the
+# farthest its footprint gets from the ego; a Box3D's abs(z) + h / 2 too.
+# Every coordinate of two admitted boxes is then at most 1e100, so every
+# shoelace and clip product stays below about 1e201, far inside float range.
+MAX_REACH = 1e100
 
 
 @dataclass(frozen=True)
@@ -50,6 +61,12 @@ class OrientedBoxBEV:
                 f"box sides must be at least {floor:g} ({MIN_RELATIVE_SIDE:g} of max(1, distance "
                 f"to the ego)), got l={self.l} w={self.w}"
             )
+        reach = math.hypot(self.x, self.y) + 0.5 * math.hypot(self.l, self.w)
+        if not reach <= MAX_REACH:
+            raise ValueError(
+                f"box must lie within {MAX_REACH:g} m of the ego (hypot(x, y) + hypot(l, w) / 2), "
+                f"got {reach:g}"
+            )
         if not -math.pi <= self.theta < math.pi:
             object.__setattr__(self, "theta", (self.theta + math.pi) % _TWO_PI - math.pi)
 
@@ -67,6 +84,12 @@ class Box3D(OrientedBoxBEV):
             raise ValueError("z and h must be finite")
         if self.h <= 0.0:
             raise ValueError(f"box height must be positive, got h={self.h}")
+        # Volumes are then at most about 1e301, so they stay finite too.
+        if not abs(self.z) + 0.5 * self.h <= MAX_REACH:
+            raise ValueError(
+                f"box must lie within {MAX_REACH:g} m of the ground plane (abs(z) + h / 2), "
+                f"got {abs(self.z) + 0.5 * self.h:g}"
+            )
 
 
 def _signed_area(vertices) -> float:
@@ -93,7 +116,18 @@ def _dedup(vertices):
 
 @dataclass(frozen=True)
 class ConvexPolygon:
-    """Convex polygon as counter-clockwise vertices; () is the empty region."""
+    """Convex polygon as counter-clockwise vertices; () is the empty region.
+
+    ConvexPolygon(...) converts each coordinate to a float, merges vertices
+    closer than DEDUP_TOL and refuses clockwise input. box_to_polygon and
+    intersect_convex build their results through _trusted_polygon, which
+    skips these steps, since they could change nothing there:
+    - the coordinates are already Python floats;
+    - a box's corners lie at least MIN_RELATIVE_SIDE * max(1, distance) apart
+      and wind counter-clockwise, and MAX_REACH keeps the shoelace finite;
+    - intersect_convex dedups its ring and checks its area itself, and
+      _dedup changes nothing in a ring it has already deduped.
+    """
 
     vertices: tuple[tuple[float, float], ...]
 
@@ -115,16 +149,25 @@ class ConvexPolygon:
 EMPTY_POLYGON = ConvexPolygon(())
 
 
+def _trusted_polygon(vertices: tuple[tuple[float, float], ...]) -> ConvexPolygon:
+    """ConvexPolygon over vertices as given: CCW, deduped Python floats."""
+    poly = object.__new__(ConvexPolygon)
+    object.__setattr__(poly, "vertices", vertices)
+    return poly
+
+
 def box_to_polygon(box: OrientedBoxBEV) -> ConvexPolygon:
     """Corner polygon of an oriented box, CCW from the (+l/2, +w/2) corner."""
     c, s = math.cos(box.theta), math.sin(box.theta)
-    hl, hw = 0.5 * box.l, 0.5 * box.w
-    return ConvexPolygon(
+    # Python floats, whatever number types the box holds.
+    x, y = float(box.x), float(box.y)
+    hl, hw = 0.5 * float(box.l), 0.5 * float(box.w)
+    return _trusted_polygon(
         (
-            (box.x + c * hl - s * hw, box.y + s * hl + c * hw),
-            (box.x - c * hl - s * hw, box.y - s * hl + c * hw),
-            (box.x - c * hl + s * hw, box.y - s * hl - c * hw),
-            (box.x + c * hl + s * hw, box.y + s * hl - c * hw),
+            (x + c * hl - s * hw, y + s * hl + c * hw),
+            (x - c * hl - s * hw, y - s * hl + c * hw),
+            (x - c * hl + s * hw, y - s * hl - c * hw),
+            (x + c * hl + s * hw, y + s * hl - c * hw),
         )
     )
 
@@ -170,7 +213,7 @@ def intersect_convex(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon:
     output = _dedup(output)
     if len(output) < 3 or _signed_area(output) < AREA_EPS:
         return EMPTY_POLYGON
-    return ConvexPolygon(tuple(output))
+    return _trusted_polygon(tuple(output))
 
 
 def circumcircles_disjoint(a: OrientedBoxBEV, b: OrientedBoxBEV) -> bool:

@@ -60,6 +60,10 @@ def test_valid_boxes_are_the_boxes_the_scalar_path_can_build():
         [3.0, 4.0, np.nextafter(5.0 * MIN_RELATIVE_SIDE, 0.0), 1.0, 0.0],
         [0.3, 0.4, 1.0, np.nextafter(MIN_RELATIVE_SIDE, 0.0), 0.0],
         [300.0, 300.0, 1e-6, 1e-6, 0.3],
+        # The reach bound: hypot(x, y) + hypot(l, w) / 2 of at most MAX_REACH.
+        [6e99, 7.9e99, 1e95, 1e95, 0.0],
+        [6e99, 8e99, 1e95, 1e95, 0.0],
+        [1e160, 0.0, 4e155, 2e155, 0.0],
     ])
     buildable = []
     for row in rows:
@@ -69,7 +73,7 @@ def test_valid_boxes_are_the_boxes_the_scalar_path_can_build():
         except ValueError:
             buildable.append(False)
     assert _batch.valid_boxes(rows).tolist() == buildable == (
-        [True, True] + [False] * 6 + [True, True] + [False] * 3
+        [True, True] + [False] * 6 + [True, True] + [False] * 3 + [True] + [False] * 2
     )
 
 
@@ -334,8 +338,7 @@ def _full_clip():
     )
 
 
-# The spoiled rows take cos and sin of inf and subtract inf from inf.
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 @settings(deadline=None)
 @given(
     rows=st.lists(st.one_of(_pair_rows(), _SPOILED_ROWS), min_size=1, max_size=12),
@@ -449,19 +452,22 @@ def test_boxes_sharing_edge_lines_score_ec_iou_as_on_the_scalar_path():
     assert np.abs(ec - scalar_ec).max() <= 1e-9
 
 
+@pytest.mark.filterwarnings("error")
 def test_invalid_boxes_flagged():
     # Every output row of a box valid_boxes refuses is nan, and the clip
-    # never sees it.
-    g_arr = np.array([[10.0, 0.0, 4.0, 2.0, 0.0]] * 5)
+    # never sees it; no arithmetic on it overflows or warns.
+    g_arr = np.array([[10.0, 0.0, 4.0, 2.0, 0.0]] * 7)
     p_arr = np.array([
         [10.0, 0.0, 4.0, 2.0, 0.0],
         [10.0, 0.0, -1.0, 2.0, 0.0],
         [10.0, 0.0, 4.0, np.nan, 0.0],
         [10.0, 0.0, 4.0, 1e-9, 0.0],  # below the size floor
         [np.nan, 0.0, 4.0, 2.0, 0.0],
+        [1e160, 0.0, 4e155, 2e155, 0.0],  # past the reach bound
+        [10.0, 0.0, 4.0, 2.0, np.inf],
     ])
     refused = ~_batch.valid_boxes(p_arr)
-    assert refused.tolist() == [False, True, True, True, True]
+    assert refused.tolist() == [False] + [True] * 6
     clipped_rows = []
     clip = _batch.clip_quads_xy
 

@@ -256,6 +256,9 @@ TINY_BOX = ["300", "300", "1e-6", "1e-6", "0.3"]
 # exit 0). FLOOR_BOX has sides at the floor, 2e-6, there.
 NEAR_TINY_BOX = ["-0.2995", "0.954", "1e-6", "1e-6", "0"]
 FLOOR_BOX = ["-0.2995", "0.954", "2e-6", "2e-6", "0"]
+# A box 1e160 m out, above the size floor there but past the reach bound:
+# its shoelace and clip products overflow.
+HUGE_BOX = ["1e160", "0", "4e155", "2e155", "0"]
 
 # The exit-code contract: 1 = usage or config, 2 = data. Paths in braces
 # name the files that _contract_argv writes.
@@ -317,6 +320,10 @@ CONTRACT = {
     "sim-huge-iterations": (["sim", "--config", "{huge_iterations}"], 1),
     "sim-unrepresentable-alpha": (["sim", "--config", "{overflowing_eval_alpha}"], 1),
     "sim-underflowing-eval-alpha": (["sim", "--config", "{underflowing_eval_alpha}"], 1),
+    "metric-box-past-reach-bound": (["metric", "--pred"] + HUGE_BOX + ["--gt"] + HUGE_BOX, 1),
+    "sweep-box-past-reach-bound": (["sweep", "--gt"] + HUGE_BOX + ["--range", "1e160", "1e160"], 1),
+    "sim-target-past-reach-bound": (["sim", "--config", "{huge_target}", "--out", "{missing}"], 1),
+    "sim-anchors-past-reach-bound": (["sim", "--config", "{huge_grid_extent}", "--out", "{missing}"], 1),
     "sim-duplicate-kinds": (["sim", "--config", "{tiny}", "--kinds", "iou,ec-iou,iou"], 1),
     "eval-duplicate-classes": (EVAL + ["--classes", "car,pedestrian,car"], 1),
     "eval-unrepresentable-alpha": (NEAR_EVAL + ["--alpha", "100000"], 1),
@@ -330,6 +337,8 @@ CONTRACT = {
     "eval-gt-corner-on-ego": (["eval", "--preds", "{far_preds}", "--gts", "{corner_gts}"], 2),
     "eval-gt-within-margin-of-ego": (["eval", "--preds", "{knife_preds}", "--gts", "{knife_gts}"], 2),
     "eval-pred-below-size-floor": (["eval", "--preds", "{tiny_preds}", "--gts", "{tiny_gts}"], 2),
+    "eval-box-past-reach-bound": (["eval", "--preds", "{huge_preds}", "--gts", "{huge_gts}"], 2),
+    "eval-box-past-reach-bound-in-height": (["eval", "--preds", "{tall_preds}", "--gts", "{gts}"], 2),
     "sweep-unwritable-out": (["sweep", "--out", "/nonexistent-dir/x.csv"], 2),
     "metric-gt-on-ego": (METRIC[:8] + ["0", "0", "4", "2", "0"], 2),
     "eval-gt-contains-ego": (["eval", "--preds", "{inside_preds}", "--gts", "{inside_gts}"]
@@ -375,6 +384,12 @@ SCENARIOS = {
     "overflowing_eval_alpha": {"eval_alpha": 100000},
     # A thin target across the line of sight: its smallest weight underflows
     # to 0 from eval_alpha 6,448 on, its largest overflows only from 141,600.
+    # A target and anchors past the reach bound; and anchors past it around
+    # a target within it, 9e99 m out.
+    "huge_target": {"target_center": [1e160, 1e160], "target_dims": [[4e155, 2e155]],
+                    "grid_extent": 1e156, "anchor_scales": [1e155]},
+    "huge_grid_extent": {"target_center": [9e99, 0], "target_dims": [[1e95, 1e95]],
+                         "grid_points_per_axis": 2, "grid_extent": 2.2e99, "anchor_scales": [1e95]},
     "underflowing_eval_alpha": {"target_center": [10, 0], "target_dims": [[0.1, 10]],
                                 "target_thetas": [0], "eval_alpha": 10000},
 }
@@ -396,6 +411,10 @@ KNIFE_GTS = "f0 car 0.15058434031134932 -0.6908866458783205 0 1 1 1 1.0\n"
 TINY_PREDS = "f0 car -153.95200623879273 257.4854943002629 0.5 1e-6 1e-6 1.5 -0.416844178988669 0.9\n"
 TINY_GTS = "f0 car -153.95200623879273 257.4854943002629 0.5 4 2 1.5 0\n"
 NOT_UTF8_PREDS = b"f0 car 1 2 0 4 2 1.5 0 0.9\xff\n"
+HUGE_PREDS = "f0 car 1e160 0 0 4e155 2e155 1.5 0 0.9\n"
+HUGE_GTS = "f0 car 1e160 0 0 4e155 2e155 1.5 0\n"
+# Its volume overflows.
+TALL_PREDS = "f0 car 10 0 0 4 2 1e308 0 0.9\n"
 
 
 def _contract_argv(tmp_path, argv):
@@ -404,7 +423,9 @@ def _contract_argv(tmp_path, argv):
              "inside_preds": INSIDE_PREDS, "inside_gts": INSIDE_GTS,
              "knife_preds": KNIFE_PREDS, "knife_gts": KNIFE_GTS,
              "tiny_preds": TINY_PREDS, "tiny_gts": TINY_GTS,
-             "not_utf8_preds": NOT_UTF8_PREDS, "list_config": "[]"}
+             "not_utf8_preds": NOT_UTF8_PREDS, "huge_preds": HUGE_PREDS, "huge_gts": HUGE_GTS,
+             "tall_preds": TALL_PREDS,
+             "list_config": "[]"}
     for name, raw in SCENARIOS.items():
         files[name] = json.dumps({"grid_points_per_axis": 1, "iterations": 2, **raw})
     paths = {"missing": str(tmp_path / "missing")}
@@ -465,10 +486,38 @@ def test_eval_record_file_that_is_not_utf8_names_file_and_line(tmp_path, capsys)
 @pytest.mark.parametrize("row, name", [
     ("eval-gt-within-margin-of-ego", "knife_gts"),
     ("eval-pred-below-size-floor", "tiny_preds"),
+    ("eval-box-past-reach-bound", "huge_preds"),
 ])
 def test_eval_refused_box_names_file_and_line(tmp_path, capsys, row, name):
     assert main(_contract_argv(tmp_path, CONTRACT[row][0])) == 2
     assert capsys.readouterr().err.startswith(f"error: {tmp_path / name}:1: ")
+
+
+# Each of these used to overflow: eval, metric and sweep exited 1 with
+# "metric value out of range: nan", and sim printed numpy warnings and wrote
+# a CSV holding only its header.
+REACH_ERRORS = {
+    "eval-box-past-reach-bound": "{huge_preds}:1: box must lie within 1e+100 m of the ego",
+    "eval-box-past-reach-bound-in-height":
+        "{tall_preds}:1: box must lie within 1e+100 m of the ground plane",
+    "metric-box-past-reach-bound": "box must lie within 1e+100 m of the ego",
+    "sweep-box-past-reach-bound": "box must lie within 1e+100 m of the ego",
+    "sim-target-past-reach-bound":
+        "target_center and target_dims give a bad target: box must lie within 1e+100 m of the ego",
+    "sim-anchors-past-reach-bound":
+        "target_center, grid_extent, anchor_ratios and anchor_scales put an anchor more than 1e+100 m",
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("row", REACH_ERRORS)
+def test_boxes_past_the_reach_bound_are_refused_by_name(tmp_path, capsys, row):
+    argv, code = CONTRACT[row]
+    assert main(_contract_argv(tmp_path, argv)) == code
+    out, err = capsys.readouterr()
+    _assert_one_error_line(out, err)
+    assert err.startswith("error: " + _contract_argv(tmp_path, [REACH_ERRORS[row]])[0])
+    assert not (tmp_path / "missing").exists()
 
 
 @pytest.mark.parametrize("row, key", [

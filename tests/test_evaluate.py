@@ -377,6 +377,18 @@ def test_ap40_undefined_without_ground_truth():
         average_precision_40([MatchResult((), (_pred(10, 0, 0.5),), ())])
 
 
+def _ap40_against_brute_force(scored, n_gt):
+    """(AP40, brute-force AP40) of one frame whose predictions are scored
+    (score, is_tp) pairs; the first n_gt true positives are matched."""
+    tps = [s for s in scored if s[1]][:n_gt]
+    fps = [s for s in scored if not s[1]]
+    matches = tuple((_pred(10, 0, s), _gt(10, 0), 1.0) for s, _ in tps)
+    fns = tuple(_gt(30, 0) for _ in range(n_gt - len(tps)))
+    result = MatchResult(matches, tuple(_pred(50, 0, s) for s, _ in fps), fns)
+    # Ties keep input order on both sides: matches first, then false positives.
+    return average_precision_40([result]), _brute_force_ap40(tps + fps, n_gt)
+
+
 def test_ap40_matches_brute_force_random():
     rng = np.random.default_rng(43)
     for _ in range(100):
@@ -384,13 +396,31 @@ def test_ap40_matches_brute_force_random():
         scored = [(float(rng.random()), bool(rng.random() < 0.6)) for _ in range(rng.integers(1, 8))]
         while sum(t for _, t in scored) > n_gt:
             scored = scored[:-1] or [(0.5, False)]
-        tps = [s for s in scored if s[1]][: n_gt]
-        fps = [s for s in scored if not s[1]]
-        matches = tuple((_pred(10, 0, s), _gt(10, 0), 1.0) for s, _ in tps)
-        fns = tuple(_gt(30, 0) for _ in range(n_gt - len(tps)))
-        result = MatchResult(matches, tuple(_pred(50, 0, s) for s, _ in fps), fns)
-        expected = _brute_force_ap40(tps + fps, n_gt)
-        assert average_precision_40([result]) == pytest.approx(expected, abs=1e-12)
+        got, expected = _ap40_against_brute_force(scored, n_gt)
+        assert got == expected
+
+
+@pytest.mark.parametrize("family", ["recall-on-the-points", "tied-scores", "no-true-positives"])
+def test_ap40_matches_brute_force_bit_for_bit(family):
+    # n_gt a multiple of 40 puts recalls exactly on the recall points; tied
+    # scores rank in input order; without true positives AP40 is 0.
+    rng = np.random.default_rng(47)
+    for _ in range(50):
+        n_gt = int(rng.choice([40, 80, 120])) if family == "recall-on-the-points" else int(rng.integers(1, 8))
+        n = int(rng.integers(1, 2 * n_gt + 10))
+        if family == "tied-scores":
+            scores = rng.choice([0.25, 0.5, 0.75], size=n)
+        else:
+            scores = rng.random(n)
+        p_tp = 0.0 if family == "no-true-positives" else 0.7
+        scored = [(float(s), bool(rng.random() < p_tp)) for s in scores]
+        got, expected = _ap40_against_brute_force(scored, n_gt)
+        assert got == expected
+        if family == "no-true-positives":
+            assert got == 0.0
+    if family == "recall-on-the-points":
+        perfect = [(1.0 - i / 100, True) for i in range(40)]
+        assert _ap40_against_brute_force(perfect, 40) == (1.0, 1.0)
 
 
 # ---- TP metric means ----

@@ -1,12 +1,14 @@
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import collinear_pairs, mc_intersection_area, random_box
 from eciou.geometry import (
+    MAX_REACH,
     MIN_RELATIVE_SIDE,
     Box3D,
     ConvexPolygon,
@@ -35,6 +37,24 @@ def test_box_validation():
             Box3D(x=5, y=0, l=1, w=1, theta=0, z=z, h=h)
     with pytest.raises(ValueError, match="at least"):
         OrientedBoxBEV(300, 300, 1e-6, 1e-6, 0.3)  # below the size floor 424 m out
+
+
+def test_boxes_reaching_past_the_bound_are_refused():
+    # The reach is hypot(x, y) + hypot(l, w) / 2; (6e99, 8e99) lies exactly
+    # MAX_REACH from the ego.
+    message = re.escape(f"within {MAX_REACH:g} m of the ego")
+    for x, y, l, w in ((6e99, 8e99, 1e95, 1e95), (1e160, 0.0, 4e155, 2e155), (0.0, 0.0, 1e308, 1e308)):
+        with pytest.raises(ValueError, match=message):
+            OrientedBoxBEV(x, y, l, w, 0.0)
+        with pytest.raises(ValueError, match=message):
+            Box3D(x=x, y=y, l=l, w=w, theta=0.0, z=0.0, h=1.0)
+    OrientedBoxBEV(6e99, 7.9e99, 1e95, 1e95, 0.0)
+    OrientedBoxBEV(0.0, 0.0, 1.4e100, 1.4e100, 0.0)
+    # The same bound on the gravity axis: abs(z) + h / 2.
+    for z, h in ((0.0, 1e308), (-1e100, 1e90), (2e100, 1.0)):
+        with pytest.raises(ValueError, match=re.escape(f"within {MAX_REACH:g} m of the ground plane")):
+            Box3D(x=10.0, y=0.0, l=4.0, w=2.0, theta=0.0, z=z, h=h)
+    Box3D(x=10.0, y=0.0, l=4.0, w=2.0, theta=0.0, z=-9e99, h=2e99)
 
 
 def test_theta_canonicalized():
@@ -205,3 +225,58 @@ def test_boxes_sharing_edge_lines_clip_to_a_quad_inside_the_target():
             dx, dy = vx - g.x, vy - g.y
             assert abs(c * dx + s * dy) <= 0.5 * g.l + 1e-9
             assert abs(-s * dx + c * dy) <= 0.5 * g.w + 1e-9
+
+
+def _assert_the_checks_change_nothing(p, g):
+    # ConvexPolygon(...) converts, dedups and checks the winding; none of it
+    # may change a polygon that box_to_polygon or intersect_convex built.
+    poly_p, poly_g = box_to_polygon(p), box_to_polygon(g)
+    for poly in (poly_p, poly_g, intersect_convex(poly_p, poly_g), intersect_convex(poly_g, poly_p)):
+        assert ConvexPolygon(poly.vertices).vertices == poly.vertices
+        assert all(type(c) is float for vertex in poly.vertices for c in vertex)
+
+
+_NUMBER_TYPES = {"float": float, "numpy": np.float64, "int": lambda v: int(round(v))}
+
+
+@st.composite
+def _admitted_boxes(draw, near=None):
+    """Boxes the size floor and the reach bound admit, with float, np.float64
+    or int fields; with near, a box shifted, turned and resized from it."""
+    number = _NUMBER_TYPES[draw(st.sampled_from(sorted(_NUMBER_TYPES)))]
+    if near is None:
+        distance = draw(st.one_of(
+            st.floats(math.log(0.3), math.log(0.5 * MAX_REACH)).map(math.exp),
+            st.floats(0.99 * MAX_REACH, 0.998 * MAX_REACH),
+        ))
+        phi = draw(st.floats(-math.pi, math.pi))
+        floor = MIN_RELATIVE_SIDE * max(1.0, distance)
+        x, y = distance * math.cos(phi), distance * math.sin(phi)
+        l, w = floor * draw(st.floats(1.0, 1e3)), floor * draw(st.floats(1.0, 1e3))
+        theta = draw(st.floats(-math.pi, math.pi))
+    else:
+        x = near.x + draw(st.floats(-1.0, 1.0)) * near.l
+        y = near.y + draw(st.floats(-1.0, 1.0)) * near.w
+        l, w = near.l * draw(st.floats(1.0, 2.0)), near.w * draw(st.floats(1.0, 2.0))
+        theta = near.theta + draw(st.floats(-1.0, 1.0))
+    try:
+        return OrientedBoxBEV(*(number(v) for v in (x, y, l, w, theta)))
+    except ValueError:  # a rounded int side or a shifted box below the floor
+        assume(False)
+
+
+@st.composite
+def _admitted_pairs(draw):
+    g = draw(_admitted_boxes())
+    return draw(_admitted_boxes(near=g)), g
+
+
+@settings(deadline=None, max_examples=300)
+@given(pair=_admitted_pairs())
+def test_polygons_built_without_the_checks_pass_them_unchanged(pair):
+    _assert_the_checks_change_nothing(*pair)
+
+
+def test_polygons_of_boxes_sharing_edge_lines_pass_the_checks_unchanged():
+    for p, g in collinear_pairs():
+        _assert_the_checks_change_nothing(p, g)

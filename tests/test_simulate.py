@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from eciou import _batch, geometry
 from eciou.geometry import OrientedBoxBEV
 from eciou.losses import ALL_KINDS, LossKind
 from eciou.metrics import ec_iou_bev, iou_bev
@@ -88,6 +89,13 @@ def test_config_refuses_anchor_sizes_and_scenarios_it_cannot_run():
         ({"grid_points_per_axis": 10**400}, f"more than {MAX_CASES} cases"),
         ({"grid_points_per_axis": 44}, f"more than {MAX_CASES} cases"),
         ({"iterations": MAX_ITERATIONS + 1}, f"iterations must be at most {MAX_ITERATIONS}"),
+        # Targets and anchors past the reach bound, hypot(x, y) + hypot(l, w) / 2.
+        ({"target_center": (1e160, 1e160), "target_dims": ((4e155, 2e155),)},
+         "^target_center and target_dims give a bad target: box must lie within 1e\\+100 m"),
+        ({"target_center": (6e99, 8e99)}, "^target_center and target_dims give a bad target"),
+        ({"target_center": (9e99, 0.0), "target_dims": ((1e95, 1e95),), "grid_extent": 2.2e99,
+          "anchor_scales": (1e95,)},
+         "^target_center, grid_extent, anchor_ratios and anchor_scales put an anchor more than 1e\\+100 m"),
     ):
         with pytest.raises(ConfigError, match=key):
             ScenarioConfig(**bad)
@@ -98,6 +106,8 @@ def test_config_refuses_anchor_sizes_and_scenarios_it_cannot_run():
     for bad in ({"eval_alpha": 3649}, {"eval_alpha": np.float64(3649)}, {**thin, "eval_alpha": 6448}):
         with pytest.raises(ConfigError, match=r"^eval_alpha \d+ puts the EC-IoU weights"):
             ScenarioConfig(**bad)
+    ScenarioConfig(target_center=(9e99, 0.0), target_dims=((1e95, 1e95),), grid_extent=1.8e99,
+                   anchor_scales=(1e95,))
     ScenarioConfig(eval_alpha=3648)
     ScenarioConfig(**thin, eval_alpha=6447)
     # 6 targets * 43^2 grid points * 3 ratios * 3 scales = 99,846 cases.
@@ -363,6 +373,21 @@ def test_fast_descents_fail_on_both_paths():
     # The rate-4 rows above compare failure counts; make sure there are some.
     cfg = replace(TINY, step_rule=StepRule(rate=4.0))
     assert sum(run_simulation(cfg).failures.values()) > 0
+
+
+def test_a_descent_that_steps_past_the_reach_bound_fails(monkeypatch):
+    # Four 1 x 1 anchors about 10 m out, the farthest reaching 11.22 m; at
+    # rate 1 two of them overshoot. No real scene gets near MAX_REACH, so the
+    # bound is lowered to 11.3 m, past every anchor and the target.
+    cfg = ScenarioConfig(target_center=(10.0, 0.0), target_dims=((1.0, 1.0),), target_thetas=(0.0,),
+                         grid_points_per_axis=2, grid_extent=1.0, anchor_ratios=((1.0, 1.0),),
+                         anchor_scales=(1.0,), iterations=3, step_rule=StepRule(rate=1.0))
+    assert run_simulation(cfg).failures == {kind.name: 0 for kind in ALL_KINDS}
+    monkeypatch.setattr(_batch, "MAX_REACH", 11.3)
+    monkeypatch.setattr(geometry, "MAX_REACH", 11.3)
+    assert run_simulation(cfg).failures == {kind.name: 2 for kind in ALL_KINDS}
+    scalar = [sum(run_case(case, kind, cfg).failed for case in build_scenario(cfg)) for kind in ALL_KINDS]
+    assert scalar == [2] * len(ALL_KINDS)
 
 
 # The batch EC-IoU of a box with itself comes out an ulp below 1 (the ring's
