@@ -15,6 +15,16 @@ full clip would, if its circumcircles and its target's are disjoint
 non-empty are weighted, and no padding slot enters a weight. Every row
 scores the same bits in any batch (see clip_quads_xy).
 
+numpy runs a reduction or a 2-D fancy index across an axis only 4 to 16
+wide as a slow per-row inner loop. So the kernel reduces along the row
+(batch) axis only: a max, min, finite mask or sum across a box's columns is
+written out column by column, a sum left to right (numpy's own order for a
+row of fewer than 8 values, so the bits stay), and the clip gathers and
+scatters through flat indices. Only work across a clipped ring's 8 or more
+slots stays row-wise: the ring sums in ring_area and mean_weight, whose
+pairwise order is part of the output bits, and the masks and running
+counts over those slots.
+
 Internal module: the public simulator API lives in `simulate`.
 """
 
@@ -47,9 +57,10 @@ def valid_boxes(boxes: np.ndarray) -> np.ndarray:
     distance = np.hypot(boxes[:, 0], boxes[:, 1])
     floor = MIN_RELATIVE_SIDE * np.maximum(1.0, distance)
     reach = distance + 0.5 * np.hypot(boxes[:, 2], boxes[:, 3])
+    finite = np.isfinite(boxes)
     return (
-        np.isfinite(boxes).all(axis=1) & (boxes[:, 2] >= floor) & (boxes[:, 3] >= floor)
-        & (reach <= MAX_REACH)
+        finite[:, 0] & finite[:, 1] & finite[:, 2] & finite[:, 3] & finite[:, 4]
+        & (boxes[:, 2] >= floor) & (boxes[:, 3] >= floor) & (reach <= MAX_REACH)
     )
 
 
@@ -72,11 +83,16 @@ def corners(boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def _prev_along_ring(arr: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """arr[i - 1] with wraparound at each row's vertex count."""
+def _last_slots(counts: np.ndarray, k: int) -> np.ndarray:
+    """Flat index of each row's last vertex in an (N, k) buffer; slot 0 of an empty row."""
+    return np.arange(counts.shape[0]) * k + (np.maximum(counts, 1) - 1)
+
+
+def _prev_along_ring(arr: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """arr[i - 1] with wraparound at each row's last vertex (see _last_slots)."""
     out = np.empty_like(arr)
     out[:, 1:] = arr[:, :-1]
-    out[:, 0] = arr[np.arange(arr.shape[0]), counts - 1]
+    out[:, 0] = arr.take(last)
     return out
 
 
@@ -91,6 +107,12 @@ def clip_quads_xy(
 
     Stage order matches the scalar clipper: clip edges (3->0), (0->1),
     (1->2), (2->3). cross(v) = ex * vy - ey * vx - b is the signed side of v.
+
+    Each stage streams two candidates per vertex, [crossing point, vertex],
+    into an (N, 2k) buffer and keeps those that are set; a running count
+    along each row gives a kept candidate's slot. The kept candidates are
+    moved into the zeroed (N, width) output with one flat gather and one
+    flat scatter.
 
     Each stage cuts the buffers to the longest ring; the returned buffers are
     max(counts.max(), _MIN_WIDTH) wide. numpy sums a row of 8 or more values
@@ -110,14 +132,14 @@ def clip_quads_xy(
         valid = np.arange(k)[None, :] < counts[:, None]
         inside = (cross >= 0.0) & valid
 
-        counts_safe = np.maximum(counts, 1)
-        s_x = _prev_along_ring(x, counts_safe)
-        s_y = _prev_along_ring(y, counts_safe)
-        s_cross = _prev_along_ring(cross, counts_safe)
+        last = _last_slots(counts, k)
+        s_x = _prev_along_ring(x, last)
+        s_y = _prev_along_ring(y, last)
+        s_cross = _prev_along_ring(cross, last)
         crossing = (inside != (s_cross >= 0.0)) & valid
         # Temporaries go as soon as they are dead: on a stacked (5N, 5) probe
         # call they set the process's peak memory.
-        del cross, valid, counts_safe
+        del cross, valid, last
 
         dx = x - s_x
         dy = y - s_y
@@ -145,18 +167,19 @@ def clip_quads_xy(
 
         pos = np.cumsum(cvalid, axis=1)
         counts = pos[:, -1].copy()
-        pos -= 1
-        flat = np.nonzero(cvalid)
-        slots = (flat[0], pos[flat])
-        del pos, cvalid
         floor = _MIN_WIDTH if stage == 3 else 1
         width = max(int(counts.max(initial=0)), floor)
+        # Kept candidate src (flat in the (n, 2k) stream) lands in slot
+        # pos - 1 of its row of the (n, width) output.
+        src = np.flatnonzero(cvalid)
+        dest = (src // (2 * k)) * width + pos.ravel().take(src) - 1
+        del pos, cvalid
         x = np.zeros((n, width))
-        x[slots] = cand_x[flat]
+        x.ravel()[dest] = cand_x.ravel().take(src)
         del cand_x
         y = np.zeros((n, width))
-        y[slots] = cand_y[flat]
-        del cand_y
+        y.ravel()[dest] = cand_y.ravel().take(src)
+        del cand_y, src, dest
 
     return x, y, counts
 
@@ -165,17 +188,28 @@ def ring_area(x: np.ndarray, y: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Masked shoelace area for padded vertex buffers."""
     k = x.shape[1]
     valid = np.arange(k)[None, :] < counts[:, None]
-    counts_safe = np.maximum(counts, 1)
-    sx = _prev_along_ring(x, counts_safe)
-    sy = _prev_along_ring(y, counts_safe)
+    last = _last_slots(counts, k)
+    sx = _prev_along_ring(x, last)
+    sy = _prev_along_ring(y, last)
     terms = sx * y - x * sy
     return np.maximum(0.5 * np.where(valid, terms, 0.0).sum(axis=1), 0.0)
 
 
 def quad_area(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Shoelace area of quads with (N, 4) corner planes."""
-    nx, ny = np.roll(x, -1, axis=1), np.roll(y, -1, axis=1)
-    return np.maximum(0.5 * (x * ny - nx * y).sum(axis=1), 0.0)
+    t0, t1, t2, t3 = (x[:, i] * y[:, (i + 1) % 4] - x[:, (i + 1) % 4] * y[:, i] for i in range(4))
+    return np.maximum(0.5 * (((t0 + t1) + t2) + t3), 0.0)
+
+
+def _span(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-row max minus min over the 8 values of two (N, 4) planes, taken
+    column by column; maximum/minimum keep a nan row nan."""
+    first, *rest = (*a.T, *b.T)
+    hi = lo = first
+    for col in rest:
+        hi = np.maximum(hi, col)
+        lo = np.minimum(lo, col)
+    return hi - lo
 
 
 def mean_weight(
@@ -262,6 +296,14 @@ class BatchEvaluator:
         clip, iou = self._clip(valid, boxes, *corners(boxes))
         return iou, self._ec_iou(clip, alpha, method)
 
+    def _enclosing(self, boxes: np.ndarray, px: np.ndarray, py: np.ndarray):
+        """Per-row (dist_sq, c_l, c_w) of the DIoU/EIoU regularizer: the squared
+        center distance and the sides of the axis-aligned box enclosing both
+        boxes."""
+        dx = boxes[:, 0] - self.targets[:, 0]
+        dy = boxes[:, 1] - self.targets[:, 1]
+        return dx**2 + dy**2, _span(px, self.gx), _span(py, self.gy)
+
     def loss_and_scores(
         self, kind, boxes: np.ndarray, alpha: float, method: str = GEOMETRIC,
         eval_alpha: float | None = None,
@@ -279,12 +321,7 @@ class BatchEvaluator:
         eval_ec = None if eval_alpha is None else self._ec_iou(clip, eval_alpha, GEOMETRIC)
         loss = 1.0 - metric
         if kind.family in ("diou", "eiou"):
-            # Sides of the box enclosing both; maximum/minimum keep a nan row nan.
-            c_l = np.maximum(px.max(axis=1), self.gx.max(axis=1)) - np.minimum(
-                px.min(axis=1), self.gx.min(axis=1))
-            c_w = np.maximum(py.max(axis=1), self.gy.max(axis=1)) - np.minimum(
-                py.min(axis=1), self.gy.min(axis=1))
-            dist_sq = ((boxes[:, :2] - self.targets[:, :2]) ** 2).sum(axis=1)
+            dist_sq, c_l, c_w = self._enclosing(boxes, px, py)
             loss = loss + dist_sq / (c_l**2 + c_w**2)
             if kind.family == "eiou":
                 loss = loss + (boxes[:, 2] - self.targets[:, 2]) ** 2 / c_l**2
@@ -313,5 +350,6 @@ class BatchEvaluator:
         lo[params, :, params] -= h
         loss_hi = self._probes.loss_and_scores(kind, hi.reshape(5 * n, 5), alpha, method)[0]
         loss_lo = self._probes.loss_and_scores(kind, lo.reshape(5 * n, 5), alpha, method)[0]
-        grads = ((loss_hi - loss_lo) / (2.0 * h)).reshape(5, n).T
-        return grads, np.isfinite(grads).all(axis=1)
+        grads = ((loss_hi - loss_lo) / (2.0 * h)).reshape(5, n)
+        # all() over the 5 contiguous parameter rows ANDs whole rows at a time.
+        return grads.T, np.isfinite(grads).all(axis=0)

@@ -196,12 +196,22 @@ def _cmd_eval(args) -> None:
 
 @contextlib.contextmanager
 def _output(out_path: str | None):
-    """stdout, or --out opened before the work so an unwritable path fails first."""
+    """stdout, or a new file beside --out that replaces it once the work
+    succeeds. The file is made before the work, so an unwritable path fails
+    first; a command that fails removes it and leaves --out as it was."""
     if out_path is None:
         yield sys.stdout
         return
-    with open(out_path, "w", encoding="utf-8") as fh:
-        yield fh
+    directory, name = os.path.split(os.path.abspath(out_path))
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, out_path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -13,6 +13,7 @@ from eciou import _batch
 from eciou.geometry import (
     AREA_EPS,
     DISJOINT_MARGIN,
+    MAX_REACH,
     MIN_RELATIVE_SIDE,
     OrientedBoxBEV,
     box_to_polygon,
@@ -179,6 +180,126 @@ def test_clip_buffers_are_cut_to_the_longest_ring():
     assert counts.shape == (0,) and x.shape[0] == y.shape[0] == 0
 
 
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def _same_bits(a, b):
+    """Equal bits, except that any nan matches any nan: numpy's max/min
+    reductions return a positive nan where np.maximum/np.minimum pass on the
+    nan they got (cos(inf) is a negative nan)."""
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and np.array_equal(_bits(a)[~nan], _bits(b)[~nan])
+
+
+def _clip_row(sx, sy, cx, cy):
+    """clip_quads_xy's arithmetic on one row, in Python floats: the clipped
+    ring as a list of (x, y)."""
+    ring = list(zip(sx, sy))
+    for stage in range(4):
+        ex = cx[stage] - cx[stage - 1]
+        ey = cy[stage] - cy[stage - 1]
+        b = ex * cy[stage - 1] - ey * cx[stage - 1]
+        cross = [(ex * y - ey * x) - b for x, y in ring]
+        out = []
+        for i, (x, y) in enumerate(ring):
+            s_x, s_y = ring[i - 1]
+            dx, dy = x - s_x, y - s_y
+            denom = ex * dy - ey * dx
+            if (cross[i] >= 0.0) != (cross[i - 1] >= 0.0) and denom != 0.0:
+                t = -cross[i - 1] / denom
+                out.append((s_x + t * dx, s_y + t * dy))
+            if cross[i] >= 0.0:
+                out.append((x, y))
+        ring = out
+    return ring
+
+
+# A square turned 45 degrees on its own copy: the clip makes an octagon.
+_OCTAGON = np.array([[10.0, 0.0, 2.0, 2.0, 0.0]]), np.array([[10.0, 0.0, 2.0, 2.0, np.pi / 4]])
+
+
+def _clip_case(name):
+    """(targets, predictions) of one named clip input."""
+    rng = np.random.default_rng(14)
+    if name == "rotated":
+        return _pair_arrays(rng, 200)[2:]
+    if name == "axis-aligned":
+        return _axis_aligned_pairs(rng, 200)
+    if name == "octagon":
+        return _OCTAGON
+    if name == "collinear":
+        preds, targets = zip(*collinear_pairs())
+        return _rows(targets), _rows(preds)
+    return np.empty((0, 5)), np.empty((0, 5))
+
+
+@pytest.mark.parametrize("case", ["rotated", "axis-aligned", "octagon", "collinear", "empty"])
+def test_clip_equals_its_per_row_transcription_bit_for_bit(case):
+    g_arr, p_arr = _clip_case(case)
+    planes = _batch.corners(p_arr) + _batch.corners(g_arr)
+    x, y, counts = _batch.clip_quads_xy(*planes)
+    rings = [_clip_row(*(plane[i].tolist() for plane in planes)) for i in range(len(p_arr))]
+    assert counts.tolist() == [len(ring) for ring in rings]
+    want_x = np.zeros((len(rings), max([_batch._MIN_WIDTH] + counts.tolist())))
+    want_y = np.zeros_like(want_x)
+    for i, ring in enumerate(rings):
+        want_x[i, : len(ring)] = [vx for vx, _ in ring]
+        want_y[i, : len(ring)] = [vy for _, vy in ring]
+    assert x.shape == y.shape == want_x.shape
+    assert np.array_equal(_bits(x), _bits(want_x)) and np.array_equal(_bits(y), _bits(want_y))
+
+
+def test_helpers_keep_the_bits_of_their_reduction_forms():
+    # quad_area, the DIoU/EIoU regularizer terms and valid_boxes write short
+    # row reductions out column by column; each must give the bits of the
+    # reduction it replaced, also on -0.0 fields and on refused rows (which
+    # overflow or go nan, hence the errstate; the kernel hands on a refused
+    # row's target instead, see _admit).
+    rng = np.random.default_rng(15)
+    _, _, g_rot, p_rot = _pair_arrays(rng, 100)
+    g_flat, p_flat = _axis_aligned_pairs(rng, 100)
+    g_odd = np.array([[-0.0, 10.0, 4.0, 2.0, -0.0]] * 8)
+    p_odd = np.array([
+        [-0.0, 10.0, 4.0, 2.0, -0.0],
+        [-0.0, 10.0, 0.0, 2.0, 0.0],  # zero length: corners at +0.0 and -0.0
+        [-0.0, 10.0, 0.0, 2.0, -0.0],
+        [-0.0, -0.0, 4.0, 2.0, 0.0],
+        [math.nan, 10.0, 4.0, 2.0, 0.0],
+        [0.0, 10.0, -1.0, 2.0, 0.0],
+        [0.0, 10.0, 4.0, 2.0, math.inf],
+        [1e160, 0.0, 4e155, 2e155, 0.0],
+    ])
+    g_arr = np.vstack([g_rot, g_flat, g_odd])
+    p_arr = np.vstack([p_rot, p_flat, p_odd])
+    ev = _batch.BatchEvaluator(g_arr)
+    with np.errstate(all="ignore"):
+        px, py = _batch.corners(p_arr)
+        for x, y in ((px, py), (ev.gx, ev.gy)):
+            nx, ny = np.roll(x, -1, axis=1), np.roll(y, -1, axis=1)
+            want = np.maximum(0.5 * (x * ny - nx * y).sum(axis=1), 0.0)
+            assert _same_bits(_batch.quad_area(x, y), want)
+        got = ev._enclosing(p_arr, px, py)
+        want = (
+            ((p_arr[:, :2] - g_arr[:, :2]) ** 2).sum(axis=1),
+            np.maximum(px.max(axis=1), ev.gx.max(axis=1)) - np.minimum(px.min(axis=1), ev.gx.min(axis=1)),
+            np.maximum(py.max(axis=1), ev.gy.max(axis=1)) - np.minimum(py.min(axis=1), ev.gy.min(axis=1)),
+        )
+        distance = np.hypot(p_arr[:, 0], p_arr[:, 1])
+        floor = MIN_RELATIVE_SIDE * np.maximum(1.0, distance)
+        reach = distance + 0.5 * np.hypot(p_arr[:, 2], p_arr[:, 3])
+        valid = (
+            np.isfinite(p_arr).all(axis=1) & (p_arr[:, 2] >= floor) & (p_arr[:, 3] >= floor)
+            & (reach <= MAX_REACH)
+        )
+    for g, w in zip(got, want):
+        assert _same_bits(g, w)
+    assert np.array_equal(_batch.valid_boxes(p_arr), valid)
+    # Not vacuous: the odd rows are refused but for two, and some go nan.
+    assert valid[-8:].tolist() == [True, False, False, True] + [False] * 4
+    assert np.isnan(got[1]).any()
+
+
 @pytest.mark.parametrize("method", [GEOMETRIC, ARITHMETIC])
 def test_scores_do_not_depend_on_the_rest_of_the_batch(method):
     # Rectangle-on-rectangle rings have 4 vertices; a square turned 45 degrees
@@ -187,8 +308,7 @@ def test_scores_do_not_depend_on_the_rest_of_the_batch(method):
     # negative width score nan in both.
     rng = np.random.default_rng(13)
     g_flat, p_flat = _axis_aligned_pairs(rng, 2000)
-    g_oct = np.array([[10.0, 0.0, 2.0, 2.0, 0.0]])
-    p_oct = np.array([[10.0, 0.0, 2.0, 2.0, np.pi / 4]])
+    g_oct, p_oct = _OCTAGON
     alone = _batch.BatchEvaluator(g_flat).scores(p_flat, 4.0, method)
     mixed = _batch.BatchEvaluator(np.vstack([g_flat, g_oct])).scores(np.vstack([p_flat, p_oct]), 4.0, method)
     for a, m in zip(alone, mixed):

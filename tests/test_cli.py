@@ -105,6 +105,26 @@ def test_sweep_unwritable_path_is_data_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_a_failed_command_leaves_out_as_it_was(tmp_path, capsys):
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps({"grid_points_per_axis": 1, "iterations": 2}))
+    out = tmp_path / "kept.csv"
+    out.write_bytes(b"x,iou\n1,0.5\n")
+    for argv in (["sweep", "--step", "-1"], ["sim", "--config", str(config), "--kinds", "iou,iou"]):
+        assert main(argv + ["--out", str(out)]) == 1
+        assert out.read_bytes() == b"x,iou\n1,0.5\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.csv", "scenario.json"]
+    capsys.readouterr()
+
+
+def test_a_successful_command_replaces_out(tmp_path):
+    out = tmp_path / "sweep.csv"
+    out.write_text("stale\n")
+    assert main(["sweep", "--alphas", "1", "--range", "9", "11", "--step", "1", "--out", str(out)]) == 0
+    assert out.read_text() == "x,iou,eciou_a1\n9,0.6,0.628321\n10,1,1\n11,0.6,0.567812\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
+
+
 def test_sim_small_config(tmp_path, capsys):
     config = tmp_path / "scenario.json"
     config.write_text(json.dumps({
