@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import os
+import stat
 import sys
 
 from .evaluate import (
@@ -196,22 +198,30 @@ def _cmd_eval(args) -> None:
 
 @contextlib.contextmanager
 def _output(out_path: str | None):
-    """stdout, or a new file beside --out that replaces it once the work
-    succeeds. The file is made before the work, so an unwritable path fails
-    first; a command that fails removes it and leaves --out as it was."""
+    """stdout, or a buffer written to --out once the work succeeds.
+
+    --out is opened for appending before the work, so an unwritable path
+    fails first and nothing is truncated; the file is written through, so a
+    symlink, a device or a pipe stays what it is. A regular file is emptied
+    only when the buffer is written, so a command that fails leaves an
+    existing --out as it was and removes one that it created.
+    """
     if out_path is None:
         yield sys.stdout
         return
-    directory, name = os.path.split(os.path.abspath(out_path))
-    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
-    fh = open(tmp, "x", encoding="utf-8")
-    try:
-        with fh:
-            yield fh
-        os.replace(tmp, out_path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    existed = os.path.lexists(out_path)
+    with open(out_path, "a", encoding="utf-8") as fh:
+        buffer = io.StringIO()
+        try:
+            yield buffer
+        except BaseException:
+            if not existed:
+                with contextlib.suppress(OSError):
+                    os.unlink(out_path)
+            raise
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate(0)
+        fh.write(buffer.getvalue())
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import stat
 import subprocess
 import sys
 
@@ -123,6 +125,31 @@ def test_a_successful_command_replaces_out(tmp_path):
     assert main(["sweep", "--alphas", "1", "--range", "9", "11", "--step", "1", "--out", str(out)]) == 0
     assert out.read_text() == "x,iou,eciou_a1\n9,0.6,0.628321\n10,1,1\n11,0.6,0.567812\n"
     assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
+
+
+def test_a_failed_command_removes_the_out_it_created(tmp_path, capsys):
+    out = tmp_path / "new.csv"
+    assert main(["sweep", "--step", "-1", "--out", str(out)]) == 1
+    assert list(tmp_path.iterdir()) == []
+    capsys.readouterr()
+
+
+def test_out_is_written_through_a_symlink(tmp_path):
+    target = tmp_path / "target.csv"
+    target.write_text("stale line that is longer than the table\n" * 4)
+    target.chmod(0o640)
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    assert main(["sweep", "--alphas", "1", "--range", "9", "11", "--step", "1", "--out", str(link)]) == 0
+    assert link.is_symlink() and link.resolve() == target
+    assert target.read_text() == "x,iou,eciou_a1\n9,0.6,0.628321\n10,1,1\n11,0.6,0.567812\n"
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "target.csv"]
+
+
+def test_out_may_be_a_device():
+    assert main(["sweep", "--alphas", "1", "--range", "9", "11", "--step", "1", "--out", os.devnull]) == 0
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
 
 
 def test_sim_small_config(tmp_path, capsys):
