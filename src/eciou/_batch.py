@@ -52,15 +52,15 @@ def wrap_angle(theta: np.ndarray) -> np.ndarray:
 
 def valid_boxes(boxes: np.ndarray) -> np.ndarray:
     """Per-row mask of the (N, 5) boxes OrientedBoxBEV accepts: finite
-    parameters, sides of at least MIN_RELATIVE_SIDE * max(1, distance) and a
-    reach distance + hypot(l, w) / 2 of at most MAX_REACH."""
+    parameters, a reach distance + hypot(l, w) / 2 of at most MAX_REACH and
+    sides of at least MIN_RELATIVE_SIDE * max(1, distance, l, w)."""
     distance = np.hypot(boxes[:, 0], boxes[:, 1])
-    floor = MIN_RELATIVE_SIDE * np.maximum(1.0, distance)
     reach = distance + 0.5 * np.hypot(boxes[:, 2], boxes[:, 3])
+    floor = MIN_RELATIVE_SIDE * np.maximum(np.maximum(1.0, distance), np.maximum(boxes[:, 2], boxes[:, 3]))
     finite = np.isfinite(boxes)
     return (
         finite[:, 0] & finite[:, 1] & finite[:, 2] & finite[:, 3] & finite[:, 4]
-        & (boxes[:, 2] >= floor) & (boxes[:, 3] >= floor) & (reach <= MAX_REACH)
+        & (reach <= MAX_REACH) & (boxes[:, 2] >= floor) & (boxes[:, 3] >= floor)
     )
 
 

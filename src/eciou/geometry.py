@@ -3,11 +3,14 @@
 Everything here is a pure function of its inputs; boxes and polygons are
 immutable and freely shareable.
 
-Boxes are checked where they are built: finite fields, sides above the size
-floor and a reach within MAX_REACH. Polygons built with ConvexPolygon(...)
-are checked too. The polygons this module builds for itself, the corners of
-box_to_polygon and the rings of intersect_convex, are not checked again:
-those checks could change no vertex and refuse none (see ConvexPolygon).
+Boxes are checked where they are built, footprint and height by one rule
+(_check_extents): finite fields, a reach within MAX_REACH, and every extent
+at least MIN_RELATIVE_SIDE of max(1, the center's distance, the largest
+extent), the two that bound the box's largest coordinate. Polygons built with
+ConvexPolygon(...) are checked too. The polygons this module builds for
+itself, the corners of box_to_polygon and the rings of intersect_convex, are
+not checked again: those checks could change no vertex and refuse none (see
+ConvexPolygon).
 """
 
 from __future__ import annotations
@@ -23,17 +26,31 @@ DEDUP_TOL = 1e-12
 AREA_EPS = 1e-12
 # Relative slack on the circumcircle test of circumcircles_disjoint.
 DISJOINT_MARGIN = 1e-9
-# Smallest box side as a fraction of max(1, the center's distance to the
-# ego). The shoelace area's rounding noise grows with the square of the
-# coordinates; below this floor it can exceed AREA_EPS and flip a box's
-# winding. The floor also keeps every box's area at 4 * AREA_EPS or more,
-# so that no box measures as empty.
+# Smallest extent of a box as a fraction of max(1, its distance, its largest
+# extent): a footprint's l and w against hypot(x, y), a Box3D's h against
+# abs(z). The two bound the box's largest coordinate, and the shoelace area's
+# rounding noise grows with its square; below the floor that noise can exceed
+# AREA_EPS and flip a box's winding, or an area or vertical overlap rounds to 0.
 MIN_RELATIVE_SIDE = 2e-6
-# Largest reach of a box, hypot(x, y) + hypot(l, w) / 2 in meters: the
-# farthest its footprint gets from the ego; a Box3D's abs(z) + h / 2 too.
-# Every coordinate of two admitted boxes is then at most 1e100, so every
-# shoelace and clip product stays below about 1e201, far inside float range.
+# Largest reach of a box, its distance plus half the hypot of its extents,
+# in meters: hypot(x, y) + hypot(l, w) / 2, and abs(z) + h / 2. Every
+# coordinate of two admitted boxes is then at most 1e100, so every shoelace
+# and clip product stays below about 1e201 and every volume below 1e301.
 MAX_REACH = 1e100
+
+
+def _check_extents(distance: float, extents: tuple[float, ...], names: str, origin: str, measure: str) -> None:
+    """Refuse a reach distance + hypot(extents) / 2 past MAX_REACH, then an
+    extent below MIN_RELATIVE_SIDE * max(1, distance, largest extent)."""
+    reach = distance + 0.5 * math.hypot(*extents)
+    if not reach <= MAX_REACH:
+        raise ValueError(f"box must lie within {MAX_REACH:g} m of {origin} ({measure} + hypot({names}) / 2), "
+                         f"got {reach:g}")
+    floor = MIN_RELATIVE_SIDE * max(1.0, distance, *extents)
+    if min(extents) < floor:
+        got = " ".join(f"{name}={value}" for name, value in zip(names.split(", "), extents))
+        raise ValueError(f"box {names} must be at least {floor:g} ({MIN_RELATIVE_SIDE:g} of max(1, {measure}, "
+                         f"{names})), got {got}")
 
 
 @dataclass(frozen=True)
@@ -55,18 +72,7 @@ class OrientedBoxBEV:
         for name in ("x", "y", "l", "w", "theta"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"box field {name} must be finite")
-        floor = MIN_RELATIVE_SIDE * max(1.0, math.hypot(self.x, self.y))
-        if self.l < floor or self.w < floor:
-            raise ValueError(
-                f"box sides must be at least {floor:g} ({MIN_RELATIVE_SIDE:g} of max(1, distance "
-                f"to the ego)), got l={self.l} w={self.w}"
-            )
-        reach = math.hypot(self.x, self.y) + 0.5 * math.hypot(self.l, self.w)
-        if not reach <= MAX_REACH:
-            raise ValueError(
-                f"box must lie within {MAX_REACH:g} m of the ego (hypot(x, y) + hypot(l, w) / 2), "
-                f"got {reach:g}"
-            )
+        _check_extents(math.hypot(self.x, self.y), (self.l, self.w), "l, w", "the ego", "hypot(x, y)")
         if not -math.pi <= self.theta < math.pi:
             object.__setattr__(self, "theta", (self.theta + math.pi) % _TWO_PI - math.pi)
 
@@ -82,14 +88,7 @@ class Box3D(OrientedBoxBEV):
         super().__post_init__()
         if not (math.isfinite(self.z) and math.isfinite(self.h)):
             raise ValueError("z and h must be finite")
-        if self.h <= 0.0:
-            raise ValueError(f"box height must be positive, got h={self.h}")
-        # Volumes are then at most about 1e301, so they stay finite too.
-        if not abs(self.z) + 0.5 * self.h <= MAX_REACH:
-            raise ValueError(
-                f"box must lie within {MAX_REACH:g} m of the ground plane (abs(z) + h / 2), "
-                f"got {abs(self.z) + 0.5 * self.h:g}"
-            )
+        _check_extents(abs(self.z), (self.h,), "h", "the ground plane", "abs(z)")
 
 
 def _signed_area(vertices) -> float:
@@ -123,7 +122,7 @@ class ConvexPolygon:
     intersect_convex build their results through _trusted_polygon, which
     skips these steps, since they could change nothing there:
     - the coordinates are already Python floats;
-    - a box's corners lie at least MIN_RELATIVE_SIDE * max(1, distance) apart
+    - a box's corners lie at least the size floor of _check_extents apart
       and wind counter-clockwise, and MAX_REACH keeps the shoelace finite;
     - intersect_convex dedups its ring and checks its area itself, and
       _dedup changes nothing in a ring it has already deduped.

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _batch
-from .geometry import MAX_REACH, OrientedBoxBEV
+from .geometry import OrientedBoxBEV
 from .losses import ALL_KINDS, LossKind, NonFiniteGradientError, loss_gradient, loss_value
 from .metrics import ec_iou_bev, iou_bev
 from .weighting import ARITHMETIC, GEOMETRIC, WeightConfig, is_finite_real, is_integer, weight_extremes
@@ -157,26 +157,19 @@ class ScenarioConfig:
             in_range = _weights_in_float_range(self.targets(), self.eval_alpha)
         except ValueError as exc:  # a box the targets cannot be, or DegenerateDistanceError
             raise ConfigError(f"target_center and target_dims give a bad target: {exc}") from exc
-        if not self._anchor_reach() <= MAX_REACH:
+        # Every anchor shape, at the grid corner farthest from the ego: the box rules are strictest there.
+        xs, ys = (_axis_points(c, self.grid_extent, self.grid_points_per_axis) for c in self.target_center)
+        x, y = max(((x, y) for x in (xs[0], xs[-1]) for y in (ys[0], ys[-1])), key=lambda p: math.hypot(*p))
+        try:
+            for l, w in self.anchor_ratios:
+                for scale in self.anchor_scales:
+                    OrientedBoxBEV(x, y, l * scale, w * scale, 0.0)
+        except ValueError as exc:
             raise ConfigError(
-                f"target_center, grid_extent, anchor_ratios and anchor_scales put an anchor more than "
-                f"{MAX_REACH:g} m from the ego (hypot(x, y) + hypot(l, w) / 2)"
-            )
+                f"target_center, grid_extent, anchor_ratios and anchor_scales give a bad anchor: {exc}"
+            ) from exc
         if not in_range:
             raise ConfigError(f"eval_alpha {self.eval_alpha:g} puts the EC-IoU weights of a target out of float range")
-
-    def _anchor_reach(self) -> float:
-        """Largest hypot(x, y) + hypot(l, w) / 2 over the anchors build_scenario makes:
-        the distance peaks at a corner of the grid, the half-diagonal at one anchor shape."""
-        cx, cy = self.target_center
-        xs = _axis_points(cx, self.grid_extent, self.grid_points_per_axis)
-        ys = _axis_points(cy, self.grid_extent, self.grid_points_per_axis)
-        distance = max(math.hypot(x, y) for x in (xs[0], xs[-1]) for y in (ys[0], ys[-1]))
-        return distance + max(
-            0.5 * math.hypot(l * scale, w * scale)
-            for l, w in self.anchor_ratios
-            for scale in self.anchor_scales
-        )
 
     def targets(self) -> list[OrientedBoxBEV]:
         """Every target, dims-major then heading."""

@@ -55,12 +55,19 @@ def test_valid_boxes_are_the_boxes_the_scalar_path_can_build():
         [1.0, 2.0, -3.0, 4.0, 0.0],
         [1.0, 2.0, 3.0, -1.0, 0.0],
         [1.0, 2.0, 3.0, 4.0, math.inf],
-        # The size floor: MIN_RELATIVE_SIDE of max(1, distance to the ego).
+        # The size floor: MIN_RELATIVE_SIDE of max(1, distance to the ego, longer side).
         [3.0, 4.0, 5.0 * MIN_RELATIVE_SIDE, 1.0, 0.0],
         [0.3, 0.4, 1.0, MIN_RELATIVE_SIDE, 0.0],
         [3.0, 4.0, np.nextafter(5.0 * MIN_RELATIVE_SIDE, 0.0), 1.0, 0.0],
         [0.3, 0.4, 1.0, np.nextafter(MIN_RELATIVE_SIDE, 0.0), 0.0],
         [300.0, 300.0, 1e-6, 1e-6, 0.3],
+        # Past 1 m and the distance, the longer side sets the floor.
+        [0.3, 0.4, 10.0, 10.0 * MIN_RELATIVE_SIDE, 0.0],
+        [3.0, 4.0, 1e6 * MIN_RELATIVE_SIDE, 1e6, 0.0],
+        [300.0, 400.0, 400.0, 500.0 * MIN_RELATIVE_SIDE, 0.0],
+        [0.3, 0.4, 10.0, np.nextafter(10.0 * MIN_RELATIVE_SIDE, 0.0), 0.0],
+        [3.0, 4.0, np.nextafter(1e6 * MIN_RELATIVE_SIDE, 0.0), 1e6, 0.0],
+        [10.0, 0.0, 1.0, 1e17, 0.0],  # a sliver whose shoelace area rounds to 0
         # The reach bound: hypot(x, y) + hypot(l, w) / 2 of at most MAX_REACH.
         [6e99, 7.9e99, 1e95, 1e95, 0.0],
         [6e99, 8e99, 1e95, 1e95, 0.0],
@@ -74,7 +81,8 @@ def test_valid_boxes_are_the_boxes_the_scalar_path_can_build():
         except ValueError:
             buildable.append(False)
     assert _batch.valid_boxes(rows).tolist() == buildable == (
-        [True, True] + [False] * 6 + [True, True] + [False] * 3 + [True] + [False] * 2
+        [True, True] + [False] * 6 + [True, True] + [False] * 3 + [True] * 3 + [False] * 3
+        + [True] + [False] * 2
     )
 
 
@@ -286,7 +294,7 @@ def test_helpers_keep_the_bits_of_their_reduction_forms():
             np.maximum(py.max(axis=1), ev.gy.max(axis=1)) - np.minimum(py.min(axis=1), ev.gy.min(axis=1)),
         )
         distance = np.hypot(p_arr[:, 0], p_arr[:, 1])
-        floor = MIN_RELATIVE_SIDE * np.maximum(1.0, distance)
+        floor = MIN_RELATIVE_SIDE * np.maximum(1.0, np.maximum(distance, p_arr[:, 2:4].max(axis=1)))
         reach = distance + 0.5 * np.hypot(p_arr[:, 2], p_arr[:, 3])
         valid = (
             np.isfinite(p_arr).all(axis=1) & (p_arr[:, 2] >= floor) & (p_arr[:, 3] >= floor)
@@ -391,10 +399,12 @@ _NEAR_TOUCH = st.builds(
 )
 
 
-def _sides(floor):
-    """(l, w), each of 0.5 to 4 m or of 1 to 4 times the size floor."""
-    side = st.floats(0.5, 4.0) | st.floats(1.001, 4.0).map(lambda k: k * floor)
-    return st.tuples(side, side)
+def _sides(distance):
+    """(l, w), each of 0.5 to 4 m or of 1 to 4 times the size floor,
+    MIN_RELATIVE_SIDE * max(1, distance, the longer side)."""
+    side = st.floats(0.5, 4.0) | st.floats(1.001, 4.0).map(lambda k: k * MIN_RELATIVE_SIDE)
+    return st.tuples(side, side).map(
+        lambda sides: tuple(s if s >= 0.5 else s * max(1.0, distance, *sides) for s in sides))
 
 
 @st.composite
@@ -405,9 +415,9 @@ def _pair_rows(draw, gaps=st.one_of(_NEAR_TOUCH, st.floats(-1.0, 2.0))):
     each other, the closest they come at that distance."""
     rho = math.exp(draw(st.floats(math.log(0.3), math.log(3000.0))))
     phi = draw(st.floats(-math.pi, math.pi))
-    gl, gw = draw(_sides(MIN_RELATIVE_SIDE * max(1.0, rho)))
+    gl, gw = draw(_sides(rho))
     # Centers lie at most 1.5 * (hypot(gl, gw) + hypot(l, w)) apart.
-    l, w = draw(_sides(MIN_RELATIVE_SIDE * max(1.0, rho + 1.5 * math.hypot(gl, gw) + 9.0)))
+    l, w = draw(_sides(rho + 1.5 * math.hypot(gl, gw) + 9.0))
     reach = 0.5 * (math.hypot(l, w) + math.hypot(gl, gw))
     dist = reach * (1.0 + draw(gaps))
     d = draw(st.floats(-math.pi, math.pi))

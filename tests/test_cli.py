@@ -303,6 +303,16 @@ TINY_BOX = ["300", "300", "1e-6", "1e-6", "0.3"]
 # exit 0). FLOOR_BOX has sides at the floor, 2e-6, there.
 NEAR_TINY_BOX = ["-0.2995", "0.954", "1e-6", "1e-6", "0"]
 FLOOR_BOX = ["-0.2995", "0.954", "2e-6", "2e-6", "0"]
+# Boxes below the floor relative to max(1, the distance, the largest
+# extent), the height's included. Each used to pass: the first ended in a
+# ZeroDivisionError (the volumes underflow to 0), the second scored itself 0
+# (the vertical overlap rounds to 0), the third scored itself clamped, and
+# the sliver's shoelace area rounds to 0 (a ZeroDivisionError in sweep).
+UNDERFLOW_BOX = ["12", "3", "0", "0.5", "0.5", "1e-323", "0.3"]
+HIGH_BOX = ["12", "3", "1e16", "0.5", "0.5", "1.5", "0.3"]
+SUBNORMAL_HEIGHT_BOX = ["10", "0", "0", "4", "2", "1e-310", "0"]
+SLIVER_SWEEP = ["sweep", "--gt", "10", "0", "1", "1e17", "1e17", "--range", "9.99", "15", "--step", "3",
+                "--alphas", "1"]
 # A box 1e160 m out, above the size floor there but past the reach bound:
 # its shoelace and clip products overflow.
 HUGE_BOX = ["1e160", "0", "4e155", "2e155", "0"]
@@ -386,6 +396,15 @@ CONTRACT = {
     "eval-pred-below-size-floor": (["eval", "--preds", "{tiny_preds}", "--gts", "{tiny_gts}"], 2),
     "eval-box-past-reach-bound": (["eval", "--preds", "{huge_preds}", "--gts", "{huge_gts}"], 2),
     "eval-box-past-reach-bound-in-height": (["eval", "--preds", "{tall_preds}", "--gts", "{gts}"], 2),
+    "metric-3d-volumes-underflow": (["metric", "--mode", "3d", "--pred"] + UNDERFLOW_BOX
+                                    + ["--gt"] + UNDERFLOW_BOX, 1),
+    "metric-3d-height-below-floor-far-up": (["metric", "--mode", "3d", "--pred"] + HIGH_BOX
+                                            + ["--gt"] + HIGH_BOX, 1),
+    "metric-3d-subnormal-height": (["metric", "--mode", "3d", "--pred"] + SUBNORMAL_HEIGHT_BOX
+                                   + ["--gt"] + SUBNORMAL_HEIGHT_BOX, 1),
+    "sweep-sliver-below-size-floor": (SLIVER_SWEEP, 1),
+    "eval-volumes-underflow": (["eval", "--preds", "{underflow_preds}", "--gts", "{underflow_gts}"], 2),
+    "eval-height-below-floor-far-up": (["eval", "--preds", "{high_preds}", "--gts", "{high_gts}"], 2),
     "sweep-unwritable-out": (["sweep", "--out", "/nonexistent-dir/x.csv"], 2),
     "metric-gt-on-ego": (METRIC[:8] + ["0", "0", "4", "2", "0"], 2),
     "eval-gt-contains-ego": (["eval", "--preds", "{inside_preds}", "--gts", "{inside_gts}"]
@@ -462,6 +481,12 @@ HUGE_PREDS = "f0 car 1e160 0 0 4e155 2e155 1.5 0 0.9\n"
 HUGE_GTS = "f0 car 1e160 0 0 4e155 2e155 1.5 0\n"
 # Its volume overflows.
 TALL_PREDS = "f0 car 10 0 0 4 2 1e308 0 0.9\n"
+# A perfect prediction: both volumes underflow to 0; the vertical overlap
+# rounds to 0, which reported it as 1 FP and 1 FN.
+UNDERFLOW_PREDS = "f pedestrian 10 0 0 0.5 0.5 5e-324 0 0.9\n"
+UNDERFLOW_GTS = "f pedestrian 10 0 0 0.5 0.5 5e-324 0\n"
+HIGH_PREDS = "f car 12 3 1e16 0.5 0.5 1.5 0.3 0.9\n"
+HIGH_GTS = "f car 12 3 1e16 0.5 0.5 1.5 0.3\n"
 
 
 def _contract_argv(tmp_path, argv):
@@ -471,7 +496,8 @@ def _contract_argv(tmp_path, argv):
              "knife_preds": KNIFE_PREDS, "knife_gts": KNIFE_GTS,
              "tiny_preds": TINY_PREDS, "tiny_gts": TINY_GTS,
              "not_utf8_preds": NOT_UTF8_PREDS, "huge_preds": HUGE_PREDS, "huge_gts": HUGE_GTS,
-             "tall_preds": TALL_PREDS,
+             "tall_preds": TALL_PREDS, "underflow_preds": UNDERFLOW_PREDS, "underflow_gts": UNDERFLOW_GTS,
+             "high_preds": HIGH_PREDS, "high_gts": HIGH_GTS,
              "list_config": "[]"}
     for name, raw in SCENARIOS.items():
         files[name] = json.dumps({"grid_points_per_axis": 1, "iterations": 2, **raw})
@@ -534,6 +560,8 @@ def test_eval_record_file_that_is_not_utf8_names_file_and_line(tmp_path, capsys)
     ("eval-gt-within-margin-of-ego", "knife_gts"),
     ("eval-pred-below-size-floor", "tiny_preds"),
     ("eval-box-past-reach-bound", "huge_preds"),
+    ("eval-volumes-underflow", "underflow_preds"),
+    ("eval-height-below-floor-far-up", "high_preds"),
 ])
 def test_eval_refused_box_names_file_and_line(tmp_path, capsys, row, name):
     assert main(_contract_argv(tmp_path, CONTRACT[row][0])) == 2
@@ -552,7 +580,8 @@ REACH_ERRORS = {
     "sim-target-past-reach-bound":
         "target_center and target_dims give a bad target: box must lie within 1e+100 m of the ego",
     "sim-anchors-past-reach-bound":
-        "target_center, grid_extent, anchor_ratios and anchor_scales put an anchor more than 1e+100 m",
+        "target_center, grid_extent, anchor_ratios and anchor_scales give a bad anchor: "
+        "box must lie within 1e+100 m of the ego",
 }
 
 

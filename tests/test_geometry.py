@@ -57,6 +57,31 @@ def test_boxes_reaching_past_the_bound_are_refused():
     Box3D(x=10.0, y=0.0, l=4.0, w=2.0, theta=0.0, z=-9e99, h=2e99)
 
 
+def test_each_extent_is_floored_relative_to_its_box():
+    # Each extent is at least MIN_RELATIVE_SIDE of max(1, the distance, the
+    # largest extent): l and w against hypot(x, y), h against abs(z). Each of
+    # these boxes was admitted before that, and then crashed or scored wrongly.
+    for fields in (
+        dict(x=12, y=3, z=0, l=0.5, w=0.5, h=1e-323, theta=0.3),  # the volumes underflow to 0
+        dict(x=10, y=0, z=0, l=0.5, w=0.5, h=5e-324, theta=0),
+        dict(x=12, y=3, z=1e16, l=0.5, w=0.5, h=1.5, theta=0.3),  # the vertical overlap rounds to 0
+        dict(x=10, y=0, z=0, l=4, w=2, h=1e-310, theta=0),  # clamped against itself
+        dict(x=10, y=0, z=0, l=1, w=1e17, h=1.5, theta=1e17),  # the shoelace area rounds to 0
+    ):
+        with pytest.raises(ValueError, match="must be at least"):
+            Box3D(**fields)
+    with pytest.raises(ValueError, match=re.escape("box l, w must be at least 2e+11 (2e-06 of max(1, ")):
+        OrientedBoxBEV(10, 0, 1, 1e17, 1e17)
+    for z in (0.0, 0.5, -3e5):
+        h = MIN_RELATIVE_SIDE * max(1.0, abs(z))
+        Box3D(x=10, y=0, z=z, l=4, w=2, h=h, theta=0)
+        with pytest.raises(ValueError, match=re.escape("box h must be at least")):
+            Box3D(x=10, y=0, z=z, l=4, w=2, h=math.nextafter(h, 0.0), theta=0)
+    OrientedBoxBEV(3, 4, 1e6, 1e6 * MIN_RELATIVE_SIDE, 0)
+    with pytest.raises(ValueError, match=re.escape("box l, w must be at least")):
+        OrientedBoxBEV(3, 4, 1e6, math.nextafter(1e6 * MIN_RELATIVE_SIDE, 0.0), 0)
+
+
 def test_theta_canonicalized():
     assert OrientedBoxBEV(0, 0, 1, 1, 3 * math.pi / 2).theta == pytest.approx(-math.pi / 2)
     assert OrientedBoxBEV(0, 0, 1, 1, math.pi).theta == pytest.approx(-math.pi)

@@ -95,7 +95,11 @@ def test_config_refuses_anchor_sizes_and_scenarios_it_cannot_run():
         ({"target_center": (6e99, 8e99)}, "^target_center and target_dims give a bad target"),
         ({"target_center": (9e99, 0.0), "target_dims": ((1e95, 1e95),), "grid_extent": 2.2e99,
           "anchor_scales": (1e95,)},
-         "^target_center, grid_extent, anchor_ratios and anchor_scales put an anchor more than 1e\\+100 m"),
+         "^target_center, grid_extent, anchor_ratios and anchor_scales give a bad anchor: "
+         "box must lie within 1e\\+100 m of the ego"),
+        # Anchors below the size floor at the grid corner farthest from the ego.
+        ({"anchor_scales": (1e-9,)},
+         "^target_center, grid_extent, anchor_ratios and anchor_scales give a bad anchor: box l, w must be at least"),
     ):
         with pytest.raises(ConfigError, match=key):
             ScenarioConfig(**bad)
