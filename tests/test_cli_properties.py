@@ -75,20 +75,16 @@ def _assert_contract(code, out, err):
         assert not re.search("nan|inf", out, re.IGNORECASE)
 
 
-def _box(text):
-    return text.split()
-
-
 # The five inputs that crashed or scored wrongly before each extent (the
 # height included) had a floor relative to max(1, the distance, the largest
 # extent): the volumes underflow to 0 (a ZeroDivisionError), the vertical
 # overlap rounds to 0 at z = 1e16, and a 1 x 1e17 m sliver's area rounds to 0.
 @pytest.mark.filterwarnings("error")
 @settings(deadline=None, max_examples=150)
-@example(pair=(_box("12 3 0 0.5 0.5 1e-323 0.3"),) * 2)
-@example(pair=(_box("12 3 1e16 0.5 0.5 1.5 0.3"),) * 2)
-@example(pair=(_box("9 0 4 4 2 1e-310 0"),) * 2)
-@example(pair=(_box("10 0 0 1 1e17 1.5 1e17"),) * 2)
+@example(pair=("12 3 0 0.5 0.5 1e-323 0.3".split(),) * 2)
+@example(pair=("12 3 1e16 0.5 0.5 1.5 0.3".split(),) * 2)
+@example(pair=("9 0 4 4 2 1e-310 0".split(),) * 2)
+@example(pair=("10 0 0 1 1e17 1.5 1e17".split(),) * 2)
 @given(pair=_metric_pairs())
 def test_metric_3d_keeps_the_exit_code_contract(pair):
     pred, gt = pair
@@ -177,10 +173,10 @@ def test_eval_keeps_the_exit_code_contract(tmp_path_factory, preds, gts, eol, fi
 
 @pytest.mark.filterwarnings("error")
 @settings(deadline=None, max_examples=100)
-@example(record=_box("f pedestrian 10 0 0 0.5 0.5 5e-324 0"), flags=[])
-@example(record=_box("f car 12 3 1e16 0.5 0.5 1.5 0.3"), flags=[])
-@example(record=_box("f car 9 0 4 4 2 1e-310 0"), flags=[])
-@example(record=_box("f car 10 0 0 1 1e17 1.5 1e17"), flags=[])
+@example(record="f pedestrian 10 0 0 0.5 0.5 5e-324 0".split(), flags=[])
+@example(record="f car 12 3 1e16 0.5 0.5 1.5 0.3".split(), flags=[])
+@example(record="f car 9 0 4 4 2 1e-310 0".split(), flags=[])
+@example(record="f car 10 0 0 1 1e17 1.5 1e17".split(), flags=[])
 @given(record=_box_tokens().map(lambda box: ["f0", "car"] + box), flags=_EVAL_FLAGS)
 def test_eval_matches_a_perfect_prediction(tmp_path_factory, record, flags):
     root = tmp_path_factory.getbasetemp()
