@@ -44,6 +44,14 @@ _LOCAL = 0.5 * np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
 # Narrowest clip output buffer; see clip_quads_xy.
 _MIN_WIDTH = 8
 
+# Most rows gradient scores in one loss_and_scores call. A call costs a few
+# hundred microseconds before it touches a row, so the benchmark's 162 cases
+# (1,782 stacked rows) go in one call per step. The kernel's temporaries grow
+# with a call's rows, and one call over a larger stack multiplies a run's page
+# faults, system time and peak memory. Of 2048 to 16384 rows, 8192 ran best
+# or level with the best at 486, 1,350 and 9,126 cases.
+_BLOCK_ROWS = 8192
+
 
 def wrap_angle(theta: np.ndarray) -> np.ndarray:
     in_range = (theta >= -math.pi) & (theta < math.pi)
@@ -137,8 +145,8 @@ def clip_quads_xy(
         s_y = _prev_along_ring(y, last)
         s_cross = _prev_along_ring(cross, last)
         crossing = (inside != (s_cross >= 0.0)) & valid
-        # Temporaries go as soon as they are dead: on a stacked (5N, 5) probe
-        # call they set the process's peak memory.
+        # Temporaries go as soon as they are dead: on a block of gradient's
+        # stack they set the process's peak memory.
         del cross, valid, last
 
         dx = x - s_x
@@ -329,27 +337,42 @@ class BatchEvaluator:
         return loss, iou, metric, eval_ec
 
     @functools.cached_property
-    def _probes(self) -> "BatchEvaluator":
-        """Evaluator over five stacked copies of the targets, one per parameter."""
-        return BatchEvaluator(np.tile(self.targets, (5, 1)))
+    def _probes(self) -> list[tuple[slice, "BatchEvaluator"]]:
+        """Evaluators over the 11 stacked copies of the targets that gradient
+        scores, one per block of at most _BLOCK_ROWS rows, each with the rows
+        of the stack it covers."""
+        stacked = np.tile(self.targets, (11, 1))
+        starts = range(0, max(len(stacked), 1), _BLOCK_ROWS)
+        return [(slice(s, s + _BLOCK_ROWS), BatchEvaluator(stacked[s : s + _BLOCK_ROWS])) for s in starts]
 
     def gradient(
-        self, kind, boxes: np.ndarray, alpha: float, method: str = GEOMETRIC, *, h: float
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Central-difference gradients (N, 5) and a per-row finite mask.
+        self, kind, boxes: np.ndarray, alpha: float, method: str = GEOMETRIC, *, h: float,
+        eval_alpha: float | None = None,
+    ):
+        """loss_and_scores at the boxes, central-difference gradients (N, 5)
+        and a per-row finite mask, from one stack of 11 copies of the boxes.
 
-        Copy i of the boxes is probed along parameter i; the five +h copies
-        are scored as one (5N, 5) stack and the five -h copies as another.
-        Each row scores exactly as it would on its own.
+        Copy 0 is the boxes, copy 1 + i is probed along parameter i by +h and
+        copy 6 + i by -h. The stack is scored in blocks of at most _BLOCK_ROWS
+        rows, one loss_and_scores call each: one call per step at the
+        benchmark's size, with the kernel's temporaries bounded at any size.
+        Each row scores exactly as it would on its own; eval_alpha goes to
+        every block, so the probe rows are weighted at it too.
         """
         n = boxes.shape[0]
         params = np.arange(5)
-        hi = np.tile(boxes, (5, 1, 1))
-        lo = hi.copy()
-        hi[params, :, params] += h
-        lo[params, :, params] -= h
-        loss_hi = self._probes.loss_and_scores(kind, hi.reshape(5 * n, 5), alpha, method)[0]
-        loss_lo = self._probes.loss_and_scores(kind, lo.reshape(5 * n, 5), alpha, method)[0]
-        grads = ((loss_hi - loss_lo) / (2.0 * h)).reshape(5, n)
+        stack = np.tile(boxes, (11, 1, 1))
+        stack[1 + params, :, params] += h
+        stack[6 + params, :, params] -= h
+        stack = stack.reshape(11 * n, 5)
+        blocks = [
+            probe.loss_and_scores(kind, stack[rows], alpha, method, eval_alpha=eval_alpha)
+            for rows, probe in self._probes
+        ]
+        loss, iou, metric, eval_ec = (
+            None if parts[0] is None else np.concatenate(parts) for parts in zip(*blocks)
+        )
+        grads = ((loss[n : 6 * n] - loss[6 * n :]) / (2.0 * h)).reshape(5, n)
+        base = loss[:n], iou[:n], metric[:n], None if eval_ec is None else eval_ec[:n]
         # all() over the 5 contiguous parameter rows ANDs whole rows at a time.
-        return grads.T, np.isfinite(grads).all(axis=0)
+        return base, grads.T, np.isfinite(grads).all(axis=0)

@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import io
 import os
+import re
 import stat
 import sys
 
@@ -41,10 +42,17 @@ DATA_ERROR = 2
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes only -1 and -1.5 for negative numbers, and so reads
+        # -1e-05, -inf and -nan as unknown options. No option here starts with
+        # a digit, ".digit", "inf" or "nan", so every such token is a value.
+        self._negative_number_matcher = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
+
     # argparse exits 2 on usage errors; the toolbench reserves 2 for data errors.
+    # Like every other failure, a usage error is one error: line, with no usage block.
     def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
+        self.exit(USAGE_ERROR, f"error: {self.prog}: {message}\n")
 
 
 def _comma_floats(text: str) -> list[float]:

@@ -347,8 +347,9 @@ def _descend_batch(
 
     Returns the final (N, 5) state, the failed mask and the learning curve
     over the surviving cases; failed cases freeze at their last valid state.
-    Each state's curve scores come from the clip its loss already made; only
-    the final state is clipped again.
+    Each step scores the state and its gradient probes in one gradient
+    call, and the state's curve scores come from the clip its loss made;
+    only the final state is clipped again.
     """
     ev = _batch.BatchEvaluator(targets)
     n = anchors.shape[0]
@@ -357,12 +358,11 @@ def _descend_batch(
     active = np.ones(n, dtype=bool)
     for t in range(cfg.iterations):
         rate = cfg.step_rule.rate_at(t, cfg.iterations)
-        loss_now, iou, metric, eval_ec = ev.loss_and_scores(
-            kind, cur, loss_cfg.alpha, loss_cfg.method, eval_alpha=cfg.eval_alpha
+        (loss_now, iou, metric, eval_ec), grads, ok = ev.gradient(
+            kind, cur, loss_cfg.alpha, loss_cfg.method, h=GRAD_STEP, eval_alpha=cfg.eval_alpha
         )
         scores[t] = iou, eval_ec
         converged = loss_now == 0.0
-        grads, ok = ev.gradient(kind, cur, loss_cfg.alpha, loss_cfg.method, h=GRAD_STEP)
         if cfg.step_rule.metric_boost:
             scale = rate * (2.0 - metric)
         else:

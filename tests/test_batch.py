@@ -126,7 +126,7 @@ def test_losses_and_gradients_match_scalar():
     cfg = WeightConfig(alpha=1.0)
     for kind in ALL_KINDS:
         batch_loss = ev.loss_and_scores(kind, p_arr, 1.0)[0]
-        grads, ok = ev.gradient(kind, p_arr, 1.0, h=1e-4)
+        _, grads, ok = ev.gradient(kind, p_arr, 1.0, h=1e-4)
         assert ok.all()
         for i, (p, g) in enumerate(zip(ps, gs)):
             assert batch_loss[i] == pytest.approx(loss_value(kind, p, g, cfg), abs=1e-9)
@@ -170,11 +170,72 @@ def test_stacked_gradient_equals_per_parameter_probes(method):
         ev = _batch.BatchEvaluator(g_arr)
         for kind in ALL_KINDS:
             for h in (1e-4, 0.03):
-                grads, ok = ev.gradient(kind, p_arr, 2.0, method, h=h)
+                _, grads, ok = ev.gradient(kind, p_arr, 2.0, method, h=h)
                 expected = _per_parameter_gradient(ev, kind, p_arr, 2.0, method, h)
                 assert np.array_equal(grads, expected, equal_nan=True), (kind.name, h)
                 assert np.array_equal(ok, np.isfinite(expected).all(axis=1))
                 assert p_arr is p_flat or not ok.all()
+
+
+def _spoiled_pairs(rng, n):
+    """(targets, boxes) of rotated pairs with refused rows (a negative length,
+    a nan width) and rows whose -h probe at h = 0.03 is refused."""
+    _, _, g_arr, p_arr = _pair_arrays(rng, n)
+    p_arr[::17, 2] *= -1.0
+    p_arr[5::23, 3] = np.nan
+    p_arr[9::29, 3] = 0.01
+    return g_arr, p_arr
+
+
+def _assert_same_outputs(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g is None and w is None) or np.array_equal(_bits(g), _bits(w))
+
+
+@pytest.mark.parametrize("method", [GEOMETRIC, ARITHMETIC])
+def test_gradient_scores_the_boxes_as_loss_and_scores_does(method):
+    # The descent takes its loss, step size and curve scores from gradient's
+    # copy 0 of the boxes: they must be loss_and_scores' bits at the same
+    # boxes, refused and nan rows included, with and without eval_alpha.
+    preds, targets = zip(*collinear_pairs())
+    cases = (_spoiled_pairs(np.random.default_rng(16), 200), (_rows(targets), _rows(preds)))
+    assert not _batch.valid_boxes(cases[0][1]).all()
+    for g_arr, p_arr in cases:
+        ev = _batch.BatchEvaluator(g_arr)
+        for kind in ALL_KINDS:
+            for eval_alpha in (None, 4.0):
+                base, _, _ = ev.gradient(kind, p_arr, 2.0, method, h=0.03, eval_alpha=eval_alpha)
+                want = ev.loss_and_scores(kind, p_arr, 2.0, method, eval_alpha=eval_alpha)
+                _assert_same_outputs(base, want)
+
+
+@pytest.mark.parametrize("block_rows, n", [(None, _batch._BLOCK_ROWS // 11 + 1), (7, 40)])
+def test_gradient_over_several_blocks_equals_per_parameter_probes(block_rows, n):
+    # A stack of 11N rows over _BLOCK_ROWS is scored in blocks of at most
+    # _BLOCK_ROWS rows, one loss_and_scores call each; the result must not
+    # depend on where the blocks split it (7 rows split copy 0 too).
+    g_arr, p_arr = _spoiled_pairs(np.random.default_rng(17), n)
+    block_rows = block_rows or _batch._BLOCK_ROWS
+    calls = []
+    score = _batch.BatchEvaluator.loss_and_scores
+
+    def counted(ev, kind, boxes, *args, **kwargs):
+        calls.append(len(boxes))
+        return score(ev, kind, boxes, *args, **kwargs)
+
+    with mock.patch.object(_batch, "_BLOCK_ROWS", block_rows):
+        ev = _batch.BatchEvaluator(g_arr)
+        for kind, method in zip(ALL_KINDS, [GEOMETRIC, ARITHMETIC] * 3):
+            with mock.patch.object(_batch.BatchEvaluator, "loss_and_scores", counted):
+                base, grads, ok = ev.gradient(kind, p_arr, 2.0, method, h=0.03, eval_alpha=4.0)
+            assert calls == [min(block_rows, 11 * n - start) for start in range(0, 11 * n, block_rows)]
+            calls.clear()
+            expected = _per_parameter_gradient(ev, kind, p_arr, 2.0, method, 0.03)
+            assert np.array_equal(grads, expected, equal_nan=True), kind.name
+            assert np.array_equal(ok, np.isfinite(expected).all(axis=1))
+            _assert_same_outputs(base, ev.loss_and_scores(kind, p_arr, 2.0, method, eval_alpha=4.0))
+    assert not ok.all()
 
 
 def test_clip_buffers_are_cut_to_the_longest_ring():
@@ -483,7 +544,8 @@ def test_skipping_disjoint_rows_changes_no_output(rows, alpha, method):
         return (
             [ev.scores(boxes, alpha, method)]
             + [ev.loss_and_scores(kind, boxes, alpha, method, eval_alpha=4.0) for kind in ALL_KINDS]
-            + [ev.gradient(kind, boxes, alpha, method, h=0.03) for kind in ALL_KINDS]
+            + [(*base, grads, ok) for base, grads, ok in (
+                ev.gradient(kind, boxes, alpha, method, h=0.03, eval_alpha=4.0) for kind in ALL_KINDS)]
         )
 
     got = outputs()

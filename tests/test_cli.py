@@ -295,6 +295,10 @@ INSIDE_GT = ["0.5", "0", "4", "2", "0"]
 INSIDE_GT_3D = ["0.5", "0", "0", "4", "2", "1.5", "0"]
 ALPHA_4 = ["--alpha", "4"]
 SHORT_SWEEP = ["sweep", "--range", "9", "9.2", "--step", "0.1"]
+# METRIC with a prediction 1e-05 m off the x axis, and a sweep along a ground
+# truth 1e-3 m off it, each written in exponent form.
+EXPONENT_METRIC = ["metric", "--pred", "9", "-1e-05", "4", "2", "0", "--gt", "10", "0", "4", "2", "0"]
+EXPONENT_SWEEP = ["sweep", "--gt", "10", "-1e-3", "4", "2", "0"]
 # A 1 um box 424 m out: below the size floor, where the shoelace area's
 # rounding noise exceeds AREA_EPS.
 TINY_BOX = ["300", "300", "1e-6", "1e-6", "0.3"]
@@ -413,6 +417,12 @@ CONTRACT = {
     "metric-3d-gt-contains-ego": (["metric", "--mode", "3d", "--pred"] + INSIDE_GT_3D
                                   + ["--gt"] + INSIDE_GT_3D + ALPHA_4, 2),
     "sweep-gt-contains-ego": (["sweep", "--gt"] + INSIDE_GT + ["--alphas", "4"], 2),
+    # Negative numbers in exponent form and -inf/-nan are values, not options:
+    # each row is refused by the library, not by the argument parser.
+    "metric-exponent-form-negative-alpha": (EXPONENT_METRIC + ["--alpha", "-1e-05"], 1),
+    "metric-negative-infinite-theta": (METRIC[:6] + ["-inf"] + METRIC[7:], 1),
+    "sweep-exponent-form-negative-step": (EXPONENT_SWEEP + ["--step", "-1e-3"], 1),
+    "sweep-negative-nan-alpha": (EXPONENT_SWEEP + ["--alphas", "-nan"], 1),
 }
 
 
@@ -529,6 +539,34 @@ def test_exit_code_contract_as_subprocess(tmp_path, row):
     )
     assert result.returncode == code
     _assert_one_error_line(result.stdout, result.stderr)
+
+
+@pytest.mark.parametrize("argv", [
+    ["metric", "--pred", "1", "0", "4", "2", "0", "--gt", "1", "0", "4", "2", "0", "--bogus"],
+    ["sweep", "--alphas", "1,x"],
+    ["metric", "--pred", "9", "0", "4", "2", "0"],
+    ["sweep", "--gt", "10", "0", "4"],
+    ["frobnicate"],
+    [],
+])
+def test_usage_errors_print_one_error_line(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 1
+    _assert_one_error_line(*capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv, fixed_point", [
+    (EXPONENT_METRIC + ["--alpha", "1"],
+     ["metric", "--pred", "9", "-0.00001"] + EXPONENT_METRIC[4:] + ["--alpha", "1"]),
+    (EXPONENT_SWEEP + SHORT_SWEEP[1:], ["sweep", "--gt", "10", "-0.001", "4", "2", "0"] + SHORT_SWEEP[1:]),
+])
+def test_negative_numbers_in_exponent_form_are_values(capsys, argv, fixed_point):
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert main(fixed_point) == 0
+    assert capsys.readouterr() == (out, "")
 
 
 @pytest.mark.parametrize("row", [row for row in CONTRACT if "unrepresentable-alpha" in row])

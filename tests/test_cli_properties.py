@@ -1,17 +1,17 @@
 """The command line's exit-code contract as properties, driven in-process.
 
-Inputs are `metric --mode 3d` argv floats and record files built from a line
-grammar. Whatever they hold, `main` returns 0, 1 or 2 and raises nothing; a
-non-zero exit writes exactly one `error:` line and nothing on stdout; a data
-error in a record file exits 2 and names `file:line`; and exit 0 prints no
-nan or inf. A box scored against itself scores 1.
+Inputs are `metric` argv floats in bev and 3d mode, `sweep` argv, and record
+files built from a line grammar. Whatever they hold, `main` returns 0, 1 or 2
+and raises nothing; a non-zero exit writes exactly one `error:` line and
+nothing on stdout; a data error in a record file exits 2 and names
+`file:line`; and exit 0 prints no nan or inf. A box scored against itself
+scores 1.
 """
 
 import contextlib
 import io
 import json
 import re
-from decimal import Decimal
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,40 +22,37 @@ from eciou.cli import main
 # Fields x y z l w h theta of everyday boxes, 0.1 to 6 m in size.
 _EVERYDAY = (st.floats(-60.0, 60.0), st.floats(-60.0, 60.0), st.floats(-3.0, 3.0),
              st.floats(0.1, 6.0), st.floats(0.1, 6.0), st.floats(0.1, 6.0), st.floats(-4.0, 4.0))
+# The bev fields x y l w theta among them.
+_BEV = (0, 1, 3, 4, 6)
 # Any finite magnitude, subnormals to 1e308, and some that used to score wrongly.
 _EXTREME = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
     [5e-324, -5e-324, 1e-310, 1e-300, 1e16, 1e17, 1e100, 1e308, -1e308])
 # Tokens float() reads as non-finite, and a negative zero.
-_NON_FINITE = ("1e999", "inf", "nan")
+_NON_FINITE = ("1e999", "-1e999", "inf", "-inf", "nan", "-nan")
 _SPECIAL = st.sampled_from(_NON_FINITE + ("-0.0",))
 
 
-def _typed(v: float) -> str:
-    """v as a user would type it. argparse takes "-1e-05" for an option, so
-    a negative number is written out in fixed point, which float() reads back
-    exactly."""
-    return format(Decimal(v), "f") if v < 0.0 else repr(v)
-
-
 @st.composite
-def _box_tokens(draw):
-    """x y z l w h theta: an everyday box with up to three fields made
-    extreme and, now and then, one made non-finite or -0.0."""
-    values = [draw(field) for field in _EVERYDAY]
-    for i in draw(st.sets(st.integers(0, 6), max_size=3)):
+def _box_tokens(draw, mode="3d"):
+    """x y z l w h theta (x y l w theta in bev mode), as a user would type
+    them (repr, so negatives often in exponent form): an everyday box with up
+    to three fields made extreme and, now and then, one made non-finite or -0.0."""
+    fields = _EVERYDAY if mode == "3d" else [_EVERYDAY[i] for i in _BEV]
+    values = [draw(field) for field in fields]
+    for i in draw(st.sets(st.integers(0, len(values) - 1), max_size=3)):
         values[i] = draw(_EXTREME)
-    tokens = [_typed(v) for v in values]
-    for i in draw(st.sets(st.integers(0, 6), max_size=1)):
+    tokens = [repr(v) for v in values]
+    for i in draw(st.sets(st.integers(0, len(values) - 1), max_size=1)):
         if draw(st.integers(0, 3)) == 0:
             tokens[i] = draw(_SPECIAL)
     return tokens
 
 
 @st.composite
-def _metric_pairs(draw):
+def _metric_pairs(draw, mode="3d"):
     """(pred, gt) argv tokens; one draw in three scores a box against itself."""
-    pred = draw(_box_tokens())
-    return pred, pred if draw(st.integers(0, 2)) == 0 else draw(_box_tokens())
+    pred = draw(_box_tokens(mode))
+    return pred, pred if draw(st.integers(0, 2)) == 0 else draw(_box_tokens(mode))
 
 
 def _run(argv):
@@ -93,6 +90,66 @@ def test_metric_3d_keeps_the_exit_code_contract(pair):
     if pred == gt and code == 0:
         # clamped may read true: _vertical_overlap can round an ulp above h.
         assert out.startswith("iou=1.000000 ec_iou=1.000000 clamped=")
+
+
+@pytest.mark.filterwarnings("error")
+@settings(deadline=None, max_examples=100)
+@example(pair=("9 -1e-05 4 2 0".split(), "10 0 4 2 0".split()))
+@example(pair=("10 0 1 1e17 1e17".split(),) * 2)
+@given(pair=_metric_pairs("bev"))
+def test_metric_bev_keeps_the_exit_code_contract(pair):
+    pred, gt = pair
+    code, out, err = _run(["metric", "--pred", *pred, "--gt", *gt])
+    _assert_contract(code, out, err)
+    if pred == gt and code == 0:
+        assert out.startswith("iou=1.000000 ec_iou=1.000000 clamped=")
+
+
+@st.composite
+def _sweep_argv(draw):
+    """(argv, alphas, at_gt) of a sweep: a ground truth from _box_tokens, a
+    range that is one point at its x in one draw of three (at_gt) and else
+    runs between two drawn x, a step that gives at most 21 rows or that the
+    sweep refuses (zero, negative, non-finite, or more than 100,000 rows), and
+    one to three alphas; tokens are typed with repr."""
+    gt = draw(_box_tokens("bev"))
+    at_gt = draw(st.integers(0, 2)) == 0
+    if at_gt:
+        lo = hi = gt[0]
+    else:
+        lo, hi = (repr(draw(_EVERYDAY[0] | _EXTREME)) for _ in range(2))
+    span = float(hi) - float(lo)
+    rows = draw(st.integers(1, 20))
+    step = draw(st.just(repr(span / rows if span > 0.0 else 0.1))
+                | st.sampled_from(["0", "-1e-3", "inf", "-inf", "nan", "1e-300", "1e300"]))
+    alphas = draw(st.lists(st.floats(0.0, 8.0) | st.sampled_from([-1e-05, -0.0, 1e300]),
+                           min_size=1, max_size=3))
+    method = draw(st.sampled_from(["geometric", "arithmetic"]))
+    argv = ["sweep", "--gt", *gt, "--range", lo, hi, "--step", step,
+            "--alphas", ",".join(repr(a) for a in alphas), "--method", method]
+    return argv, alphas, at_gt
+
+
+@pytest.mark.filterwarnings("error")
+@settings(deadline=None, max_examples=100)
+@example(sweep=(["sweep", "--gt", "10", "-1e-3", "4", "2", "0", "--range", "9", "9.2", "--step", "0.1",
+                 "--alphas", "1"], [1.0], False))
+@example(sweep=(["sweep", "--gt", "10", "0", "1", "1e17", "1e17", "--range", "9.99", "15", "--step", "3",
+                 "--alphas", "1"], [1.0], False))
+@given(sweep=_sweep_argv())
+def test_sweep_keeps_the_exit_code_contract(sweep):
+    argv, alphas, at_gt = sweep
+    code, out, err = _run(argv)
+    _assert_contract(code, out, err)
+    if code == 0:
+        header, *rows = out.splitlines()
+        assert header.split(",")[:2] == ["x", "iou"] and len(header.split(",")) == 2 + len(alphas)
+        assert rows and all(len(row.split(",")) == 2 + len(alphas) for row in rows)
+        for row in rows:
+            assert all(0.0 <= float(v) <= 1.0 for v in row.split(",")[1:])
+        if at_gt:
+            # One row, the ground truth scored against itself.
+            assert [row.split(",")[1:] for row in rows] == [["1"] * (1 + len(alphas))]
 
 
 @st.composite
