@@ -298,6 +298,12 @@ class BatchEvaluator:
             ec = np.clip(wa_inter / (self._wa_g(alpha, method) + (area_p - inter)), 0.0, 1.0)
         return np.where(self.rho_c < DEGENERATE_DISTANCE, np.nan, ec)
 
+    def areas(self, boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-row (intersection, prediction) footprint areas, clipped as scores clips them."""
+        valid, boxes = self._admit(boxes)
+        clip, _ = self._clip(valid, boxes, *corners(boxes))
+        return clip[4], clip[5]
+
     def scores(self, boxes: np.ndarray, alpha: float, method: str = GEOMETRIC):
         """(iou, ec_iou) arrays for prediction boxes against the targets."""
         valid, boxes = self._admit(boxes)

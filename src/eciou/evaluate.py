@@ -17,6 +17,27 @@ no box has a side below geometry.MIN_RELATIVE_SIDE of its distance to the
 ego: the report is the same, byte for byte, as scoring every pair. The TP
 means score each of their pairs once, taking its IoU and EC-IoU from one
 clip.
+
+Above a threshold of 0, the matchings score on the scalar path only the
+pairs that can reach it, their candidates. Each class's frames go in blocks
+of whole frames, at most _BLOCK_PAIRS same-frame pairs each, and one batch
+clip (_batch) measures every pair of a block whose circumcircles meet. A
+pair is left out when
+- by IoU, its batch IoU is below threshold - 1e-9. Batch and scalar areas
+  agree to about 1e-14, edge-sharing and touching boxes included;
+- by EC-IoU, w_max * V_i / (w_min * A_g * h_g + V_p - V_i) is below
+  threshold - 1e-9 with a relative slack of 1e-6. V_i and V_p are the
+  intersection and prediction volumes, A_g and h_g the ground truth's area
+  and height, and (w_min, w_max) its weight_extremes: every weight over the
+  ground truth lies between them, so the bound holds for every method. It
+  reads no clipped ring, so no spurious ring vertex can break it. A pair
+  whose relative heading is within 1e-3 of a multiple of pi/2, where the
+  scalar clipper can put a ring vertex outside the ground truth, or whose
+  bound or weights are not finite, stays a candidate.
+A left-out pair's scalar affinity is below the threshold, so greedy
+matching could not have taken it; every affinity it compares or reports
+still comes from the scalar path, and the report stays byte-identical, its
+refusals included.
 """
 
 from __future__ import annotations
@@ -26,9 +47,12 @@ import math
 from dataclasses import asdict, dataclass, field
 from typing import Callable
 
+import numpy as np
+
+from . import _batch
 from .geometry import Box3D, circumcircles_disjoint
 from .metrics import ec_iou_3d, ec_iou_bev, iou_3d, iou_bev, scores_3d
-from .weighting import WeightConfig, weight_extremes
+from .weighting import DegenerateDistanceError, WeightConfig, weight_extremes
 
 PREDICTIONS = "predictions"
 GROUND_TRUTHS = "ground-truths"
@@ -46,6 +70,16 @@ DEFAULT_TP_DISTANCE = 2.0
 
 RECALL_POINTS = 40
 
+# Most same-frame pairs one candidate block measures; a larger frame is a
+# block of its own. The batch clip's temporaries grow with a block.
+_BLOCK_PAIRS = 2048
+# Margin below the threshold within which a pair stays a candidate.
+_CUT_MARGIN = 1e-9
+# Relative slack on the EC-IoU bound.
+_BOUND_SLACK = 1e-6
+# Relative headings within this of a multiple of pi/2 keep their EC-IoU pairs.
+_QUARTER_TURN_BAND = 1e-3
+
 
 class RecordParseError(ValueError):
     """A record file line could not be parsed; carries the line number."""
@@ -60,7 +94,7 @@ class UndefinedAPError(ValueError):
     """AP is undefined because the class has zero ground truths."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DetectionRecord:
     frame_id: str
     class_label: str
@@ -145,16 +179,12 @@ def _affinity(
     return ec_iou_3d(pred.box, gt.box, cfg).value
 
 
-def _by_score(preds: list[DetectionRecord]) -> list[DetectionRecord]:
-    order = sorted(range(len(preds)), key=lambda i: (-preds[i].score, i))
-    return [preds[i] for i in order]
-
-
 def _greedy(
     preds: list[DetectionRecord],
     gts: list[DetectionRecord],
     affinity_of: Callable[[DetectionRecord, DetectionRecord], float],
     threshold: float,
+    candidates: list[list[int]] | None = None,
 ) -> MatchResult:
     # Predictions in descending score each take the free ground truth with
     # the strictly highest affinity >= threshold; ties keep the first. The
@@ -162,12 +192,14 @@ def _greedy(
     taken = [False] * len(gts)
     matches = []
     fps = []
-    for pred in _by_score(preds):
+    every = range(len(gts))
+    for i in sorted(range(len(preds)), key=lambda i: (-preds[i].score, i)):
+        pred = preds[i]
         best, best_aff = -1, -math.inf
-        for j, gt in enumerate(gts):
+        for j in every if candidates is None else candidates[i]:
             if taken[j]:
                 continue
-            a = affinity_of(pred, gt)
+            a = affinity_of(pred, gts[j])
             if a >= threshold and a > best_aff:
                 best, best_aff = j, a
         if best >= 0:
@@ -198,15 +230,103 @@ def match_greedy(
     threshold: float,
     cfg: WeightConfig,
     mode: str = MODE_3D,
+    *,
+    candidates: list[list[int]] | None = None,
 ) -> MatchResult:
     """Score-greedy one-to-one matching within a single frame and class.
 
     Predictions are processed in descending score; each claims the still
     unmatched ground truth with the highest affinity, provided it reaches
     the threshold. mode selects 3D (volume) or BEV (footprint) affinity.
+    candidates, if given, holds for each prediction, in input order, the
+    ascending indices of the ground truths it may match; only those pairs
+    are scored. Leaving out pairs below the threshold changes no match.
     """
     _check_choices(mode, affinity)
-    return _greedy(preds, gts, lambda p, g: _affinity(p, g, affinity, cfg, mode), threshold)
+    return _greedy(preds, gts, lambda p, g: _affinity(p, g, affinity, cfg, mode), threshold, candidates)
+
+
+def _params(boxes: list[Box3D]) -> np.ndarray:
+    """(N, 7) rows of x, y, l, w, theta, z, h."""
+    return np.array([(b.x, b.y, b.l, b.w, b.theta, b.z, b.h) for b in boxes], dtype=np.float64).reshape(-1, 7)
+
+
+def _extremes(gt: Box3D, alpha: float) -> tuple[float, float]:
+    """weight_extremes, or inf where the weights are undefined or overflow."""
+    try:
+        return weight_extremes(gt, alpha)
+    except (OverflowError, DegenerateDistanceError):
+        return math.inf, math.inf
+
+
+def _pair_bounds(
+    boxes: np.ndarray, targets: np.ndarray, w_min: np.ndarray, w_max: np.ndarray, mode: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Batch IoU and the EC-IoU bound (see the module docstring) of (N, 7)
+    prediction and ground-truth rows, with inf in place of a bound that
+    cannot be relied on. w_min and w_max are the ground truths' extremes."""
+    evaluator = _batch.BatchEvaluator(targets[:, :5])
+    inter, area_p = evaluator.areas(boxes[:, :5])
+    if mode == MODE_BEV:
+        v = h_p = h_g = 1.0
+    else:  # _vertical_overlap
+        z_p, h_p, z_g, h_g = boxes[:, 5], boxes[:, 6], targets[:, 5], targets[:, 6]
+        top = np.minimum(z_p + 0.5 * h_p, z_g + 0.5 * h_g)
+        v = np.maximum(top - np.maximum(z_p - 0.5 * h_p, z_g - 0.5 * h_g), 0.0)
+    vol_i, vol_p, vol_g = inter * v, area_p * h_p, evaluator.area_g * h_g
+    iou = vol_i / (vol_p + vol_g - vol_i)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        den = w_min * vol_g + (vol_p - vol_i)
+        bound = w_max * vol_i / den
+        # Room to spare below overflow for the scalar weights and
+        # denominator, which w_max (at least 1) and the volumes bound.
+        held = (den > 0.0) & np.isfinite(2.0 * w_max * (1.0 + vol_g + vol_p))
+    turn = np.abs(np.remainder(boxes[:, 4] - targets[:, 4] + 0.25 * math.pi, 0.5 * math.pi) - 0.25 * math.pi)
+    return iou, np.where(held & (turn >= _QUARTER_TURN_BAND), bound, math.inf)
+
+
+def _blocks(frames):
+    """Runs of whole frames with at most _BLOCK_PAIRS same-frame pairs, or one frame."""
+    block, pairs = [], 0
+    for fp, fg in frames:
+        if block and pairs + len(fp) * len(fg) > _BLOCK_PAIRS:
+            yield block
+            block, pairs = [], 0
+        block.append((fp, fg))
+        pairs += len(fp) * len(fg)
+    if block:
+        yield block
+
+
+def _candidates(block, threshold: float, cfg: WeightConfig, mode: str) -> dict[str, list]:
+    """Per affinity, per frame of block, the candidate lists of match_greedy
+    (see the module docstring): for each prediction, the ground truths
+    whose affinity may reach threshold > 0."""
+    n_p = np.array([len(fp) for fp, _ in block], dtype=np.int64)
+    n_g = np.array([len(fg) for _, fg in block], dtype=np.int64)
+    # Every same-frame pair, prediction-major, as (frame, prediction, ground
+    # truth) with frame-local indices, then as rows of the block's records.
+    sizes = n_p * n_g
+    frame = np.repeat(np.arange(len(block)), sizes)
+    k = np.arange(frame.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    pred, gt = k // n_g[frame], k % n_g[frame]
+    p_start, g_start = np.cumsum(n_p) - n_p, np.cumsum(n_g) - n_g
+    gts = [g.box for _, fg in block for g in fg]
+    boxes, targets = _params([p.box for fp, _ in block for p in fp]), _params(gts)
+    meet = ~_batch.circumcircles_disjoint(boxes[p_start[frame] + pred], targets[g_start[frame] + gt])
+    frame, pred, gt = frame[meet], pred[meet], gt[meet]
+    g_rows = g_start[frame] + gt
+    extremes = np.array([_extremes(g, cfg.alpha) for g in gts]).reshape(-1, 2)[g_rows]
+    iou, bound = _pair_bounds(boxes[p_start[frame] + pred], targets[g_rows], extremes[:, 0], extremes[:, 1], mode)
+    cut = threshold - _CUT_MARGIN
+    kept = {IOU_AFFINITY: ~(iou < cut), EC_IOU_AFFINITY: ~(bound * (1.0 + _BOUND_SLACK) < cut)}
+    out = {}
+    for affinity, keep in kept.items():
+        lists = [[[] for _ in fp] for fp, _ in block]
+        for f, i, j in zip(frame[keep].tolist(), pred[keep].tolist(), gt[keep].tolist()):
+            lists[f][i].append(j)
+        out[affinity] = lists
+    return out
 
 
 def average_precision_40(frame_results: list[MatchResult]) -> float:
@@ -343,11 +463,13 @@ def evaluate_detections(
     for label, threshold in thresholds.items():
         cls_preds = [p for p in preds if p.class_label == label]
         cls_gts = [g for g in gts if g.class_label == label]
-        frames = _by_frame(cls_preds, cls_gts)
-        matched = {
-            affinity: [match_greedy(fp, fg, affinity, threshold, cfg, mode) for fp, fg in frames]
-            for affinity in (IOU_AFFINITY, EC_IOU_AFFINITY)
-        }
+        matched = {IOU_AFFINITY: [], EC_IOU_AFFINITY: []}
+        for block in _blocks(_by_frame(cls_preds, cls_gts)):
+            # At threshold 0 every pair matches, a disjoint one included.
+            tables = _candidates(block, threshold, cfg, mode) if threshold > 0.0 else {}
+            for affinity, results in matched.items():
+                for (fp, fg), candidates in zip(block, tables.get(affinity, [None] * len(block))):
+                    results.append(match_greedy(fp, fg, affinity, threshold, cfg, mode, candidates=candidates))
         counted = matched[count_affinity]
         means = tp_metric_means(cls_preds, cls_gts, tp_distance, cfg)
         class_reports[label] = ClassReport(

@@ -137,6 +137,37 @@ def collinear_pairs() -> list[tuple[OrientedBoxBEV, OrientedBoxBEV]]:
     return pairs
 
 
+def touching_pairs(n: int = 200, seed: int = 0) -> list[tuple[OrientedBoxBEV, OrientedBoxBEV]]:
+    """n seeded (prediction, target) pairs where a prediction corner lies
+    within 1e-13 of a target edge, at any heading.
+
+    Targets lie 8 to 40 m from the ego. Each prediction, up to the target's
+    size, puts the corner farthest along one target edge's outward normal at
+    a point of that edge, moved along the normal by at most 1e-13 either
+    way, so the rest of it lies on the target's side of the edge line. Where
+    the corner falls outside, the batch clipper keeps two crossings closer
+    than DEDUP_TOL (1e-12), which the scalar clipper merges into one vertex.
+    """
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for _ in range(n):
+        rho, phi = rng.uniform(8.0, 40.0), rng.uniform(-math.pi, math.pi)
+        gl, gw = rng.uniform(1.0, 4.0, size=2)
+        g = OrientedBoxBEV(rho * math.cos(phi), rho * math.sin(phi), gl, gw, rng.uniform(-math.pi, math.pi))
+        edge = int(rng.integers(4))
+        nx, ny = math.cos(g.theta + edge * math.pi / 2), math.sin(g.theta + edge * math.pi / 2)
+        depth = (gl, gw)[edge % 2] / 2 + rng.uniform(-1e-13, 1e-13)
+        along = rng.uniform(-0.6, 0.6) * (gw, gl)[edge % 2] / 2
+        px, py = g.x + depth * nx - along * ny, g.y + depth * ny + along * nx
+        l, w = gl * rng.uniform(0.5, 1.0), gw * rng.uniform(0.5, 1.0)
+        theta = rng.uniform(-math.pi, math.pi)
+        c, s = math.cos(theta), math.sin(theta)
+        lx = math.copysign(l / 2, c * nx + s * ny)
+        ly = math.copysign(w / 2, c * ny - s * nx)
+        pairs.append((OrientedBoxBEV(px - (lx * c - ly * s), py - (lx * s + ly * c), l, w, theta), g))
+    return pairs
+
+
 @pytest.fixture
 def metric_clips(monkeypatch):
     """The (subject, clip) polygons of every clip the metrics make, in order."""

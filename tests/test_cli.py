@@ -286,6 +286,9 @@ EVAL = ["eval", "--preds", "{preds}", "--gts", "{gts}"]
 # pred = gt = (1.2, 0, 0, 2, 2, 1.5, 0): at alpha 1e5 every geometric weight
 # underflows to 0, and the arithmetic one overflows.
 NEAR_EVAL = ["eval", "--preds", "{near_preds}", "--gts", "{near_gts}"]
+# A prediction turned 0.3 rad and moved 1 m from that ground truth: its IoU,
+# 0.29, is below the car threshold, and it is no TP-distance match.
+BELOW_EVAL = ["eval", "--preds", "{below_preds}", "--gts", "{near_gts}", "--tp-dist", "0.5"]
 NEAR_METRIC = ["metric", "--mode", "3d", "--pred", "1.2", "0", "0", "2", "2", "1.5", "0",
                "--gt", "1.2", "0", "0", "2", "2", "1.5", "0"]
 NEAR_SWEEP = ["sweep", "--gt", "1.2", "0", "2", "2", "0", "--range", "1.2", "1.2"]
@@ -389,6 +392,7 @@ CONTRACT = {
     "eval-duplicate-classes": (EVAL + ["--classes", "car,pedestrian,car"], 1),
     "eval-unrepresentable-alpha": (NEAR_EVAL + ["--alpha", "100000"], 1),
     "eval-unrepresentable-alpha-arithmetic": (NEAR_EVAL + ["--alpha", "100000"] + ARITH, 1),
+    "eval-unrepresentable-alpha-pair-below-threshold": (BELOW_EVAL + ["--alpha", "100000"] + ARITH, 1),
     "metric-unrepresentable-alpha": (NEAR_METRIC + ["--alpha", "100000"], 1),
     "metric-unrepresentable-alpha-arithmetic": (NEAR_METRIC + ["--alpha", "100000"] + ARITH, 1),
     "sweep-unrepresentable-alpha": (NEAR_SWEEP + ["--alphas", "100000"], 1),
@@ -476,6 +480,7 @@ FAR_PREDS = "f0 car 30 0 0 4 2 1.5 0 0.9\n"
 CORNER_GTS = "f0 car 1 1 0 2 2 1.5 0\n"
 NEAR_PREDS = "f0 car 1.2 0 0 2 2 1.5 0 0.9\n"
 NEAR_GTS = "f0 car 1.2 0 0 2 2 1.5 0\n"
+BELOW_PREDS = "f0 car 2.2 0.3 0 2 2 1.5 0.3 0.9\n"
 INSIDE_PREDS = "f0 car 0.8 0 0 4 2 1.5 0 0.9\n"
 INSIDE_GTS = "f0 car 0.5 0 0 4 2 1.5 0\n"
 # The ego 1.0000000827e-9 from the ground truth in box-local coordinates,
@@ -501,7 +506,7 @@ HIGH_GTS = "f car 12 3 1e16 0.5 0.5 1.5 0.3\n"
 
 def _contract_argv(tmp_path, argv):
     files = {"preds": PREDS, "gts": GTS, "far_preds": FAR_PREDS, "corner_gts": CORNER_GTS,
-             "near_preds": NEAR_PREDS, "near_gts": NEAR_GTS,
+             "near_preds": NEAR_PREDS, "near_gts": NEAR_GTS, "below_preds": BELOW_PREDS,
              "inside_preds": INSIDE_PREDS, "inside_gts": INSIDE_GTS,
              "knife_preds": KNIFE_PREDS, "knife_gts": KNIFE_GTS,
              "tiny_preds": TINY_PREDS, "tiny_gts": TINY_GTS,

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import collinear_pairs, touching_pairs, turned_pairs
+from eciou import evaluate
 from eciou.evaluate import (
     DEFAULT_THRESHOLDS,
     DEFAULT_TP_DISTANCE,
@@ -21,15 +23,17 @@ from eciou.evaluate import (
     UndefinedAPError,
     _affinity,
     _mean_or_none,
+    _pair_bounds,
+    _params,
     average_precision_40,
     evaluate_detections,
     match_greedy,
     parse_records,
     tp_metric_means,
 )
-from eciou.geometry import DISJOINT_MARGIN, Box3D, circumcircles_disjoint
+from eciou.geometry import DISJOINT_MARGIN, Box3D, OrientedBoxBEV, circumcircles_disjoint
 from eciou.metrics import ec_iou_3d, ec_iou_bev, iou_3d, iou_bev
-from eciou.weighting import ARITHMETIC, GEOMETRIC, MONTE_CARLO, WeightConfig
+from eciou.weighting import ARITHMETIC, GEOMETRIC, METHODS, MONTE_CARLO, WeightConfig, weight_extremes
 
 CFG = WeightConfig(alpha=1)
 
@@ -653,6 +657,165 @@ def test_evaluate_detections_multi_frame_matches_per_frame_composition():
         mean_ec = sum(m.mean_ec_iou * m.matched for m in frame_means if m.matched) / matched
         assert rep.mean_iou == pytest.approx(mean_iou, abs=1e-12)
         assert rep.mean_ec_iou == pytest.approx(mean_ec, abs=1e-12)
+
+
+# ---- candidate prefilter ----
+
+
+def _near_threshold_pairs(threshold, n=6):
+    """(prediction, target) BEV pairs whose IoU lies within 1e-9 of threshold:
+    a target copy turned by 0.05 to 0.3 rad (not turned where threshold is
+    1) and slid until its IoU crosses threshold - 5e-10, threshold and
+    threshold + 5e-10, with the last offsets on both sides of each crossing."""
+    rng = np.random.default_rng(int(threshold * 1e3))
+    pairs = []
+    for _ in range(n):
+        g = OrientedBoxBEV(rng.uniform(8, 30), rng.uniform(-10, 10), rng.uniform(1, 4), rng.uniform(1, 4),
+                           rng.uniform(-math.pi, math.pi))
+        turn = g.theta + (rng.uniform(0.05, 0.3) if threshold < 1.0 else 0.0)
+        heading = rng.uniform(-math.pi, math.pi)
+
+        def moved(d):
+            return OrientedBoxBEV(g.x + d * math.cos(heading), g.y + d * math.sin(heading), g.l, g.w, turn)
+
+        for target in (threshold - 5e-10, threshold, threshold + 5e-10):
+            lo, hi = 0.0, g.l + g.w  # iou_bev(moved(lo)) >= target > iou_bev(moved(hi))
+            if iou_bev(moved(lo), g).value < target:
+                continue
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                if mid in (lo, hi):
+                    break
+                lo, hi = (mid, hi) if iou_bev(moved(mid), g).value >= target else (lo, mid)
+            pairs += [(moved(lo), g), (moved(hi), g)]
+    return pairs
+
+
+def _family_records(pairs, per_frame, family, dz=0.0):
+    """Prediction and ground-truth records of (prediction, target) BEV pairs,
+    per_frame pairs to a frame named after family, a target shared by pairs
+    counted once. Boxes are 1.6 m tall at z 0.8; every third prediction is
+    raised by dz."""
+    rng = np.random.default_rng(family)
+    preds, gts = [], {}
+    for i, (p, g) in enumerate(pairs):
+        frame = f"{family}-{i // per_frame:04d}"
+        z = 0.8 + (dz if i % 3 == 0 else 0.0)
+        preds.append(DetectionRecord(frame, "car", Box3D(p.x, p.y, p.l, p.w, p.theta, z, 1.6), float(rng.random())))
+        gts.setdefault((frame, g), DetectionRecord(frame, "car", Box3D(g.x, g.y, g.l, g.w, g.theta, 0.8, 1.6)))
+    return preds, list(gts.values())
+
+
+def _prefilter_records():
+    """The collinear and touching families, near-threshold pairs at 0.5 and 1,
+    and exact copies, in one record set."""
+    families = [
+        (collinear_pairs(), 8, 0.3),
+        (touching_pairs(120), 4, 0.2),
+        (_near_threshold_pairs(0.5) + _near_threshold_pairs(1.0), 6, 0.0),
+        ([(g, g) for _, g in touching_pairs(12, seed=1)], 3, 0.0),
+    ]
+    preds, gts = [], []
+    for family, (pairs, per_frame, dz) in enumerate(families):
+        p, g = _family_records(pairs, per_frame, family, dz)
+        preds += p
+        gts += g
+    return preds, gts
+
+
+_PREFILTER_RECORDS = _prefilter_records()
+
+
+def test_near_threshold_pairs_straddle_the_threshold():
+    for threshold in (0.5, 1.0):
+        ious = [iou_bev(p, g).value - threshold for p, g in _near_threshold_pairs(threshold)]
+        assert max(map(abs, ious)) <= 1e-9
+        assert min(ious) < 0.0 <= max(ious)
+
+
+@pytest.mark.parametrize("threshold", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("mode", [MODE_3D, MODE_BEV])
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 4.0, 8.0])
+def test_candidates_change_no_match(monkeypatch, threshold, mode, method, alpha):
+    # Every matching evaluate_detections makes equals match_greedy without
+    # candidates, and so does the report; above threshold 0, pairs that meet
+    # are left out.
+    preds, gts = _PREFILTER_RECORDS
+    cfg = WeightConfig(alpha=alpha, method=method, mc_samples=64)
+    calls = []
+
+    def recorded(fp, fg, affinity, t, c, m, *, candidates):
+        result = match_greedy(fp, fg, affinity, t, c, m, candidates=candidates)
+        calls.append((fp, fg, affinity, candidates, result))
+        return result
+
+    monkeypatch.setattr(evaluate, "match_greedy", recorded)
+    report = evaluate_detections(preds, gts, ["car"], cfg, {"car": threshold}, mode=mode)
+    composed = {IOU_AFFINITY: [], EC_IOU_AFFINITY: []}
+    left_out = 0
+    for fp, fg, affinity, candidates, result in calls:
+        assert result == match_greedy(fp, fg, affinity, threshold, cfg, mode)
+        composed[affinity].append(result)
+        if candidates is not None:
+            assert all(list(c) == sorted(set(c)) for c in candidates)
+            meeting = sum(not circumcircles_disjoint(p.box, g.box) for p in fp for g in fg)
+            left_out += meeting - sum(map(len, candidates))
+    assert len(calls) == 2 * len({r.frame_id for r in preds + gts})
+    assert (left_out > 0) == (threshold > 0.0)
+    rep = report.classes["car"]
+    assert rep.ap40 == average_precision_40(composed[IOU_AFFINITY])
+    assert rep.ec_ap40 == average_precision_40(composed[EC_IOU_AFFINITY])
+    assert rep.tp == sum(len(r.matches) for r in composed[IOU_AFFINITY])
+    assert rep.fp == sum(len(r.false_positives) for r in composed[IOU_AFFINITY])
+    assert 0 < rep.tp
+
+
+def _outlying_ring_pair():
+    """A thin ground truth 6.8 m out and a copy of it slid 2.9 m along its
+    heading, sharing both long edge lines: the scalar clipper puts a ring
+    vertex 6.6 m from the ground truth's center, 1.3 m from the ego."""
+    g = Box3D(4.562829708178069, 5.030728991491086, 4.978380508428918, 0.563070904905137,
+              -2.4616559950837966, 0.8, 1.6)
+    d = 2.90984062810624
+    return Box3D(g.x + d * math.cos(g.theta), g.y + d * math.sin(g.theta), g.l, g.w, g.theta, 0.8, 1.6), g
+
+
+@pytest.mark.parametrize("mode", [MODE_3D, MODE_BEV])
+def test_the_heading_band_keeps_a_pair_whose_ring_leaves_the_ground_truth(monkeypatch, mode):
+    p, g = _outlying_ring_pair()
+    cfg = WeightConfig(alpha=2.0, method=ARITHMETIC)
+    # Without the band, the bound (0.931) is below the scalar EC-IoU (1.0).
+    w_min, w_max = weight_extremes(g, cfg.alpha)
+    with monkeypatch.context() as m:
+        m.setattr(evaluate, "_QUARTER_TURN_BAND", 0.0)
+        _, bound = _pair_bounds(_params([p]), _params([g]), np.array([w_min]), np.array([w_max]), mode)
+    assert bound[0] < 0.95 <= _metric(EC_IOU_AFFINITY, mode, cfg)(p, g).value
+    report = evaluate_detections([DetectionRecord("f", "car", p, 0.9)], [DetectionRecord("f", "car", g)],
+                                 ["car"], cfg, {"car": 0.95}, mode=mode)
+    assert report.classes["car"].ec_ap40 == 1.0
+
+
+@st.composite
+def _bounded_pairs(draw):
+    """(prediction, target) Box3Ds: turned_pairs, outside the heading band,
+    or touching_pairs, at any height."""
+    p, g = draw(st.one_of(turned_pairs(), st.sampled_from(touching_pairs())))
+    z, h = draw(st.floats(-1.0, 1.0)), draw(st.floats(0.5, 2.0))
+    return (Box3D(p.x, p.y, p.l, p.w, p.theta, z + draw(st.floats(-1.0, 1.0)), h * draw(st.floats(0.5, 1.5))),
+            Box3D(g.x, g.y, g.l, g.w, g.theta, z, h))
+
+
+@settings(deadline=None, max_examples=300)
+@given(pair=_bounded_pairs(), alpha=st.floats(0.0, 8.0), method=st.sampled_from(METHODS),
+       mode=st.sampled_from([MODE_3D, MODE_BEV]))
+def test_scalar_ec_iou_never_exceeds_the_candidate_bound(pair, alpha, method, mode):
+    p, g = pair
+    w_min, w_max = weight_extremes(g, alpha)
+    _, bound = _pair_bounds(_params([p]), _params([g]), np.array([w_min]), np.array([w_max]), mode)
+    cfg = WeightConfig(alpha=alpha, method=method, mc_samples=64)
+    ec = (ec_iou_3d if mode == MODE_3D else ec_iou_bev)(p, g, cfg).value
+    assert ec <= bound[0] * (1.0 + evaluate._BOUND_SLACK)
 
 
 def test_report_json_shape():
