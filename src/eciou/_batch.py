@@ -7,13 +7,14 @@ tests pin agreement between the two routes. Vertices travel as separate
 (x, y) coordinate planes, each (N, 4) for box corners or zero-padded for
 clipped rings, from `corners` to the weights.
 
-The clip step gives a row an intersection of nan if `valid_boxes` refuses
-its box (its IoU, every EC-IoU and its loss are then nan, and its target
-stands in for it in the arithmetic, which cannot overflow); exactly 0, as the
-full clip would, if its circumcircles and its target's are disjoint
-(`circumcircles_disjoint`); and the clip otherwise. Only rings that measure
-non-empty are weighted, and no padding slot enters a weight. Every row
-scores the same bits in any batch (see clip_quads_xy).
+`BatchEvaluator.clip` makes one `Clip` of a batch, which every score and
+loss of that batch reads. It gives a row an intersection of nan if
+`valid_boxes` refuses its box (its IoU, every EC-IoU and its loss are then
+nan, and its target stands in for it in the arithmetic, which cannot
+overflow); exactly 0, as the full clip would, if its circumcircles and its
+target's are disjoint (`circumcircles_disjoint`); and the clip otherwise.
+Only rings that measure non-empty are weighted, and no padding slot enters a
+weight. Every row scores the same bits in any batch (see clip_quads_xy).
 
 numpy runs a reduction or a 2-D fancy index across an axis only 4 to 16
 wide as a slow per-row inner loop. So the kernel reduces along the row
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -244,6 +246,22 @@ def mean_weight(
     return np.where(degenerate, np.nan, out)
 
 
+class Clip(NamedTuple):
+    """BatchEvaluator.clip of (N, 5) boxes: the admitted boxes, their corner planes, the ascending rows
+    whose ring measures non-empty with those rings' buffers and counts, and per-row inter, area_p and iou."""
+
+    boxes: np.ndarray
+    px: np.ndarray
+    py: np.ndarray
+    rows: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    counts: np.ndarray
+    inter: np.ndarray
+    area_p: np.ndarray
+    iou: np.ndarray
+
+
 class BatchEvaluator:
     """Loss, gradient, and metric evaluation against a fixed target array."""
 
@@ -261,25 +279,18 @@ class BatchEvaluator:
             self._weighted_area_g[key] = mean * self.area_g
         return self._weighted_area_g[key]
 
-    def _admit(self, boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The valid_boxes mask, and the boxes with each refused row replaced
-        by its target: a refused box enters no arithmetic, so none of its
-        values can overflow or warn. Without a refused row the boxes are not
-        copied (a copy of each probe stack raised the peak RSS of sim)."""
+    def clip(self, boxes: np.ndarray) -> Clip:
+        """The Clip of (N, 5) prediction boxes against the targets; the module
+        docstring gives each row's intersection. A box valid_boxes refuses is
+        replaced by its target, so it enters no arithmetic that could overflow
+        or warn; without one the boxes are not copied (a copy of each probe
+        stack raised the peak RSS of sim). Above the size floor the full clip
+        of a disjoint pair measures at most AREA_EPS, and a ring above AREA_EPS
+        has 3 or more vertices."""
         valid = valid_boxes(boxes)
-        if valid.all():
-            return valid, boxes
-        return valid, np.where(valid[:, None], boxes, self.targets)
-
-    def _clip(self, valid: np.ndarray, boxes: np.ndarray, px: np.ndarray, py: np.ndarray):
-        """Row indices and buffers of the non-empty rings, per-row intersection
-        and prediction areas, and IoU, for boxes from _admit.
-
-        A row's intersection is nan if valid_boxes refused its box, exactly
-        0 if its circumcircles are disjoint (above the size floor the full
-        clip of such a pair measures at most AREA_EPS), and the clip
-        otherwise; a ring above AREA_EPS has 3 or more vertices.
-        """
+        if not valid.all():
+            boxes = np.where(valid[:, None], boxes, self.targets)
+        px, py = corners(boxes)
         keep = valid & ~circumcircles_disjoint(boxes, self.targets)
         x, y, counts = clip_quads_xy(px[keep], py[keep], self.gx[keep], self.gy[keep])
         ring = ring_area(x, y, counts)
@@ -288,27 +299,24 @@ class BatchEvaluator:
         inter[keep] = np.where(full, ring, 0.0)
         area_p = quad_area(px, py)
         iou = np.clip(inter / (self.area_g + area_p - inter), 0.0, 1.0)
-        return (np.flatnonzero(keep)[full], x[full], y[full], counts[full], inter, area_p), iou
+        return Clip(boxes, px, py, np.flatnonzero(keep)[full], x[full], y[full], counts[full], inter, area_p, iou)
 
-    def _ec_iou(self, clip, alpha: float, method: str) -> np.ndarray:
-        rows, x, y, counts, inter, area_p = clip
+    def ec_iou(self, clip: Clip, alpha: float, method: str = GEOMETRIC, stop: int | None = None) -> np.ndarray:
+        """Per-row EC-IoU of a clip at alpha, of its rows before stop (all
+        rows if stop is None); only those rows' rings are weighted."""
+        k = len(clip.rows) if stop is None else np.searchsorted(clip.rows, stop)
+        rows, inter = clip.rows[:k], clip.inter[:stop]
         wa_inter = np.zeros(len(inter))
-        wa_inter[rows] = mean_weight(x, y, counts, self.rho_c[rows], alpha, method) * inter[rows]
+        weight = mean_weight(clip.x[:k], clip.y[:k], clip.counts[:k], self.rho_c[rows], alpha, method)
+        wa_inter[rows] = weight * inter[rows]
         with np.errstate(invalid="ignore"):
-            ec = np.clip(wa_inter / (self._wa_g(alpha, method) + (area_p - inter)), 0.0, 1.0)
-        return np.where(self.rho_c < DEGENERATE_DISTANCE, np.nan, ec)
-
-    def areas(self, boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-row (intersection, prediction) footprint areas, clipped as scores clips them."""
-        valid, boxes = self._admit(boxes)
-        clip, _ = self._clip(valid, boxes, *corners(boxes))
-        return clip[4], clip[5]
+            ec = np.clip(wa_inter / (self._wa_g(alpha, method)[:stop] + (clip.area_p[:stop] - inter)), 0.0, 1.0)
+        return np.where(self.rho_c[:stop] < DEGENERATE_DISTANCE, np.nan, ec)
 
     def scores(self, boxes: np.ndarray, alpha: float, method: str = GEOMETRIC):
         """(iou, ec_iou) arrays for prediction boxes against the targets."""
-        valid, boxes = self._admit(boxes)
-        clip, iou = self._clip(valid, boxes, *corners(boxes))
-        return iou, self._ec_iou(clip, alpha, method)
+        clip = self.clip(boxes)
+        return clip.iou, self.ec_iou(clip, alpha, method)
 
     def _enclosing(self, boxes: np.ndarray, px: np.ndarray, py: np.ndarray):
         """Per-row (dist_sq, c_l, c_w) of the DIoU/EIoU regularizer: the squared
@@ -318,29 +326,22 @@ class BatchEvaluator:
         dy = boxes[:, 1] - self.targets[:, 1]
         return dx**2 + dy**2, _span(px, self.gx), _span(py, self.gy)
 
-    def loss_and_scores(
-        self, kind, boxes: np.ndarray, alpha: float, method: str = GEOMETRIC,
-        eval_alpha: float | None = None,
-    ):
-        """(loss, iou, metric, eval_ec_iou) from one clip; each is nan where a box is invalid.
+    def loss_and_scores(self, kind, boxes: np.ndarray, alpha: float, method: str = GEOMETRIC):
+        """(loss, metric, clip) from one clip; loss and metric are nan where a box is invalid.
 
         metric is the kind's own score: the EC-IoU at alpha for ego-centric
-        kinds, else the IoU. eval_ec_iou is the geometric EC-IoU at
-        eval_alpha, or None when eval_alpha is None.
+        kinds, else the IoU.
         """
-        valid, boxes = self._admit(boxes)
-        px, py = corners(boxes)
-        clip, iou = self._clip(valid, boxes, px, py)
-        metric = self._ec_iou(clip, alpha, method) if kind.ego_centric else iou
-        eval_ec = None if eval_alpha is None else self._ec_iou(clip, eval_alpha, GEOMETRIC)
+        clip = self.clip(boxes)
+        metric = self.ec_iou(clip, alpha, method) if kind.ego_centric else clip.iou
         loss = 1.0 - metric
         if kind.family in ("diou", "eiou"):
-            dist_sq, c_l, c_w = self._enclosing(boxes, px, py)
+            dist_sq, c_l, c_w = self._enclosing(clip.boxes, clip.px, clip.py)
             loss = loss + dist_sq / (c_l**2 + c_w**2)
             if kind.family == "eiou":
-                loss = loss + (boxes[:, 2] - self.targets[:, 2]) ** 2 / c_l**2
-                loss = loss + (boxes[:, 3] - self.targets[:, 3]) ** 2 / c_w**2
-        return loss, iou, metric, eval_ec
+                loss = loss + (clip.boxes[:, 2] - self.targets[:, 2]) ** 2 / c_l**2
+                loss = loss + (clip.boxes[:, 3] - self.targets[:, 3]) ** 2 / c_w**2
+        return loss, metric, clip
 
     @functools.cached_property
     def _probes(self) -> list[tuple[slice, "BatchEvaluator"]]:
@@ -351,19 +352,16 @@ class BatchEvaluator:
         starts = range(0, max(len(stacked), 1), _BLOCK_ROWS)
         return [(slice(s, s + _BLOCK_ROWS), BatchEvaluator(stacked[s : s + _BLOCK_ROWS])) for s in starts]
 
-    def gradient(
-        self, kind, boxes: np.ndarray, alpha: float, method: str = GEOMETRIC, *, h: float,
-        eval_alpha: float | None = None,
-    ):
-        """loss_and_scores at the boxes, central-difference gradients (N, 5)
-        and a per-row finite mask, from one stack of 11 copies of the boxes.
+    def gradient(self, kind, boxes: np.ndarray, alpha: float, method: str = GEOMETRIC, *, h: float, eval_alpha: float):
+        """(loss, iou, metric, eval_ec_iou) at the boxes, central-difference
+        gradients (N, 5) and a per-row finite mask, from one stack of 11
+        copies of the boxes; eval_ec_iou is the geometric EC-IoU at eval_alpha.
 
         Copy 0 is the boxes, copy 1 + i is probed along parameter i by +h and
         copy 6 + i by -h. The stack is scored in blocks of at most _BLOCK_ROWS
         rows, one loss_and_scores call each: one call per step at the
         benchmark's size, with the kernel's temporaries bounded at any size.
-        Each row scores exactly as it would on its own; eval_alpha goes to
-        every block, so the probe rows are weighted at it too.
+        Each row scores as it would on its own; only copy 0 is weighted at eval_alpha.
         """
         n = boxes.shape[0]
         params = np.arange(5)
@@ -371,14 +369,15 @@ class BatchEvaluator:
         stack[1 + params, :, params] += h
         stack[6 + params, :, params] -= h
         stack = stack.reshape(11 * n, 5)
-        blocks = [
-            probe.loss_and_scores(kind, stack[rows], alpha, method, eval_alpha=eval_alpha)
-            for rows, probe in self._probes
-        ]
-        loss, iou, metric, eval_ec = (
-            None if parts[0] is None else np.concatenate(parts) for parts in zip(*blocks)
-        )
+        losses, base = [], []
+        for rows, probe in self._probes:
+            loss, metric, clip = probe.loss_and_scores(kind, stack[rows], alpha, method)
+            losses.append(loss)
+            stop = n - rows.start  # the block's rows of copy 0
+            if stop > 0 or rows.start == 0:  # an empty stack is one empty block
+                base.append((loss[:stop], clip.iou[:stop], metric[:stop], probe.ec_iou(clip, eval_alpha, stop=stop)))
+            del clip  # dead: freed before the next block is clipped
+        loss = np.concatenate(losses)
         grads = ((loss[n : 6 * n] - loss[6 * n :]) / (2.0 * h)).reshape(5, n)
-        base = loss[:n], iou[:n], metric[:n], None if eval_ec is None else eval_ec[:n]
         # all() over the 5 contiguous parameter rows ANDs whole rows at a time.
-        return base, grads.T, np.isfinite(grads).all(axis=0)
+        return tuple(map(np.concatenate, zip(*base))), grads.T, np.isfinite(grads).all(axis=0)

@@ -266,14 +266,14 @@ def _pair_bounds(
     prediction and ground-truth rows, with inf in place of a bound that
     cannot be relied on. w_min and w_max are the ground truths' extremes."""
     evaluator = _batch.BatchEvaluator(targets[:, :5])
-    inter, area_p = evaluator.areas(boxes[:, :5])
+    clip = evaluator.clip(boxes[:, :5])
     if mode == MODE_BEV:
         v = h_p = h_g = 1.0
     else:  # _vertical_overlap
         z_p, h_p, z_g, h_g = boxes[:, 5], boxes[:, 6], targets[:, 5], targets[:, 6]
         top = np.minimum(z_p + 0.5 * h_p, z_g + 0.5 * h_g)
         v = np.maximum(top - np.maximum(z_p - 0.5 * h_p, z_g - 0.5 * h_g), 0.0)
-    vol_i, vol_p, vol_g = inter * v, area_p * h_p, evaluator.area_g * h_g
+    vol_i, vol_p, vol_g = clip.inter * v, clip.area_p * h_p, evaluator.area_g * h_g
     iou = vol_i / (vol_p + vol_g - vol_i)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         den = w_min * vol_g + (vol_p - vol_i)

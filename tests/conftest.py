@@ -9,6 +9,7 @@ Monte Carlo area estimates are an independent check.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,19 @@ from hypothesis import strategies as st
 
 import eciou.metrics
 from eciou.geometry import OrientedBoxBEV, intersect_convex
+
+# When a @given test fails, Hypothesis's pytest plugin imports this module to
+# write a patch of the failing example. Where libcst is installed, that import
+# warns (mypy_extensions.TypedDict is deprecated), and inside a test marked
+# filterwarnings("error") the warning would end the session with
+# INTERNALERROR before the falsifying example is shown. Imported once here,
+# the module is already loaded when a test fails.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # no libcst: the plugin writes no patch
+        pass
 
 
 def random_box(rng: np.random.Generator, center_span: float = 20.0,

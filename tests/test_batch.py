@@ -126,7 +126,7 @@ def test_losses_and_gradients_match_scalar():
     cfg = WeightConfig(alpha=1.0)
     for kind in ALL_KINDS:
         batch_loss = ev.loss_and_scores(kind, p_arr, 1.0)[0]
-        _, grads, ok = ev.gradient(kind, p_arr, 1.0, h=1e-4)
+        _, grads, ok = ev.gradient(kind, p_arr, 1.0, h=1e-4, eval_alpha=4.0)
         assert ok.all()
         for i, (p, g) in enumerate(zip(ps, gs)):
             assert batch_loss[i] == pytest.approx(loss_value(kind, p, g, cfg), abs=1e-9)
@@ -170,7 +170,7 @@ def test_stacked_gradient_equals_per_parameter_probes(method):
         ev = _batch.BatchEvaluator(g_arr)
         for kind in ALL_KINDS:
             for h in (1e-4, 0.03):
-                _, grads, ok = ev.gradient(kind, p_arr, 2.0, method, h=h)
+                _, grads, ok = ev.gradient(kind, p_arr, 2.0, method, h=h, eval_alpha=4.0)
                 expected = _per_parameter_gradient(ev, kind, p_arr, 2.0, method, h)
                 assert np.array_equal(grads, expected, equal_nan=True), (kind.name, h)
                 assert np.array_equal(ok, np.isfinite(expected).all(axis=1))
@@ -190,24 +190,30 @@ def _spoiled_pairs(rng, n):
 def _assert_same_outputs(got, want):
     assert len(got) == len(want)
     for g, w in zip(got, want):
-        assert (g is None and w is None) or np.array_equal(_bits(g), _bits(w))
+        assert np.array_equal(_bits(g), _bits(w))
+
+
+def _base_scores(ev, kind, boxes, alpha, method, eval_alpha):
+    """What gradient gives at the boxes: loss_and_scores' loss, the IoU and
+    metric of its clip, and the geometric EC-IoU at eval_alpha of that clip."""
+    loss, metric, clip = ev.loss_and_scores(kind, boxes, alpha, method)
+    return loss, clip.iou, metric, ev.ec_iou(clip, eval_alpha)
 
 
 @pytest.mark.parametrize("method", [GEOMETRIC, ARITHMETIC])
 def test_gradient_scores_the_boxes_as_loss_and_scores_does(method):
     # The descent takes its loss, step size and curve scores from gradient's
     # copy 0 of the boxes: they must be loss_and_scores' bits at the same
-    # boxes, refused and nan rows included, with and without eval_alpha.
+    # boxes, refused and nan rows included.
     preds, targets = zip(*collinear_pairs())
     cases = (_spoiled_pairs(np.random.default_rng(16), 200), (_rows(targets), _rows(preds)))
     assert not _batch.valid_boxes(cases[0][1]).all()
     for g_arr, p_arr in cases:
         ev = _batch.BatchEvaluator(g_arr)
         for kind in ALL_KINDS:
-            for eval_alpha in (None, 4.0):
+            for eval_alpha in (2.0, 4.0):
                 base, _, _ = ev.gradient(kind, p_arr, 2.0, method, h=0.03, eval_alpha=eval_alpha)
-                want = ev.loss_and_scores(kind, p_arr, 2.0, method, eval_alpha=eval_alpha)
-                _assert_same_outputs(base, want)
+                _assert_same_outputs(base, _base_scores(ev, kind, p_arr, 2.0, method, eval_alpha))
 
 
 @pytest.mark.parametrize("block_rows, n", [(None, _batch._BLOCK_ROWS // 11 + 1), (7, 40)])
@@ -234,8 +240,38 @@ def test_gradient_over_several_blocks_equals_per_parameter_probes(block_rows, n)
             expected = _per_parameter_gradient(ev, kind, p_arr, 2.0, method, 0.03)
             assert np.array_equal(grads, expected, equal_nan=True), kind.name
             assert np.array_equal(ok, np.isfinite(expected).all(axis=1))
-            _assert_same_outputs(base, ev.loss_and_scores(kind, p_arr, 2.0, method, eval_alpha=4.0))
+            _assert_same_outputs(base, _base_scores(ev, kind, p_arr, 2.0, method, 4.0))
     assert not ok.all()
+
+
+@pytest.mark.parametrize("block_rows", [None, 7])
+@pytest.mark.parametrize("method", [GEOMETRIC, ARITHMETIC])
+def test_gradient_weights_only_copy_0_at_eval_alpha(block_rows, method):
+    # Only the curve reads the EC-IoU at eval_alpha, and only at the boxes:
+    # of the stack of 11 copies, gradient weights copy 0's non-empty rings at
+    # eval_alpha and no probe ring. The loss alpha differs, so the two kinds
+    # of weighting can be told apart; 7-row blocks split copy 0 too.
+    g_arr, p_arr = _spoiled_pairs(np.random.default_rng(18), 40)
+    weigh = _batch.mean_weight
+    weighted = []
+
+    def recorded_weigh(x, y, counts, rho_c, alpha, method):
+        if alpha == 4.0:
+            weighted.extend((vx[:c], vy[:c]) for vx, vy, c in zip(x.tolist(), y.tolist(), counts.tolist()))
+        return weigh(x, y, counts, rho_c, alpha, method)
+
+    with mock.patch.object(_batch, "_BLOCK_ROWS", block_rows or _batch._BLOCK_ROWS):
+        ev = _batch.BatchEvaluator(g_arr)
+        clip = ev.clip(p_arr)
+        copy_0 = [(vx[:c], vy[:c]) for vx, vy, c in zip(clip.x.tolist(), clip.y.tolist(), clip.counts.tolist())]
+        assert 0 < len(copy_0) <= len(p_arr)
+        for kind in ALL_KINDS:
+            # The first call also weights the targets at eval_alpha, once per evaluator.
+            ev.gradient(kind, p_arr, 1.0, method, h=0.03, eval_alpha=4.0)
+            with mock.patch.object(_batch, "mean_weight", recorded_weigh):
+                ev.gradient(kind, p_arr, 1.0, method, h=0.03, eval_alpha=4.0)
+            assert weighted == copy_0, kind.name
+            weighted.clear()
 
 
 def test_clip_buffers_are_cut_to_the_longest_ring():
@@ -324,7 +360,7 @@ def test_helpers_keep_the_bits_of_their_reduction_forms():
     # row reductions out column by column; each must give the bits of the
     # reduction it replaced, also on -0.0 fields and on refused rows (which
     # overflow or go nan, hence the errstate; the kernel hands on a refused
-    # row's target instead, see _admit).
+    # row's target instead, see BatchEvaluator.clip).
     rng = np.random.default_rng(15)
     _, _, g_rot, p_rot = _pair_arrays(rng, 100)
     g_flat, p_flat = _axis_aligned_pairs(rng, 100)
@@ -427,20 +463,21 @@ def _scored_batches(draw):
 def test_loss_and_scores_agree_with_scores(batch, loss_alpha, eval_alpha, method):
     # The descent scores its curve and step size from the clip its loss made;
     # those scores must be the bits `scores` gives, also for any row subset
-    # scored on its own.
+    # scored on its own, and for the rows before any stop.
     targets, boxes, keep = batch
     iou, eval_ec = _batch.BatchEvaluator(targets).scores(boxes, eval_alpha)
     loss_ec = _batch.BatchEvaluator(targets).scores(boxes, loss_alpha, method)[1]
     for rows in (np.ones(len(boxes), bool), keep):
         ev = _batch.BatchEvaluator(targets[rows])
         for kind in ALL_KINDS:
-            _, got_iou, metric, got_ec = ev.loss_and_scores(
-                kind, boxes[rows], loss_alpha, method, eval_alpha=eval_alpha
-            )
-            assert np.array_equal(got_iou, iou[rows], equal_nan=True)
-            assert np.array_equal(got_ec, eval_ec[rows], equal_nan=True)
-            own = loss_ec[rows] if kind.ego_centric else got_iou
+            _, metric, clip = ev.loss_and_scores(kind, boxes[rows], loss_alpha, method)
+            assert np.array_equal(clip.iou, iou[rows], equal_nan=True)
+            assert np.array_equal(ev.ec_iou(clip, eval_alpha), eval_ec[rows], equal_nan=True)
+            own = loss_ec[rows] if kind.ego_centric else clip.iou
             assert np.array_equal(metric, own, equal_nan=True)
+            for stop in range(len(clip.iou) + 1):
+                got = ev.ec_iou(clip, eval_alpha, stop=stop)
+                assert np.array_equal(got, eval_ec[rows][:stop], equal_nan=True)
 
 
 # ---- disjoint-row shortcut ----
@@ -541,9 +578,10 @@ def test_skipping_disjoint_rows_changes_no_output(rows, alpha, method):
 
     def outputs():
         ev = _batch.BatchEvaluator(targets)
+        clip = ev.clip(boxes)
         return (
-            [ev.scores(boxes, alpha, method)]
-            + [ev.loss_and_scores(kind, boxes, alpha, method, eval_alpha=4.0) for kind in ALL_KINDS]
+            [(*ev.scores(boxes, alpha, method), clip.inter, clip.area_p)]
+            + [_base_scores(ev, kind, boxes, alpha, method, 4.0) for kind in ALL_KINDS]
             + [(*base, grads, ok) for base, grads, ok in (
                 ev.gradient(kind, boxes, alpha, method, h=0.03, eval_alpha=4.0) for kind in ALL_KINDS)]
         )
@@ -689,7 +727,7 @@ def test_invalid_boxes_flagged():
     with mock.patch.object(_batch, "clip_quads_xy", counted_clip):
         outputs = list(ev.scores(p_arr, 4.0))
         for kind in ALL_KINDS:
-            outputs += ev.loss_and_scores(kind, p_arr, 1.0, eval_alpha=4.0)
+            outputs += _base_scores(ev, kind, p_arr, 1.0, GEOMETRIC, 4.0)
     assert clipped_rows == [1] * (1 + len(ALL_KINDS))
     assert len(outputs) == 2 + 4 * len(ALL_KINDS)
     for out in outputs:
@@ -719,8 +757,8 @@ def test_only_non_empty_rings_are_weighted():
         for method in (GEOMETRIC, ARITHMETIC):
             ev.scores(p_arr, 2.0, method)
             for kind in ALL_KINDS:
-                ev.loss_and_scores(kind, p_arr, 1.0, method, eval_alpha=4.0)
-                ev.gradient(kind, p_arr, 1.0, method, h=0.03)
+                _base_scores(ev, kind, p_arr, 1.0, method, 4.0)
+                ev.gradient(kind, p_arr, 1.0, method, h=0.03, eval_alpha=4.0)
     for x, y, counts in weighted:
         assert (counts >= 3).all() and (_batch.ring_area(x, y, counts) > AREA_EPS).all()
     # Not vacuous: the clips gave empty rings.

@@ -1,11 +1,11 @@
 """The command line's exit-code contract as properties, driven in-process.
 
-Inputs are `metric` argv floats in bev and 3d mode, `sweep` argv, and record
-files built from a line grammar. Whatever they hold, `main` returns 0, 1 or 2
-and raises nothing; a non-zero exit writes exactly one `error:` line and
-nothing on stdout; a data error in a record file exits 2 and names
-`file:line`; and exit 0 prints no nan or inf. A box scored against itself
-scores 1.
+Inputs are `metric` argv floats in bev and 3d mode, `sweep` argv, record
+files built from a line grammar, and `sim` scenario documents. Whatever they
+hold, `main` returns 0, 1 or 2 and raises nothing; a non-zero exit writes
+exactly one `error:` line and nothing on stdout; a data error in a record
+file exits 2 and names `file:line`; and exit 0 prints no nan or inf. A box
+scored against itself scores 1.
 """
 
 import contextlib
@@ -18,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eciou.cli import main
+from test_simulate import _FIELDS, _STEP_FIELDS, _document
 
 # Fields x y z l w h theta of everyday boxes, 0.1 to 6 m in size.
 _EVERYDAY = (st.floats(-60.0, 60.0), st.floats(-60.0, 60.0), st.floats(-3.0, 3.0),
@@ -247,3 +248,32 @@ def test_eval_matches_a_perfect_prediction(tmp_path_factory, record, flags):
     if code == 0:
         counts = json.loads(out)["classes"][record[1]]
         assert (counts["tp"], counts["fp"], counts["fn"]) == (1, 0, 0)
+
+
+# test_simulate's scenario documents, where an absent key takes the
+# full-size default, with the grid and iteration count kept small when
+# absent: at most 486 cases over 3 iterations, about 0.15 s a run.
+@st.composite
+def _scenarios(draw):
+    doc = {"grid_points_per_axis": 2, "iterations": 2, **draw(_document(_FIELDS))}
+    rule = draw(st.none() | _document(_STEP_FIELDS))
+    if rule is not None:
+        doc["step_rule"] = rule
+    return doc
+
+
+@pytest.mark.filterwarnings("error")
+@settings(deadline=None, max_examples=150)
+@example(doc={"grid_points_per_axis": 3, "iterations": 3, "step_rule": {"rate": 1.0, "metric_boost": True}})
+@given(doc=_scenarios())
+def test_sim_keeps_the_exit_code_contract(tmp_path_factory, doc):
+    path = tmp_path_factory.getbasetemp() / "contract_scenario.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(["sim", "--config", str(path)])
+    assert code in (0, 1, 2)
+    if code:
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    else:
+        # stderr holds the case and failure counts.
+        assert err.startswith("cases=") and not re.search("nan|inf", out + err, re.IGNORECASE)
