@@ -163,22 +163,6 @@ def _check_choices(mode: str, affinity: str) -> None:
         raise ValueError(f"unknown affinity {affinity!r}")
 
 
-def _affinity(
-    pred: DetectionRecord, gt: DetectionRecord, affinity: str, cfg: WeightConfig, mode: str
-) -> float:
-    # mode and affinity were checked by _check_choices. Every metric is
-    # exactly 0.0 on disjoint footprints, so those pairs skip the clipper.
-    if circumcircles_disjoint(pred.box, gt.box):
-        return 0.0
-    if mode == MODE_BEV:
-        if affinity == IOU_AFFINITY:
-            return iou_bev(pred.box, gt.box).value
-        return ec_iou_bev(pred.box, gt.box, cfg).value
-    if affinity == IOU_AFFINITY:
-        return iou_3d(pred.box, gt.box).value
-    return ec_iou_3d(pred.box, gt.box, cfg).value
-
-
 def _greedy(
     preds: list[DetectionRecord],
     gts: list[DetectionRecord],
@@ -243,7 +227,17 @@ def match_greedy(
     are scored. Leaving out pairs below the threshold changes no match.
     """
     _check_choices(mode, affinity)
-    return _greedy(preds, gts, lambda p, g: _affinity(p, g, affinity, cfg, mode), threshold, candidates)
+    # Looked up on each call: tracers and tests replace these names. Every
+    # metric is exactly 0.0 on disjoint footprints, which skip the clipper.
+    if affinity == IOU_AFFINITY:
+        metric, extra = (iou_bev if mode == MODE_BEV else iou_3d), ()
+    else:
+        metric, extra = (ec_iou_bev if mode == MODE_BEV else ec_iou_3d), (cfg,)
+
+    def affinity_of(p: DetectionRecord, g: DetectionRecord) -> float:
+        return 0.0 if circumcircles_disjoint(p.box, g.box) else metric(p.box, g.box, *extra).value
+
+    return _greedy(preds, gts, affinity_of, threshold, candidates)
 
 
 def _params(boxes: list[Box3D]) -> np.ndarray:

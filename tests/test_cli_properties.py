@@ -14,7 +14,7 @@ import json
 import re
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from eciou.cli import main
@@ -250,13 +250,44 @@ def test_eval_matches_a_perfect_prediction(tmp_path_factory, record, flags):
         assert (counts["tp"], counts["fp"], counts["fn"]) == (1, 0, 0)
 
 
-# test_simulate's scenario documents, where an absent key takes the
-# full-size default, with the grid and iteration count kept small when
-# absent: at most 486 cases over 3 iterations, about 0.15 s a run.
+_PAIR = st.lists(st.floats(0.5, 3.0), min_size=2, max_size=2)
+# In-range values for every field: targets 3 m or more from the ego and up
+# to 3 m long, a grid of at most 3 points per axis.
+_IN_RANGE = {
+    "target_center": st.tuples(st.floats(-20.0, 20.0), st.floats(3.0, 20.0)).map(list),
+    "target_dims": st.lists(_PAIR, min_size=1, max_size=2),
+    "target_thetas": st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=2),
+    "grid_extent": st.floats(0.5, 6.0),
+    "grid_points_per_axis": st.integers(1, 3),
+    "anchor_ratios": st.lists(_PAIR, min_size=1, max_size=2),
+    "anchor_scales": st.lists(st.floats(0.25, 2.0), min_size=1, max_size=2),
+    "iterations": st.integers(1, 3),
+    "eval_alpha": st.floats(0.0, 8.0),
+}
+_IN_RANGE_STEP = {
+    "rate": st.floats(0.01, 1.0),
+    "decay_factor": st.floats(0.01, 1.0),
+    "decay_at": st.floats(0.0, 1.0),
+    "metric_boost": st.booleans(),
+}
+
+
+def _in_range(fields):
+    return st.fixed_dictionaries({}, optional=fields)
+
+
+# Scenario documents, where an absent key takes the full-size default, with
+# the grid and iteration count kept small when absent: at most 486 cases
+# over 3 iterations, about 0.15 s a run. About half hold in-range values
+# only, so that the exit-0 half of the contract is exercised, and half are
+# test_simulate's documents, which most often fail to build a config.
 @st.composite
 def _scenarios(draw):
-    doc = {"grid_points_per_axis": 2, "iterations": 2, **draw(_document(_FIELDS))}
-    rule = draw(st.none() | _document(_STEP_FIELDS))
+    fields, rule = draw(st.one_of(
+        st.tuples(_in_range(_IN_RANGE), st.none() | _in_range(_IN_RANGE_STEP)),
+        st.tuples(_document(_FIELDS), st.none() | _document(_STEP_FIELDS)),
+    ))
+    doc = {"grid_points_per_axis": 2, "iterations": 2, **fields}
     if rule is not None:
         doc["step_rule"] = rule
     return doc
@@ -270,6 +301,7 @@ def test_sim_keeps_the_exit_code_contract(tmp_path_factory, doc):
     path = tmp_path_factory.getbasetemp() / "contract_scenario.json"
     path.write_text(json.dumps(doc))
     code, out, err = _run(["sim", "--config", str(path)])
+    event(f"exit {code}")
     assert code in (0, 1, 2)
     if code:
         assert out == ""

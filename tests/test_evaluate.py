@@ -21,7 +21,6 @@ from eciou.evaluate import (
     MatchResult,
     RecordParseError,
     UndefinedAPError,
-    _affinity,
     _mean_or_none,
     _pair_bounds,
     _params,
@@ -219,7 +218,7 @@ _CFGS = st.builds(
 
 
 def _metric(affinity, mode, cfg):
-    """The metric _affinity scores with, called directly."""
+    """The metric match_greedy scores with, called directly."""
     if mode == MODE_BEV:
         return iou_bev if affinity == IOU_AFFINITY else lambda p, g: ec_iou_bev(p, g, cfg)
     return iou_3d if affinity == IOU_AFFINITY else lambda p, g: ec_iou_3d(p, g, cfg)
@@ -240,7 +239,9 @@ def test_affinity_equals_the_direct_metric_bit_for_bit(pair, cfg):
     pred, gt = pair
     for affinity, mode in itertools.product((IOU_AFFINITY, EC_IOU_AFFINITY), (MODE_3D, MODE_BEV)):
         direct = _metric(affinity, mode, cfg)(pred.box, gt.box).value
-        assert _affinity(pred, gt, affinity, cfg, mode).hex() == direct.hex()
+        # At threshold 0 the one pair always matches, carrying its affinity.
+        (match,) = match_greedy([pred], [gt], affinity, 0.0, cfg, mode).matches
+        assert match[2].hex() == direct.hex()
 
 
 @pytest.mark.parametrize("mode", [MODE_3D, MODE_BEV])
@@ -769,6 +770,48 @@ def test_candidates_change_no_match(monkeypatch, threshold, mode, method, alpha)
     assert rep.tp == sum(len(r.matches) for r in composed[IOU_AFFINITY])
     assert rep.fp == sum(len(r.false_positives) for r in composed[IOU_AFFINITY])
     assert 0 < rep.tp
+
+
+def _blocked_evaluation(monkeypatch, block_pairs, threshold, mode, cfg):
+    """(report, match_greedy results by (frame, affinity), pairs per block)
+    of evaluate_detections on _PREFILTER_RECORDS with _BLOCK_PAIRS set to
+    block_pairs, or left as it is where block_pairs is None."""
+    candidates_of, match = evaluate._candidates, evaluate.match_greedy
+    results, blocks = {}, []
+
+    def counted(block, *args):
+        blocks.append([len(fp) * len(fg) for fp, fg in block])
+        return candidates_of(block, *args)
+
+    def recorded(fp, fg, affinity, *args, **kwargs):
+        results[(fp + fg)[0].frame_id, affinity] = match(fp, fg, affinity, *args, **kwargs)
+        return results[(fp + fg)[0].frame_id, affinity]
+
+    with monkeypatch.context() as m:
+        if block_pairs is not None:
+            m.setattr(evaluate, "_BLOCK_PAIRS", block_pairs)
+        m.setattr(evaluate, "_candidates", counted)
+        m.setattr(evaluate, "match_greedy", recorded)
+        report = evaluate_detections(*_PREFILTER_RECORDS, ["car"], cfg, {"car": threshold}, mode=mode)
+    return report, results, blocks
+
+
+@pytest.mark.parametrize("threshold", [1e-10, 0.5, 1.0])
+@pytest.mark.parametrize("mode", [MODE_3D, MODE_BEV])
+def test_prefilter_over_several_blocks_changes_no_match(monkeypatch, threshold, mode):
+    # The default block holds every frame of _PREFILTER_RECORDS. Where
+    # smaller blocks split them must change no matching and no report: 1
+    # and 5 pairs leave most frames alone, the largest frame fills 16
+    # exactly, and 17 packs it with others.
+    cfg = WeightConfig(alpha=4.0, method=ARITHMETIC)
+    report, results, blocks = _blocked_evaluation(monkeypatch, None, threshold, mode, cfg)
+    assert len(blocks) == 1 and max(blocks[0]) == 16
+    for block_pairs in (1, 5, 16, 17):
+        split = _blocked_evaluation(monkeypatch, block_pairs, threshold, mode, cfg)
+        assert split[:2] == (report, results)
+        assert all(len(b) == 1 or sum(b) <= block_pairs for b in split[2])
+        assert sum(split[2], []) == blocks[0] and len(split[2]) > 1
+    assert 0 < report.classes["car"].tp
 
 
 def _outlying_ring_pair():
