@@ -20,9 +20,10 @@ clip.
 
 Above a threshold of 0, the matchings score on the scalar path only the
 pairs that can reach it, their candidates. Each class's frames go in blocks
-of whole frames, at most _BLOCK_PAIRS same-frame pairs each, and one batch
-clip (_batch) measures every pair of a block whose circumcircles meet. A
-pair is left out when
+of whole frames, at most _BLOCK_PAIRS same-frame pairs each unless one frame
+has more, and batch clips (_batch) of at most _BLOCK_PAIRS pairs each
+measure every pair of a block whose circumcircles meet. A pair is left out
+when
 - by IoU, its batch IoU is below threshold - 1e-9. Batch and scalar areas
   agree to about 1e-14, edge-sharing and touching boxes included;
 - by EC-IoU, w_max * V_i / (w_min * A_g * h_g + V_p - V_i) is below
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, field
 from typing import Callable
 
@@ -70,8 +72,9 @@ DEFAULT_TP_DISTANCE = 2.0
 
 RECALL_POINTS = 40
 
-# Most same-frame pairs one candidate block measures; a larger frame is a
-# block of its own. The batch clip's temporaries grow with a block.
+# Most same-frame pairs one candidate block holds, unless one frame has
+# more, and most pairs one batch clip measures: the clip's temporaries grow
+# with the pairs it measures.
 _BLOCK_PAIRS = 2048
 # Margin below the threshold within which a pair stays a candidate.
 _CUT_MARGIN = 1e-9
@@ -127,7 +130,9 @@ def parse_records(path: str, kind: str) -> list[DetectionRecord]:
                     path, line_number,
                     f"expected {n_fields} fields for {kind}, got {len(fields)}",
                 )
-            frame_id, label = fields[0], fields[1]
+            # One string object per distinct frame id and label: a record
+            # file repeats a few of them on every line.
+            frame_id, label = sys.intern(fields[0]), sys.intern(fields[1])
             try:
                 x, y, z, l, w, h, theta = (float(v) for v in fields[2:9])
                 score = float(fields[9]) if want_score else None
@@ -147,7 +152,7 @@ def parse_records(path: str, kind: str) -> list[DetectionRecord]:
     return records
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MatchResult:
     """One frame's matching outcome; matches are (pred, gt, affinity)."""
 
@@ -298,28 +303,49 @@ def _candidates(block, threshold: float, cfg: WeightConfig, mode: str) -> dict[s
     whose affinity may reach threshold > 0."""
     n_p = np.array([len(fp) for fp, _ in block], dtype=np.int64)
     n_g = np.array([len(fg) for _, fg in block], dtype=np.int64)
-    # Every same-frame pair, prediction-major, as (frame, prediction, ground
-    # truth) with frame-local indices, then as rows of the block's records.
     sizes = n_p * n_g
-    frame = np.repeat(np.arange(len(block)), sizes)
-    k = np.arange(frame.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    pred, gt = k // n_g[frame], k % n_g[frame]
+    ends = np.cumsum(sizes)
+    total = int(ends[-1])
     p_start, g_start = np.cumsum(n_p) - n_p, np.cumsum(n_g) - n_g
     gts = [g.box for _, fg in block for g in fg]
     boxes, targets = _params([p.box for fp, _ in block for p in fp]), _params(gts)
-    meet = ~_batch.circumcircles_disjoint(boxes[p_start[frame] + pred], targets[g_start[frame] + gt])
-    frame, pred, gt = frame[meet], pred[meet], gt[meet]
-    g_rows = g_start[frame] + gt
-    extremes = np.array([_extremes(g, cfg.alpha) for g in gts]).reshape(-1, 2)[g_rows]
-    iou, bound = _pair_bounds(boxes[p_start[frame] + pred], targets[g_rows], extremes[:, 0], extremes[:, 1], mode)
+    extremes = np.array([_extremes(g, cfg.alpha) for g in gts]).reshape(-1, 2)
     cut = threshold - _CUT_MARGIN
-    kept = {IOU_AFFINITY: ~(iou < cut), EC_IOU_AFFINITY: ~(bound * (1.0 + _BOUND_SLACK) < cut)}
-    out = {}
-    for affinity, keep in kept.items():
-        lists = [[[] for _ in fp] for fp, _ in block]
-        for f, i, j in zip(frame[keep].tolist(), pred[keep].tolist(), gt[keep].tolist()):
-            lists[f][i].append(j)
-        out[affinity] = lists
+    out = {affinity: [[[] for _ in fp] for fp, _ in block] for affinity in (IOU_AFFINITY, EC_IOU_AFFINITY)}
+
+    def measure(meeting):
+        frame, pred, gt = (np.concatenate(column) for column in zip(*meeting))
+        g_rows = g_start[frame] + gt
+        iou, bound = _pair_bounds(
+            boxes[p_start[frame] + pred], targets[g_rows], extremes[g_rows, 0], extremes[g_rows, 1], mode
+        )
+        kept = {IOU_AFFINITY: ~(iou < cut), EC_IOU_AFFINITY: ~(bound * (1.0 + _BOUND_SLACK) < cut)}
+        for affinity, keep in kept.items():
+            lists = out[affinity]
+            for f, i, j in zip(frame[keep].tolist(), pred[keep].tolist(), gt[keep].tolist()):
+                lists[f][i].append(j)
+
+    # The block's same-frame pairs, prediction-major, in slices of at most
+    # _BLOCK_PAIRS, and one batch clip per run of slices with at most
+    # _BLOCK_PAIRS meeting pairs: a frame of any size is measured in bounded
+    # memory, and mostly disjoint slices share a clip. Runs are measured in
+    # order, so each prediction's ground truths stay ascending.
+    meeting, held = [], 0
+    for start in range(0, total, _BLOCK_PAIRS):
+        # Each pair as (frame, prediction, ground truth), frame-local.
+        k = np.arange(start, min(start + _BLOCK_PAIRS, total))
+        frame = np.searchsorted(ends, k, side="right")
+        k -= ends[frame] - sizes[frame]
+        pred, gt = k // n_g[frame], k % n_g[frame]
+        meet = ~_batch.circumcircles_disjoint(boxes[p_start[frame] + pred], targets[g_start[frame] + gt])
+        frame, pred, gt = frame[meet], pred[meet], gt[meet]
+        if held + frame.size > _BLOCK_PAIRS:
+            measure(meeting)
+            meeting, held = [], 0
+        meeting.append((frame, pred, gt))
+        held += frame.size
+    if meeting:
+        measure(meeting)
     return out
 
 

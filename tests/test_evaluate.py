@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -125,6 +126,41 @@ def test_parse_records_gts_reject_score_column(tmp_path):
     path.write_text("f0 car 10 0 0.9 4 2 1.6 0.0 0.5\n")
     with pytest.raises(RecordParseError):
         parse_records(str(path), GROUND_TRUTHS)
+
+
+def _record_file(path, frames, per_frame):
+    """A prediction file of frames x 2 classes x per_frame distinct boxes."""
+    rng = np.random.default_rng(3)
+    with open(path, "w") as fh:
+        for f in range(frames):
+            for label in ("car", "pedestrian"):
+                for _ in range(per_frame):
+                    x, y, theta, score = rng.uniform(5, 50), rng.uniform(-15, 15), rng.uniform(-3, 3), rng.random()
+                    fh.write(f"{f:06d} {label} {x:.6f} {y:.6f} 0.8 4.1 1.8 1.6 {theta:.6f} {score:.6f}\n")
+    return str(path)
+
+
+def test_parse_records_shares_frame_ids_and_labels(tmp_path):
+    # One object per distinct value: as many ids as values.
+    records = parse_records(_record_file(tmp_path / "preds.txt", 3, 4), PREDICTIONS)
+    assert len({id(r.frame_id) for r in records}) == len({r.frame_id for r in records}) == 3
+    assert len({id(r.class_label) for r in records}) == len({r.class_label for r in records}) == 2
+
+
+def test_parse_records_heap_per_record(tmp_path):
+    # About 353 B a scored record on CPython 3.11: a slotted record and box,
+    # eight floats, a list slot, and no string of its own. A box __dict__ and
+    # a fresh frame id and label string per line bring it to about 509 B.
+    path = _record_file(tmp_path / "preds.txt", 50, 12)
+    parse_records(path, PREDICTIONS)  # lazy imports and caches, untraced
+    tracemalloc.start()
+    try:
+        records = parse_records(path, PREDICTIONS)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 1200
+    assert held / len(records) <= 420
 
 
 # ---- greedy matching ----
@@ -773,15 +809,20 @@ def test_candidates_change_no_match(monkeypatch, threshold, mode, method, alpha)
 
 
 def _blocked_evaluation(monkeypatch, block_pairs, threshold, mode, cfg):
-    """(report, match_greedy results by (frame, affinity), pairs per block)
-    of evaluate_detections on _PREFILTER_RECORDS with _BLOCK_PAIRS set to
-    block_pairs, or left as it is where block_pairs is None."""
-    candidates_of, match = evaluate._candidates, evaluate.match_greedy
-    results, blocks = {}, []
+    """(report, match_greedy results by (frame, affinity), pairs per block,
+    pairs per batch clip) of evaluate_detections on _PREFILTER_RECORDS with
+    _BLOCK_PAIRS set to block_pairs, or left as it is where block_pairs is
+    None."""
+    candidates_of, match, bounds_of = evaluate._candidates, evaluate.match_greedy, evaluate._pair_bounds
+    results, blocks, clipped = {}, [], []
 
     def counted(block, *args):
         blocks.append([len(fp) * len(fg) for fp, fg in block])
         return candidates_of(block, *args)
+
+    def measured(boxes, *args):
+        clipped.append(len(boxes))
+        return bounds_of(boxes, *args)
 
     def recorded(fp, fg, affinity, *args, **kwargs):
         results[(fp + fg)[0].frame_id, affinity] = match(fp, fg, affinity, *args, **kwargs)
@@ -792,8 +833,9 @@ def _blocked_evaluation(monkeypatch, block_pairs, threshold, mode, cfg):
             m.setattr(evaluate, "_BLOCK_PAIRS", block_pairs)
         m.setattr(evaluate, "_candidates", counted)
         m.setattr(evaluate, "match_greedy", recorded)
+        m.setattr(evaluate, "_pair_bounds", measured)
         report = evaluate_detections(*_PREFILTER_RECORDS, ["car"], cfg, {"car": threshold}, mode=mode)
-    return report, results, blocks
+    return report, results, blocks, clipped
 
 
 @pytest.mark.parametrize("threshold", [1e-10, 0.5, 1.0])
@@ -801,16 +843,17 @@ def _blocked_evaluation(monkeypatch, block_pairs, threshold, mode, cfg):
 def test_prefilter_over_several_blocks_changes_no_match(monkeypatch, threshold, mode):
     # The default block holds every frame of _PREFILTER_RECORDS. Where
     # smaller blocks split them must change no matching and no report: 1
-    # and 5 pairs leave most frames alone, the largest frame fills 16
-    # exactly, and 17 packs it with others.
+    # and 5 pairs leave most frames alone and slice the larger ones, the
+    # largest frame fills 16 exactly, and 17 packs it with others.
     cfg = WeightConfig(alpha=4.0, method=ARITHMETIC)
-    report, results, blocks = _blocked_evaluation(monkeypatch, None, threshold, mode, cfg)
-    assert len(blocks) == 1 and max(blocks[0]) == 16
+    report, results, blocks, clipped = _blocked_evaluation(monkeypatch, None, threshold, mode, cfg)
+    assert len(blocks) == 1 and max(blocks[0]) == 16 and len(clipped) == 1
     for block_pairs in (1, 5, 16, 17):
         split = _blocked_evaluation(monkeypatch, block_pairs, threshold, mode, cfg)
         assert split[:2] == (report, results)
         assert all(len(b) == 1 or sum(b) <= block_pairs for b in split[2])
         assert sum(split[2], []) == blocks[0] and len(split[2]) > 1
+        assert max(split[3]) <= block_pairs and sum(split[3]) == clipped[0]
     assert 0 < report.classes["car"].tp
 
 

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 import re
 
 import numpy as np
@@ -88,6 +91,40 @@ def test_theta_canonicalized():
     assert OrientedBoxBEV(0, 0, 1, 1, -math.pi).theta == pytest.approx(-math.pi)
     b = OrientedBoxBEV(0, 0, 1, 1, 0.3)
     assert b.theta == 0.3
+
+
+_SLOTTED_BOXES = [OrientedBoxBEV(10, -2, 4, 2, 7.0), Box3D(x=10, y=-2, l=4, w=2, theta=7.0, z=0.9, h=1.6)]
+
+
+@pytest.mark.parametrize("box", _SLOTTED_BOXES, ids=["bev", "3d"])
+def test_boxes_are_slotted_and_frozen(box):
+    assert not hasattr(box, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        box.x = 11.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        box.theta = 0.0
+
+
+def test_box3d_checks_its_footprint_and_its_height():
+    # Box3D.__post_init__ runs the footprint check of its parent by name:
+    # zero-argument super() fails in a slotted dataclass subclass.
+    with pytest.raises(ValueError, match=re.escape("box l, w must be at least")):
+        Box3D(x=10, y=0, l=1e-9, w=2, theta=0, z=0.9, h=1.6)
+    with pytest.raises(ValueError, match=re.escape("box h must be at least")):
+        Box3D(x=10, y=0, l=4, w=2, theta=0, z=0.9, h=1e-9)
+
+
+@pytest.mark.parametrize("box", _SLOTTED_BOXES, ids=["bev", "3d"])
+def test_boxes_copy_replace_and_pickle_to_equal_boxes(box):
+    assert -math.pi <= box.theta < math.pi
+    for same in (copy.copy(box), copy.deepcopy(box), pickle.loads(pickle.dumps(box)),
+                 dataclasses.replace(box), dataclasses.replace(box, theta=7.0)):
+        assert type(same) is type(box)
+        assert same == box and hash(same) == hash(box)
+        assert same.theta == box.theta
+    turned = dataclasses.replace(box, theta=box.theta + 2.0 * math.pi)
+    assert turned.theta == pytest.approx(box.theta, abs=1e-12)
+    assert -math.pi <= turned.theta < math.pi
 
 
 def test_corners_axis_aligned():
