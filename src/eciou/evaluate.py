@@ -19,11 +19,9 @@ means score each of their pairs once, taking its IoU and EC-IoU from one
 clip.
 
 Above a threshold of 0, the matchings score on the scalar path only the
-pairs that can reach it, their candidates. Each class's frames go in blocks
-of whole frames, at most _BLOCK_PAIRS same-frame pairs each unless one frame
-has more, and batch clips (_batch) of at most _BLOCK_PAIRS pairs each
-measure every pair of a block whose circumcircles meet. A pair is left out
-when
+pairs that can reach it, their candidates. Each class's same-frame pairs go
+in slices of at most _BLOCK_PAIRS pairs, and one batch clip (_batch) per
+slice measures its pairs whose circumcircles meet. A pair is left out when
 - by IoU, its batch IoU is below threshold - 1e-9. Batch and scalar areas
   agree to about 1e-14, edge-sharing and touching boxes included;
 - by EC-IoU, w_max * V_i / (w_min * A_g * h_g + V_p - V_i) is below
@@ -45,9 +43,8 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import asdict, dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -72,9 +69,8 @@ DEFAULT_TP_DISTANCE = 2.0
 
 RECALL_POINTS = 40
 
-# Most same-frame pairs one candidate block holds, unless one frame has
-# more, and most pairs one batch clip measures: the clip's temporaries grow
-# with the pairs it measures.
+# Most same-frame pairs one slice of the candidate prefilter holds: its
+# batch clip's temporaries grow with the slice.
 _BLOCK_PAIRS = 2048
 # Margin below the threshold within which a pair stays a candidate.
 _CUT_MARGIN = 1e-9
@@ -111,7 +107,7 @@ def parse_records(path: str, kind: str) -> list[DetectionRecord]:
         raise ValueError(f"kind must be {PREDICTIONS!r} or {GROUND_TRUTHS!r}")
     want_score = kind == PREDICTIONS
     n_fields = 10 if want_score else 9
-    records = []
+    records, shared = [], {}
     # Bytes that are not UTF-8 decode to lone surrogates, which do not encode
     # back, so the line that holds them is the one named.
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
@@ -132,7 +128,7 @@ def parse_records(path: str, kind: str) -> list[DetectionRecord]:
                 )
             # One string object per distinct frame id and label: a record
             # file repeats a few of them on every line.
-            frame_id, label = sys.intern(fields[0]), sys.intern(fields[1])
+            frame_id, label = shared.setdefault(fields[0], fields[0]), shared.setdefault(fields[1], fields[1])
             try:
                 x, y, z, l, w, h, theta = (float(v) for v in fields[2:9])
                 score = float(fields[9]) if want_score else None
@@ -284,69 +280,59 @@ def _pair_bounds(
     return iou, np.where(held & (turn >= _QUARTER_TURN_BAND), bound, math.inf)
 
 
-def _blocks(frames):
-    """Runs of whole frames with at most _BLOCK_PAIRS same-frame pairs, or one frame."""
-    block, pairs = [], 0
-    for fp, fg in frames:
-        if block and pairs + len(fp) * len(fg) > _BLOCK_PAIRS:
-            yield block
-            block, pairs = [], 0
-        block.append((fp, fg))
-        pairs += len(fp) * len(fg)
-    if block:
-        yield block
-
-
-def _candidates(block, threshold: float, cfg: WeightConfig, mode: str) -> dict[str, list]:
-    """Per affinity, per frame of block, the candidate lists of match_greedy
-    (see the module docstring): for each prediction, the ground truths
-    whose affinity may reach threshold > 0."""
-    n_p = np.array([len(fp) for fp, _ in block], dtype=np.int64)
-    n_g = np.array([len(fg) for _, fg in block], dtype=np.int64)
+def _candidates(frames, threshold: float, cfg: WeightConfig, mode: str) -> Iterator[dict[str, list]]:
+    """Yield, for each frame (predictions, ground truths) of frames in order,
+    the candidate lists of match_greedy per affinity (see the module
+    docstring): for each prediction, the ground truths whose affinity may
+    reach threshold > 0."""
+    n_p = np.array([len(fp) for fp, _ in frames], dtype=np.int64)
+    n_g = np.array([len(fg) for _, fg in frames], dtype=np.int64)
     sizes = n_p * n_g
     ends = np.cumsum(sizes)
-    total = int(ends[-1])
     p_start, g_start = np.cumsum(n_p) - n_p, np.cumsum(n_g) - n_g
-    gts = [g.box for _, fg in block for g in fg]
-    boxes, targets = _params([p.box for fp, _ in block for p in fp]), _params(gts)
-    extremes = np.array([_extremes(g, cfg.alpha) for g in gts]).reshape(-1, 2)
+    preds, gts = [p.box for fp, _ in frames for p in fp], [g.box for _, fg in frames for g in fg]
+    # Once per ground truth; a flat read holds no tuple per ground truth.
+    flat = (w for g in gts for w in _extremes(g, cfg.alpha))
+    extremes = np.fromiter(flat, dtype=np.float64, count=2 * len(gts)).reshape(-1, 2)
     cut = threshold - _CUT_MARGIN
-    out = {affinity: [[[] for _ in fp] for fp, _ in block] for affinity in (IOU_AFFINITY, EC_IOU_AFFINITY)}
 
-    def measure(meeting):
-        frame, pred, gt = (np.concatenate(column) for column in zip(*meeting))
-        g_rows = g_start[frame] + gt
-        iou, bound = _pair_bounds(
-            boxes[p_start[frame] + pred], targets[g_rows], extremes[g_rows, 0], extremes[g_rows, 1], mode
-        )
-        kept = {IOU_AFFINITY: ~(iou < cut), EC_IOU_AFFINITY: ~(bound * (1.0 + _BOUND_SLACK) < cut)}
-        for affinity, keep in kept.items():
-            lists = out[affinity]
-            for f, i, j in zip(frame[keep].tolist(), pred[keep].tolist(), gt[keep].tolist()):
-                lists[f][i].append(j)
+    def empty(f):
+        return {affinity: [[] for _ in frames[f][0]] for affinity in (IOU_AFFINITY, EC_IOU_AFFINITY)}
 
-    # The block's same-frame pairs, prediction-major, in slices of at most
-    # _BLOCK_PAIRS, and one batch clip per run of slices with at most
-    # _BLOCK_PAIRS meeting pairs: a frame of any size is measured in bounded
-    # memory, and mostly disjoint slices share a clip. Runs are measured in
-    # order, so each prediction's ground truths stay ascending.
-    meeting, held = [], 0
+    # The same-frame pairs, prediction-major, in slices of at most
+    # _BLOCK_PAIRS, so that a frame of any size is measured in bounded
+    # memory. Slices go in order: each prediction's ground truths stay
+    # ascending, and a frame is done once a slice ends at its last pair.
+    tables, done, total = {}, 0, int(sizes.sum())
     for start in range(0, total, _BLOCK_PAIRS):
+        stop = min(start + _BLOCK_PAIRS, total)
         # Each pair as (frame, prediction, ground truth), frame-local.
-        k = np.arange(start, min(start + _BLOCK_PAIRS, total))
+        k = np.arange(start, stop)
         frame = np.searchsorted(ends, k, side="right")
         k -= ends[frame] - sizes[frame]
         pred, gt = k // n_g[frame], k % n_g[frame]
-        meet = ~_batch.circumcircles_disjoint(boxes[p_start[frame] + pred], targets[g_start[frame] + gt])
-        frame, pred, gt = frame[meet], pred[meet], gt[meet]
-        if held + frame.size > _BLOCK_PAIRS:
-            measure(meeting)
-            meeting, held = [], 0
-        meeting.append((frame, pred, gt))
-        held += frame.size
-    if meeting:
-        measure(meeting)
-    return out
+        # The slice's predictions are one run of rows, and so are its
+        # ground truths: it reads those alone, and indexes them locally.
+        p_rows, g_rows = p_start[frame] + pred, g_start[frame] + gt
+        p_low, g_low = p_rows[0], g_start[frame[0]]
+        boxes = _params(preds[p_low:p_rows[-1] + 1])
+        targets = _params(gts[g_low:g_start[frame[-1]] + n_g[frame[-1]]])
+        p_rows, g_rows = p_rows - p_low, g_rows - g_low
+        meet = ~_batch.circumcircles_disjoint(boxes[p_rows], targets[g_rows])
+        frame, pred, gt, p_rows, g_rows = (a[meet] for a in (frame, pred, gt, p_rows, g_rows))
+        w = extremes[g_low + g_rows]
+        iou, bound = _pair_bounds(boxes[p_rows], targets[g_rows], w[:, 0], w[:, 1], mode)
+        kept = {IOU_AFFINITY: ~(iou < cut), EC_IOU_AFFINITY: ~(bound * (1.0 + _BOUND_SLACK) < cut)}
+        for affinity, keep in kept.items():
+            for f, i, j in zip(frame[keep].tolist(), pred[keep].tolist(), gt[keep].tolist()):
+                if f not in tables:
+                    tables[f] = empty(f)
+                tables[f][affinity][i].append(j)
+        while done < len(frames) and ends[done] <= stop:
+            yield tables.pop(done, None) or empty(done)
+            done += 1
+    # Without a same-frame pair, no slice is taken.
+    yield from (empty(f) for f in range(done, len(frames)))
 
 
 def average_precision_40(frame_results: list[MatchResult]) -> float:
@@ -484,12 +470,12 @@ def evaluate_detections(
         cls_preds = [p for p in preds if p.class_label == label]
         cls_gts = [g for g in gts if g.class_label == label]
         matched = {IOU_AFFINITY: [], EC_IOU_AFFINITY: []}
-        for block in _blocks(_by_frame(cls_preds, cls_gts)):
-            # At threshold 0 every pair matches, a disjoint one included.
-            tables = _candidates(block, threshold, cfg, mode) if threshold > 0.0 else {}
+        frames = _by_frame(cls_preds, cls_gts)
+        # At threshold 0 every pair matches, a disjoint one included.
+        tables = _candidates(frames, threshold, cfg, mode) if threshold > 0.0 else ({} for _ in frames)
+        for (fp, fg), table in zip(frames, tables):
             for affinity, results in matched.items():
-                for (fp, fg), candidates in zip(block, tables.get(affinity, [None] * len(block))):
-                    results.append(match_greedy(fp, fg, affinity, threshold, cfg, mode, candidates=candidates))
+                results.append(match_greedy(fp, fg, affinity, threshold, cfg, mode, candidates=table.get(affinity)))
         counted = matched[count_affinity]
         means = tp_metric_means(cls_preds, cls_gts, tp_distance, cfg)
         class_reports[label] = ClassReport(

@@ -809,16 +809,11 @@ def test_candidates_change_no_match(monkeypatch, threshold, mode, method, alpha)
 
 
 def _blocked_evaluation(monkeypatch, block_pairs, threshold, mode, cfg):
-    """(report, match_greedy results by (frame, affinity), pairs per block,
-    pairs per batch clip) of evaluate_detections on _PREFILTER_RECORDS with
-    _BLOCK_PAIRS set to block_pairs, or left as it is where block_pairs is
-    None."""
-    candidates_of, match, bounds_of = evaluate._candidates, evaluate.match_greedy, evaluate._pair_bounds
-    results, blocks, clipped = {}, [], []
-
-    def counted(block, *args):
-        blocks.append([len(fp) * len(fg) for fp, fg in block])
-        return candidates_of(block, *args)
+    """(report, match_greedy results by (frame, affinity), pairs per batch
+    clip) of evaluate_detections on _PREFILTER_RECORDS with _BLOCK_PAIRS set
+    to block_pairs, or left as it is where block_pairs is None."""
+    match, bounds_of = evaluate.match_greedy, evaluate._pair_bounds
+    results, clipped = {}, []
 
     def measured(boxes, *args):
         clipped.append(len(boxes))
@@ -831,30 +826,51 @@ def _blocked_evaluation(monkeypatch, block_pairs, threshold, mode, cfg):
     with monkeypatch.context() as m:
         if block_pairs is not None:
             m.setattr(evaluate, "_BLOCK_PAIRS", block_pairs)
-        m.setattr(evaluate, "_candidates", counted)
         m.setattr(evaluate, "match_greedy", recorded)
         m.setattr(evaluate, "_pair_bounds", measured)
         report = evaluate_detections(*_PREFILTER_RECORDS, ["car"], cfg, {"car": threshold}, mode=mode)
-    return report, results, blocks, clipped
+    return report, results, clipped
 
 
 @pytest.mark.parametrize("threshold", [1e-10, 0.5, 1.0])
 @pytest.mark.parametrize("mode", [MODE_3D, MODE_BEV])
 def test_prefilter_over_several_blocks_changes_no_match(monkeypatch, threshold, mode):
-    # The default block holds every frame of _PREFILTER_RECORDS. Where
-    # smaller blocks split them must change no matching and no report: 1
-    # and 5 pairs leave most frames alone and slice the larger ones, the
-    # largest frame fills 16 exactly, and 17 packs it with others.
+    # The default slice holds every same-frame pair of _PREFILTER_RECORDS.
+    # Smaller slices must change no matching and no report: 1 and 5 pairs
+    # cut the larger frames, the largest frame has 16, and 17 cuts others.
     cfg = WeightConfig(alpha=4.0, method=ARITHMETIC)
-    report, results, blocks, clipped = _blocked_evaluation(monkeypatch, None, threshold, mode, cfg)
-    assert len(blocks) == 1 and max(blocks[0]) == 16 and len(clipped) == 1
+    sizes = [len(fp) * len(fg) for fp, fg in evaluate._by_frame(*_PREFILTER_RECORDS)]
+    pairs = sum(sizes)
+    report, results, clipped = _blocked_evaluation(monkeypatch, None, threshold, mode, cfg)
+    assert len(clipped) == 1 and max(sizes) == 16 and pairs <= evaluate._BLOCK_PAIRS
     for block_pairs in (1, 5, 16, 17):
         split = _blocked_evaluation(monkeypatch, block_pairs, threshold, mode, cfg)
         assert split[:2] == (report, results)
-        assert all(len(b) == 1 or sum(b) <= block_pairs for b in split[2])
-        assert sum(split[2], []) == blocks[0] and len(split[2]) > 1
-        assert max(split[3]) <= block_pairs and sum(split[3]) == clipped[0]
+        # One clip per slice, of the slice's pairs that meet.
+        assert len(split[2]) == -(-pairs // block_pairs)
+        assert max(split[2]) <= block_pairs and sum(split[2]) == clipped[0]
     assert 0 < report.classes["car"].tp
+
+
+@pytest.mark.parametrize("mode", [MODE_3D, MODE_BEV])
+def test_candidates_cover_frames_without_pairs(monkeypatch, mode):
+    # Frames of predictions alone or of ground truths alone, first, between
+    # others and last, get their lists in order at every slice size, and so
+    # does a class without a same-frame pair.
+    p, g = _PREFILTER_RECORDS[0][0].box, _PREFILTER_RECORDS[1][0].box
+    lone = ([DetectionRecord("-", "car", p, 0.5), DetectionRecord("9", "car", p, 0.5)],
+            [DetectionRecord("1-z", "car", g)])
+    frames = evaluate._by_frame(_PREFILTER_RECORDS[0] + lone[0], _PREFILTER_RECORDS[1] + lone[1])
+    cfg = WeightConfig(alpha=4.0, method=ARITHMETIC)
+    pred_alone, gts_alone = {IOU_AFFINITY: [[]], EC_IOU_AFFINITY: [[]]}, {IOU_AFFINITY: [], EC_IOU_AFFINITY: []}
+    tables = list(evaluate._candidates(frames, 0.5, cfg, mode))
+    assert [len(t[IOU_AFFINITY]) for t in tables] == [len(fp) for fp, _ in frames]
+    assert tables[0] == tables[-1] == pred_alone
+    assert any(any(t[EC_IOU_AFFINITY]) for t in tables)
+    for block_pairs in (1, 5, 17):
+        monkeypatch.setattr(evaluate, "_BLOCK_PAIRS", block_pairs)
+        assert list(evaluate._candidates(frames, 0.5, cfg, mode)) == tables
+    assert list(evaluate._candidates(evaluate._by_frame(*lone), 0.5, cfg, mode)) == [pred_alone, gts_alone, pred_alone]
 
 
 def _outlying_ring_pair():
