@@ -112,8 +112,10 @@ def clip_quads_xy(
     """Sutherland-Hodgman intersection of CCW subject quads against CCW clip quads.
 
     sx, sy, cx, cy: (N, 4) corner coordinates of the subject and clip quads.
-    Returns zero-padded (x, y) buffers and per-row counts. Rows with fewer
-    than 3 vertices are degenerate (empty) regions.
+    Returns (x, y) buffers and per-row counts. Rows with fewer than 3
+    vertices are degenerate (empty) regions. Every slot past a row's count
+    is (0.0, 0.0), so its shoelace terms are zero and ring_area sums whole
+    rows; a vertex sum must still mask it, as mean_weight does.
 
     Stage order matches the scalar clipper: clip edges (3->0), (0->1),
     (1->2), (2->3). cross(v) = ex * vy - ey * vx - b is the signed side of v.
@@ -195,14 +197,11 @@ def clip_quads_xy(
 
 
 def ring_area(x: np.ndarray, y: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Masked shoelace area for padded vertex buffers."""
-    k = x.shape[1]
-    valid = np.arange(k)[None, :] < counts[:, None]
-    last = _last_slots(counts, k)
+    """Signed shoelace area of clip_quads_xy's zero-padded rings; not clamped."""
+    last = _last_slots(counts, x.shape[1])
     sx = _prev_along_ring(x, last)
     sy = _prev_along_ring(y, last)
-    terms = sx * y - x * sy
-    return np.maximum(0.5 * np.where(valid, terms, 0.0).sum(axis=1), 0.0)
+    return 0.5 * (sx * y - x * sy).sum(axis=1)
 
 
 def quad_area(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -109,8 +109,9 @@ def parse_records(path: str, kind: str) -> list[DetectionRecord]:
     n_fields = 10 if want_score else 9
     records, shared = [], {}
     # Bytes that are not UTF-8 decode to lone surrogates, which do not encode
-    # back, so the line that holds them is the one named.
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+    # back, so the line that holds them is the one named. utf-8-sig drops one
+    # leading byte-order mark; any other U+FEFF would glue onto a field.
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
         for line_number, line in enumerate(fh, start=1):
             try:
                 line.encode("utf-8")
@@ -118,6 +119,8 @@ def parse_records(path: str, kind: str) -> list[DetectionRecord]:
                 byte = ord(line[exc.start]) & 0xFF
                 raise RecordParseError(path, line_number, f"not UTF-8: byte 0x{byte:02x}") from exc
             text = line.split("#", 1)[0].strip()
+            if "\ufeff" in text:
+                raise RecordParseError(path, line_number, "byte-order mark (U+FEFF) inside the data")
             if not text:
                 continue
             fields = text.split()

@@ -54,6 +54,17 @@ def _number(key: str, value) -> float:
     raise ConfigError(f"{key} must be a finite number, got {value!r}")
 
 
+def _object_without_repeats(pairs: list[tuple[str, object]]) -> dict:
+    """json.load's object_pairs_hook: a dict of pairs, or a ConfigError
+    naming a key given twice, which json.load would let the last one win."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ConfigError(f"config key {key!r} is given twice")
+        out[key] = value
+    return out
+
+
 def _weights_in_float_range(targets: list[OrientedBoxBEV], alpha: float) -> bool:
     """Whether the EC-IoU weight over every target's region stays inside (0, inf)
     at alpha; DegenerateDistanceError for a target it is undefined on."""
@@ -202,9 +213,11 @@ class ScenarioConfig:
     def from_json(cls, path: str) -> "ScenarioConfig":
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
+                raw = json.load(fh, object_pairs_hook=_object_without_repeats)
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}") from exc
+        except ConfigError:
+            raise
         except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         return cls.from_dict(raw)

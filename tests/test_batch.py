@@ -333,13 +333,24 @@ def _clip_case(name):
         return _axis_aligned_pairs(rng, 200)
     if name == "octagon":
         return _OCTAGON
-    if name == "collinear":
-        preds, targets = zip(*collinear_pairs())
+    if name in ("collinear", "touching"):
+        preds, targets = zip(*(collinear_pairs() if name == "collinear" else touching_pairs()))
         return _rows(targets), _rows(preds)
     return np.empty((0, 5)), np.empty((0, 5))
 
 
-@pytest.mark.parametrize("case", ["rotated", "axis-aligned", "octagon", "collinear", "empty"])
+def _masked_clamped_ring_area(x, y, counts):
+    """ring_area as it was before it relied on zero padding: padding terms
+    masked out and the sum clamped at 0."""
+    k = x.shape[1]
+    valid = np.arange(k)[None, :] < counts[:, None]
+    last = _batch._last_slots(counts, k)
+    sx = _batch._prev_along_ring(x, last)
+    sy = _batch._prev_along_ring(y, last)
+    return np.maximum(0.5 * np.where(valid, sx * y - x * sy, 0.0).sum(axis=1), 0.0)
+
+
+@pytest.mark.parametrize("case", ["rotated", "axis-aligned", "octagon", "collinear", "empty", "touching"])
 def test_clip_equals_its_per_row_transcription_bit_for_bit(case):
     g_arr, p_arr = _clip_case(case)
     planes = _batch.corners(p_arr) + _batch.corners(g_arr)
@@ -353,6 +364,12 @@ def test_clip_equals_its_per_row_transcription_bit_for_bit(case):
         want_y[i, : len(ring)] = [vy for _, vy in ring]
     assert x.shape == y.shape == want_x.shape
     assert np.array_equal(_bits(x), _bits(want_x)) and np.array_equal(_bits(y), _bits(want_y))
+    # The zero padding lets ring_area sum whole rows unmasked and unclamped:
+    # the bits of the masked, clamped sum on every ring BatchEvaluator.clip
+    # keeps (above AREA_EPS), and at most AREA_EPS on every ring it drops.
+    area, old = _batch.ring_area(x, y, counts), _masked_clamped_ring_area(x, y, counts)
+    kept = old > AREA_EPS
+    assert np.array_equal(_bits(area[kept]), _bits(old[kept])) and (area[~kept] <= AREA_EPS).all()
 
 
 def test_helpers_keep_the_bits_of_their_reduction_forms():

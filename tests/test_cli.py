@@ -361,6 +361,7 @@ CONTRACT = {
     "sim-target-centred-on-ego": (["sim", "--config", "{centred}"], 1),
     "sim-ego-inside-target": (["sim", "--config", "{inside}"], 1),
     "sim-missing-config": (["sim", "--config", "{missing}"], 1),
+    "sim-repeated-key": (["sim", "--config", "{repeated_key}"], 1),
     "sim-fractional-iterations": (["sim", "--config", "{fractional_iterations}"], 1),
     "sim-fractional-grid": (["sim", "--config", "{fractional_grid}"], 1),
     "sim-boolean-iterations": (["sim", "--config", "{boolean_iterations}"], 1),
@@ -399,6 +400,7 @@ CONTRACT = {
     "sweep-unrepresentable-alpha-arithmetic": (NEAR_SWEEP + ["--alphas", "100000"] + ARITH, 1),
     "eval-missing-preds": (["eval", "--preds", "{missing}", "--gts", "{gts}"], 2),
     "eval-preds-not-utf8": (["eval", "--preds", "{not_utf8_preds}", "--gts", "{gts}"], 2),
+    "eval-preds-mark-inside-the-data": (["eval", "--preds", "{marked_preds}", "--gts", "{gts}"], 2),
     "eval-gt-corner-on-ego": (["eval", "--preds", "{far_preds}", "--gts", "{corner_gts}"], 2),
     "eval-gt-within-margin-of-ego": (["eval", "--preds", "{knife_preds}", "--gts", "{knife_gts}"], 2),
     "eval-pred-below-size-floor": (["eval", "--preds", "{tiny_preds}", "--gts", "{tiny_gts}"], 2),
@@ -492,6 +494,9 @@ KNIFE_GTS = "f0 car 0.15058434031134932 -0.6908866458783205 0 1 1 1 1.0\n"
 TINY_PREDS = "f0 car -153.95200623879273 257.4854943002629 0.5 1e-6 1e-6 1.5 -0.416844178988669 0.9\n"
 TINY_GTS = "f0 car -153.95200623879273 257.4854943002629 0.5 4 2 1.5 0\n"
 NOT_UTF8_PREDS = b"f0 car 1 2 0 4 2 1.5 0 0.9\xff\n"
+# A byte-order mark at the start of line 2, as in two record files joined:
+# it would make that line's frame id '\ufefff0'.
+MARKED_PREDS = PREDS.replace("\nf0", "\n\ufefff0", 1)
 HUGE_PREDS = "f0 car 1e160 0 0 4e155 2e155 1.5 0 0.9\n"
 HUGE_GTS = "f0 car 1e160 0 0 4e155 2e155 1.5 0\n"
 # Its volume overflows.
@@ -513,7 +518,8 @@ def _contract_argv(tmp_path, argv):
              "not_utf8_preds": NOT_UTF8_PREDS, "huge_preds": HUGE_PREDS, "huge_gts": HUGE_GTS,
              "tall_preds": TALL_PREDS, "underflow_preds": UNDERFLOW_PREDS, "underflow_gts": UNDERFLOW_GTS,
              "high_preds": HIGH_PREDS, "high_gts": HIGH_GTS,
-             "list_config": "[]"}
+             "marked_preds": MARKED_PREDS, "list_config": "[]",
+             "repeated_key": '{"grid_points_per_axis": 1, "iterations": 2, "iterations": 3}'}
     for name, raw in SCENARIOS.items():
         files[name] = json.dumps({"grid_points_per_axis": 1, "iterations": 2, **raw})
     paths = {"missing": str(tmp_path / "missing")}
@@ -597,6 +603,20 @@ def test_eval_record_file_that_is_not_utf8_names_file_and_line(tmp_path, capsys)
     assert main(_contract_argv(tmp_path, CONTRACT["eval-preds-not-utf8"][0])) == 2
     err = capsys.readouterr().err
     assert err == f"error: {tmp_path / 'not_utf8_preds'}:1: not UTF-8: byte 0xff\n"
+
+
+def test_eval_byte_order_mark_inside_the_data_names_file_and_line(tmp_path, capsys):
+    assert main(_contract_argv(tmp_path, CONTRACT["eval-preds-mark-inside-the-data"][0])) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {tmp_path / 'marked_preds'}:2: byte-order mark (U+FEFF) inside the data\n"
+
+
+def test_eval_skips_a_leading_byte_order_mark(tmp_path, capsys):
+    preds, gts = tmp_path / "preds.txt", tmp_path / "gts.txt"
+    preds.write_bytes(b"\xef\xbb\xbff0 car 10 0 0.75 4 2 1.5 0 0.9\n")
+    gts.write_text("f0 car 10 0 0.75 4 2 1.5 0\n")
+    assert main(["eval", "--preds", str(preds), "--gts", str(gts), "--mode", "3d"]) == 0
+    assert json.loads(capsys.readouterr().out)["map40"] == 1.0
 
 
 @pytest.mark.parametrize("row, name", [

@@ -149,6 +149,13 @@ def test_config_from_json_file(tmp_path):
         ScenarioConfig.from_json(str(tmp_path / "missing.json"))
 
 
+def test_config_from_json_refuses_a_step_rule_key_given_twice(tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text('{"grid_points_per_axis": 1, "step_rule": {"rate": 0.1, "rate": 0.2}}')
+    with pytest.raises(ConfigError, match=r"^config key 'rate' is given twice$"):
+        ScenarioConfig.from_json(str(path))
+
+
 @pytest.mark.parametrize(
     "raw, reason",
     [
