@@ -55,8 +55,8 @@ def _number(key: str, value) -> float:
 
 
 def _object_without_repeats(pairs: list[tuple[str, object]]) -> dict:
-    """json.load's object_pairs_hook: a dict of pairs, or a ConfigError
-    naming a key given twice, which json.load would let the last one win."""
+    """json.load's object_pairs_hook: the pairs as a dict. A key given twice,
+    whose last value json.load would silently keep, is a ConfigError naming it."""
     out = {}
     for key, value in pairs:
         if key in out:

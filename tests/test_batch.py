@@ -334,7 +334,8 @@ def _clip_case(name):
     if name == "octagon":
         return _OCTAGON
     if name in ("collinear", "touching"):
-        preds, targets = zip(*(collinear_pairs() if name == "collinear" else touching_pairs()))
+        pairs = collinear_pairs() if name == "collinear" else touching_pairs()
+        preds, targets = zip(*pairs)
         return _rows(targets), _rows(preds)
     return np.empty((0, 5)), np.empty((0, 5))
 
