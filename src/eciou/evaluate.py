@@ -339,35 +339,31 @@ def _candidates(frames, threshold: float, cfg: WeightConfig, mode: str) -> Itera
 
 
 def average_precision_40(frame_results: list[MatchResult]) -> float:
-    """AP sampled at the 40 recall points i/40, with max-interpolated precision."""
-    scored: list[tuple[float, bool]] = []
+    """AP sampled at the 40 recall points i/40, with max-interpolated precision.
+
+    Predictions rank by descending score, tied scores in input order: frame
+    by frame, each frame's matches before its false positives."""
+    scores: list[float] = []
+    hits: list[bool] = []
     n_gt = 0
     for result in frame_results:
         n_gt += len(result.matches) + len(result.false_negatives)
-        scored.extend((m[0].score, True) for m in result.matches)
-        scored.extend((fp.score, False) for fp in result.false_positives)
+        scores.extend(m[0].score for m in result.matches)
+        scores.extend(fp.score for fp in result.false_positives)
+        hits += [True] * len(result.matches) + [False] * len(result.false_positives)
     if n_gt == 0:
         raise UndefinedAPError("no ground truths in class")
-    scored.sort(key=lambda item: -item[0])
-    recalls = []
-    precisions = []
-    tp = 0
-    for rank, (_, is_tp) in enumerate(scored, start=1):
-        tp += int(is_tp)
-        recalls.append(tp / n_gt)
-        precisions.append(tp / rank)
+    order = np.argsort(-np.array(scores, dtype=float), kind="stable")
+    tp = np.cumsum(np.array(hits, dtype=bool)[order])
+    precision = tp / np.arange(1, len(order) + 1)
     # Recall never falls with rank, so the ranks that reach a recall point
-    # form a suffix, and the interpolated precision is a suffix maximum.
-    best = precisions + [0.0]
-    for k in range(len(precisions) - 1, -1, -1):
-        best[k] = max(best[k], best[k + 1])
+    # form a suffix, and the interpolated precision is a suffix maximum; a
+    # point that no rank reaches reads the trailing 0.0.
+    best = np.append(np.maximum.accumulate(precision[::-1])[::-1], 0.0)
+    reached = np.searchsorted(tp / n_gt, np.arange(1, RECALL_POINTS + 1) / RECALL_POINTS - 1e-12)
     total = 0.0
-    k = 0
-    for i in range(1, RECALL_POINTS + 1):
-        r = i / RECALL_POINTS
-        while k < len(recalls) and not recalls[k] >= r - 1e-12:
-            k += 1
-        total += best[k]
+    for p in best[reached].tolist():  # left to right: from Python 3.12 float sum() compensates
+        total += p
     return total / RECALL_POINTS
 
 

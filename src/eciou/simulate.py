@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -432,6 +431,9 @@ def run_simulation(
 
     workers = max(1, min(threads, len(kinds)))
     if workers > 1:
+        # concurrent.futures loads logging and queue: only threaded runs pay.
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(one_kind, kinds))
     else:

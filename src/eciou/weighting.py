@@ -10,7 +10,6 @@ Carlo integration, which serves as the numerical reference for the former.
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import math
 import numbers
 from collections.abc import Sequence
@@ -134,7 +133,10 @@ def mean_vertex_weight(gt: OrientedBoxBEV, poly: ConvexPolygon, cfg: WeightConfi
 
 def _polygon_rng(poly: ConvexPolygon, seed: int) -> np.random.Generator:
     # Seed derived from the vertex coordinates so each polygon gets its own
-    # stream regardless of evaluation order.
+    # stream regardless of evaluation order. hashlib loads OpenSSL, which
+    # only this Monte Carlo seed needs, so it is imported here.
+    import hashlib
+
     digest = hashlib.blake2b(
         np.asarray(poly.vertices, dtype=np.float64).tobytes(), digest_size=8
     ).digest()

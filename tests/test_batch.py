@@ -135,7 +135,10 @@ def test_losses_and_gradients_match_scalar():
 
 
 def _axis_aligned_pairs(rng, n):
-    """Unrotated predictions against unrotated targets: every ring has 4 vertices."""
+    """Unrotated predictions against unrotated targets, so every ring has at
+    most 4 vertices. The N(0, 0.5) perturbation of l and w gives some
+    predictions a negative side, which `valid_boxes` refuses, and leaves
+    some rings empty (at seed 14 and n = 200: 3 refused rows, 11 empty rings)."""
     g_arr = np.column_stack([
         rng.uniform(5.0, 20.0, n), rng.uniform(-10.0, 10.0, n),
         rng.uniform(1.0, 4.0, n), rng.uniform(0.5, 2.0, n), np.zeros(n),

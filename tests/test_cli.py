@@ -4,6 +4,7 @@ import os
 import stat
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -733,3 +734,17 @@ def test_console_entry_point():
     )
     assert result.returncode == 0
     assert "metric" in result.stdout
+
+
+def test_import_loads_neither_hashlib_nor_the_thread_pool():
+    # hashlib loads OpenSSL for the Monte Carlo seed alone, and
+    # concurrent.futures serves threaded sim runs alone: a plain import
+    # pays for neither.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import eciou; "
+        "print(sorted({'hashlib', 'concurrent.futures'} & set(sys.modules)))"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

@@ -418,16 +418,28 @@ def test_ap40_undefined_without_ground_truth():
         average_precision_40([MatchResult((), (_pred(10, 0, 0.5),), ())])
 
 
-def _ap40_against_brute_force(scored, n_gt):
-    """(AP40, brute-force AP40) of one frame whose predictions are scored
-    (score, is_tp) pairs; the first n_gt true positives are matched."""
-    tps = [s for s in scored if s[1]][:n_gt]
-    fps = [s for s in scored if not s[1]]
-    matches = tuple((_pred(10, 0, s), _gt(10, 0), 1.0) for s, _ in tps)
-    fns = tuple(_gt(30, 0) for _ in range(n_gt - len(tps)))
-    result = MatchResult(matches, tuple(_pred(50, 0, s) for s, _ in fps), fns)
-    # Ties keep input order on both sides: matches first, then false positives.
-    return average_precision_40([result]), _brute_force_ap40(tps + fps, n_gt)
+def _ap40_against_brute_force(scored, n_gt, frames=1):
+    """(AP40, brute-force AP40) of predictions scored as (score, is_tp) pairs
+    and cut into `frames` consecutive frame results; the first n_gt true
+    positives are matched, and the last frame holds the missed ground truths."""
+    kept, n_tp = [], 0
+    for s, is_tp in scored:
+        if is_tp and n_tp == n_gt:
+            continue
+        n_tp += is_tp
+        kept.append((s, is_tp))
+    results, ranked = [], []
+    parts = np.array_split(np.arange(len(kept)), frames)
+    for k, part in enumerate(parts):
+        tps = [kept[i][0] for i in part if kept[i][1]]
+        fps = [kept[i][0] for i in part if not kept[i][1]]
+        matches = tuple((_pred(10, 0, s), _gt(10, 0), 1.0) for s in tps)
+        fns = tuple(_gt(30, 0) for _ in range(n_gt - n_tp)) if k == len(parts) - 1 else ()
+        results.append(MatchResult(matches, tuple(_pred(50, 0, s) for s in fps), fns))
+        # Ties keep input order on both sides: frame by frame, and within a
+        # frame its matches first, then its false positives.
+        ranked += [(s, True) for s in tps] + [(s, False) for s in fps]
+    return average_precision_40(results), _brute_force_ap40(ranked, n_gt)
 
 
 def test_ap40_matches_brute_force_random():
@@ -441,21 +453,25 @@ def test_ap40_matches_brute_force_random():
         assert got == expected
 
 
-@pytest.mark.parametrize("family", ["recall-on-the-points", "tied-scores", "no-true-positives"])
+@pytest.mark.parametrize(
+    "family", ["recall-on-the-points", "tied-scores", "tied-across-frames", "no-true-positives"]
+)
 def test_ap40_matches_brute_force_bit_for_bit(family):
     # n_gt a multiple of 40 puts recalls exactly on the recall points; tied
-    # scores rank in input order; without true positives AP40 is 0.
+    # scores rank in input order, also when spread over several frame
+    # results; without true positives AP40 is 0.
     rng = np.random.default_rng(47)
     for _ in range(50):
         n_gt = int(rng.choice([40, 80, 120])) if family == "recall-on-the-points" else int(rng.integers(1, 8))
         n = int(rng.integers(1, 2 * n_gt + 10))
-        if family == "tied-scores":
+        if family in ("tied-scores", "tied-across-frames"):
             scores = rng.choice([0.25, 0.5, 0.75], size=n)
         else:
             scores = rng.random(n)
         p_tp = 0.0 if family == "no-true-positives" else 0.7
         scored = [(float(s), bool(rng.random() < p_tp)) for s in scores]
-        got, expected = _ap40_against_brute_force(scored, n_gt)
+        frames = int(rng.integers(2, 6)) if family == "tied-across-frames" else 1
+        got, expected = _ap40_against_brute_force(scored, n_gt, frames)
         assert got == expected
         if family == "no-true-positives":
             assert got == 0.0
