@@ -1,9 +1,11 @@
 """Vectorized box/metric kernels for the regression simulator and `eval`.
 
 Mirrors the scalar geometry, metric, and loss paths over (N, 5) parameter
-arrays so that thousands of regression cases advance in lockstep in
-`simulate`, and so that `evaluate._candidates` and `evaluate._pair_bounds`
-bound a class's same-frame pairs through `BatchEvaluator.clip` and
+arrays so that thousands of regression cases advance together in
+`simulate`, each only until it reaches a fixed point (every later step
+would score it to the same bits, as below), and so that
+`evaluate._candidates` and `evaluate._pair_bounds` bound a class's
+same-frame pairs through `BatchEvaluator.clip` and
 `circumcircles_disjoint` before the scalar path scores them. The
 clipping stage order and every formula match the scalar implementation;
 tests pin agreement between the two routes. Vertices travel as separate

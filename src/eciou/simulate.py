@@ -5,11 +5,11 @@ them, and descends each of the six loss functions with plain gradient
 steps, recording mean IoU / mean EC-IoU learning curves per iteration.
 
 Cases are independent; all aggregation happens in fixed case-id order so
-results do not depend on execution order. `run_simulation` descends every
-case at once on the vectorized kernel in `_batch`, weighting losses with
-the geometric or arithmetic vertex mean. `run_case` is the scalar
-reference for a single case and takes any `WeightConfig`, so Monte Carlo
-descents go through it.
+results do not depend on execution order. `run_simulation` descends the
+cases together on the vectorized kernel in `_batch`, each until it reaches
+a fixed point, weighting losses with the geometric or arithmetic vertex
+mean. `run_case` is the scalar reference for a single case and takes any
+`WeightConfig`, so Monte Carlo descents go through it.
 """
 
 from __future__ import annotations
@@ -358,34 +358,57 @@ def _descend_batch(
     """All-case descent on the vectorized kernel.
 
     Returns the final (N, 5) state, the failed mask and the learning curve
-    over the surviving cases; failed cases freeze at their last valid state.
-    Each step scores the state and its gradient probes in one gradient
-    call, and the state's curve scores come from the clip its loss made;
-    only the final state is clipped again.
+    over the surviving cases; failed cases keep their last valid state.
+    Each step scores the live cases and their gradient probes in one
+    gradient call, and the state's curve scores come from the clip its loss
+    made; only the final state is clipped again.
+
+    A case stays live until it reaches a fixed point: it converged (loss
+    exactly 0), it failed, or its gradient is exactly 0 in all five
+    parameters. Its state then never changes, and since every row scores
+    the same bits in any batch, each later step would score it to the same
+    bits: its (iou, ec_iou) pair repeats in the curve, which averages the
+    same numbers in the same case order as a descent of every case. Once no
+    case is live, nothing more is scored.
     """
     ev = _batch.BatchEvaluator(targets)
     n = anchors.shape[0]
     scores = np.empty((cfg.iterations + 1, 2, n))  # per-case IoU and EC-IoU at eval_alpha
     cur = anchors.copy()
     active = np.ones(n, dtype=bool)
+    live = np.arange(n)
     for t in range(cfg.iterations):
+        if not live.size:
+            break
         rate = cfg.step_rule.rate_at(t, cfg.iterations)
+        state = cur[live]
         (loss_now, iou, metric, eval_ec), grads, ok = ev.gradient(
-            kind, cur, loss_cfg.alpha, loss_cfg.method, h=GRAD_STEP, eval_alpha=cfg.eval_alpha
+            kind, state, loss_cfg.alpha, loss_cfg.method, h=GRAD_STEP, eval_alpha=cfg.eval_alpha
         )
-        scores[t] = iou, eval_ec
+        scores[t][:, live] = iou, eval_ec
         converged = loss_now == 0.0
         if cfg.step_rule.metric_boost:
             scale = rate * (2.0 - metric)
         else:
-            scale = np.full(n, rate)
-        stepped = cur - scale[:, None] * np.where(ok[:, None], grads, 0.0)
+            scale = np.full(len(live), rate)
+        stepped = state - scale[:, None] * np.where(ok[:, None], grads, 0.0)
         stepped[:, 4] = _batch.wrap_angle(stepped[:, 4])
         healthy = converged | (ok & _batch.valid_boxes(stepped))
-        move = active & healthy & ~converged
-        active &= healthy
-        cur = np.where(move[:, None], stepped, cur)
-    scores[-1] = ev.scores(cur, cfg.eval_alpha, GEOMETRIC)
+        active[live[~healthy]] = False
+        # Converged and failed cases stay put, and so does a zero gradient:
+        # cur - scale * 0.0 is cur bit for bit, as scale is positive (StepRule's
+        # rate is, and the metric is at most 1), and wrap_angle leaves theta as
+        # OrientedBoxBEV wrapped it, in [-pi, pi). All three leave the stack.
+        # Test the gradient, not stepped == state: -0.0 == 0.0 with other bits.
+        keep = healthy & ~converged & (grads != 0.0).any(axis=1)
+        cur[live[keep]] = stepped[keep]
+        if not keep.all():
+            frozen = live[~keep]
+            scores[t + 1 :, :, frozen] = scores[t][:, frozen]
+            live = live[keep]
+            ev = _batch.BatchEvaluator(targets[live])
+    if live.size:
+        scores[-1][:, live] = ev.scores(cur[live], cfg.eval_alpha, GEOMETRIC)
     curve = _curve_points(scores[:, :, active]) if active.any() else ()
     return cur, ~active, curve
 

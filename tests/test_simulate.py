@@ -13,12 +13,14 @@ from eciou.losses import ALL_KINDS, LossKind
 from eciou.metrics import ec_iou_bev, iou_bev
 from eciou.simulate import (
     DEFAULT_LOSS_CFG,
+    GRAD_STEP,
     MAX_CASES,
     MAX_ITERATIONS,
     ConfigError,
     RegressionCase,
     ScenarioConfig,
     StepRule,
+    _curve_points,
     _descend_batch,
     build_scenario,
     run_case,
@@ -27,6 +29,10 @@ from eciou.simulate import (
 from eciou.weighting import ARITHMETIC, GEOMETRIC, MONTE_CARLO, WeightConfig
 
 TINY = ScenarioConfig(grid_points_per_axis=2, iterations=12)
+# The benchmark's 162 cases (a 3 x 3 anchor grid of unit-scale anchors), over
+# fewer steps. At 80 boosted steps two ec-iou cases freeze mid-run, at steps
+# 61 and 77; in every kind the anchors that start on their target converge.
+_GRID162 = ScenarioConfig(grid_points_per_axis=3, anchor_scales=(1.0,), iterations=80)
 
 
 def test_paper_default_case_count():
@@ -290,10 +296,16 @@ def test_unboosted_batch_descent_matches_scalar_run_case():
     )
 
 
-def _assert_batch_descent_matches_run_case(cfg):
-    cases = build_scenario(cfg)[:48]
+def _arrays(cases):
+    """The (N, 5) anchor and target arrays of cases, as run_simulation builds them."""
     anchors = np.array([(c.anchor.x, c.anchor.y, c.anchor.l, c.anchor.w, c.anchor.theta) for c in cases])
     targets = np.array([(c.target.x, c.target.y, c.target.l, c.target.w, c.target.theta) for c in cases])
+    return anchors, targets
+
+
+def _assert_batch_descent_matches_run_case(cfg):
+    cases = build_scenario(cfg)[:48]
+    anchors, targets = _arrays(cases)
     for name in ("iou", "ec-diou"):
         kind = LossKind.from_name(name)
         final, failed, _ = _descend_batch(anchors, targets, kind, cfg, DEFAULT_LOSS_CFG)
@@ -318,6 +330,7 @@ def test_simulation_threaded_matches_sequential():
     seq = run_simulation(TINY, kinds=kinds, threads=1)
     par = run_simulation(TINY, kinds=kinds, threads=2)
     assert seq == par
+    assert run_simulation(_GRID162, threads=1) == run_simulation(_GRID162, threads=2)
 
 
 def test_curve_lengths_and_kind_grouping():
@@ -386,18 +399,25 @@ def test_fast_descents_fail_on_both_paths():
     assert sum(run_simulation(cfg).failures.values()) > 0
 
 
-def test_a_descent_that_steps_past_the_reach_bound_fails(monkeypatch):
-    # Four 1 x 1 anchors about 10 m out, the farthest reaching 11.22 m; at
-    # rate 1 two of them overshoot. No real scene gets near MAX_REACH, so the
-    # bound is lowered to 11.3 m, past every anchor and the target.
-    cfg = ScenarioConfig(target_center=(10.0, 0.0), target_dims=((1.0, 1.0),), target_thetas=(0.0,),
-                         grid_points_per_axis=2, grid_extent=1.0, anchor_ratios=((1.0, 1.0),),
-                         anchor_scales=(1.0,), iterations=3, step_rule=StepRule(rate=1.0))
-    assert run_simulation(cfg).failures == {kind.name: 0 for kind in ALL_KINDS}
+# Four 1 x 1 anchors about 10 m out, the farthest reaching 11.22 m; at rate 1
+# two of them overshoot in the second step. No real scene gets near
+# MAX_REACH, so _lower_reach lowers the bound to 11.3 m, past every anchor
+# and the target.
+_REACH = ScenarioConfig(target_center=(10.0, 0.0), target_dims=((1.0, 1.0),), target_thetas=(0.0,),
+                        grid_points_per_axis=2, grid_extent=1.0, anchor_ratios=((1.0, 1.0),),
+                        anchor_scales=(1.0,), iterations=3, step_rule=StepRule(rate=1.0))
+
+
+def _lower_reach(monkeypatch):
     monkeypatch.setattr(_batch, "MAX_REACH", 11.3)
     monkeypatch.setattr(geometry, "MAX_REACH", 11.3)
-    assert run_simulation(cfg).failures == {kind.name: 2 for kind in ALL_KINDS}
-    scalar = [sum(run_case(case, kind, cfg).failed for case in build_scenario(cfg)) for kind in ALL_KINDS]
+
+
+def test_a_descent_that_steps_past_the_reach_bound_fails(monkeypatch):
+    assert run_simulation(_REACH).failures == {kind.name: 0 for kind in ALL_KINDS}
+    _lower_reach(monkeypatch)
+    assert run_simulation(_REACH).failures == {kind.name: 2 for kind in ALL_KINDS}
+    scalar = [sum(run_case(case, kind, _REACH).failed for case in build_scenario(_REACH)) for kind in ALL_KINDS]
     assert scalar == [2] * len(ALL_KINDS)
 
 
@@ -487,3 +507,113 @@ def test_loss_alphas_in_float_range_descend_without_warnings(alpha, method):
 def test_duplicate_kinds_are_rejected():
     with pytest.raises(ValueError, match="duplicate"):
         run_simulation(TINY, kinds=(LossKind("iou"), LossKind("diou"), LossKind("iou")))
+
+
+def _lockstep_descent(anchors, targets, kind, cfg):
+    """The descent with every case in every step's stack, fixed points
+    included: the oracle _descend_batch must match bit for bit."""
+    ev = _batch.BatchEvaluator(targets)
+    n = anchors.shape[0]
+    scores = np.empty((cfg.iterations + 1, 2, n))
+    cur = anchors.copy()
+    active = np.ones(n, dtype=bool)
+    for t in range(cfg.iterations):
+        rate = cfg.step_rule.rate_at(t, cfg.iterations)
+        (loss_now, iou, metric, eval_ec), grads, ok = ev.gradient(
+            kind, cur, DEFAULT_LOSS_CFG.alpha, DEFAULT_LOSS_CFG.method, h=GRAD_STEP, eval_alpha=cfg.eval_alpha
+        )
+        scores[t] = iou, eval_ec
+        converged = loss_now == 0.0
+        scale = rate * (2.0 - metric) if cfg.step_rule.metric_boost else np.full(n, rate)
+        stepped = cur - scale[:, None] * np.where(ok[:, None], grads, 0.0)
+        stepped[:, 4] = _batch.wrap_angle(stepped[:, 4])
+        healthy = converged | (ok & _batch.valid_boxes(stepped))
+        move = active & healthy & ~converged
+        active &= healthy
+        cur = np.where(move[:, None], stepped, cur)
+    scores[-1] = ev.scores(cur, cfg.eval_alpha, GEOMETRIC)
+    curve = _curve_points(scores[:, :, active]) if active.any() else ()
+    return cur, ~active, curve
+
+
+def _assert_descent_matches_lockstep(anchors, targets, kind, cfg):
+    """_descend_batch gives the oracle's final-state bytes, failure mask and
+    curve; returns the failure mask."""
+    final, failed, curve = _descend_batch(anchors, targets, kind, cfg, DEFAULT_LOSS_CFG)
+    oracle_final, oracle_failed, oracle_curve = _lockstep_descent(anchors, targets, kind, cfg)
+    assert final.tobytes() == oracle_final.tobytes()
+    assert failed.tobytes() == oracle_failed.tobytes()
+    assert curve == oracle_curve
+    return failed
+
+
+@pytest.fixture
+def stack_sizes(monkeypatch):
+    """The number of cases of each BatchEvaluator.gradient call, in call order."""
+    sizes = []
+    gradient = _batch.BatchEvaluator.gradient
+
+    def recorded(self, kind, boxes, *args, **kwargs):
+        sizes.append(len(boxes))
+        return gradient(self, kind, boxes, *args, **kwargs)
+
+    monkeypatch.setattr(_batch.BatchEvaluator, "gradient", recorded)
+    return sizes
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda kind: kind.name)
+@pytest.mark.parametrize("cfg", [
+    pytest.param(TINY, id="tiny"),
+    pytest.param(replace(TINY, step_rule=StepRule(metric_boost=False)), id="tiny-unboosted"),
+    pytest.param(replace(TINY, step_rule=StepRule(rate=4.0)), id="tiny-failing"),
+    pytest.param(_GRID162, id="grid162"),
+    pytest.param(replace(_GRID162, iterations=40, step_rule=StepRule(metric_boost=False)), id="grid162-unboosted"),
+])
+def test_descent_of_live_cases_matches_the_lockstep_oracle(kind, cfg):
+    _assert_descent_matches_lockstep(*_arrays(build_scenario(cfg)), kind, cfg)
+
+
+def test_a_descent_with_no_live_case_left_makes_no_more_gradient_calls(stack_sizes):
+    # TINY's 2 x 2 grid starts every case disjoint from its target, where the
+    # IoU gradient is exactly 0: the first step freezes them all.
+    anchors, targets = _arrays(build_scenario(TINY))
+    _, failed, curve = _descend_batch(anchors, targets, LossKind("iou"), TINY, DEFAULT_LOSS_CFG)
+    assert stack_sizes == [len(anchors)]
+    assert not failed.any()
+    assert len(curve) == TINY.iterations + 1
+    assert {(pt.mean_iou, pt.mean_ec_iou) for pt in curve} == {(curve[0].mean_iou, curve[0].mean_ec_iou)}
+
+
+# (anchor, target) rows near _REACH's target, descended by its rule: a case
+# that moves and stays valid at any reach bound, one disjoint from its target
+# and one on it.
+_MOVES = ((9.5, -0.5, 1.0, 1.0, 0.0), (10.0, 0.0, 1.0, 1.0, 0.0))
+_DISJOINT = ((10.0, 3.0, 1.0, 1.0, 0.0), (10.0, 0.0, 1.0, 1.0, 0.0))
+_ON_TARGET = ((10.0, 0.0, 1.0, 1.0, 0.0), (10.0, 0.0, 1.0, 1.0, 0.0))
+_OVERSHOOTING = list(zip(*_arrays(build_scenario(_REACH))))  # two fail under _lower_reach
+
+
+@pytest.mark.parametrize("rows, lower_reach, sizes, failures", [
+    pytest.param([_MOVES, _DISJOINT], False, [2, 1, 1], 0, id="zero-gradient"),
+    pytest.param([_MOVES, _ON_TARGET], False, [2, 1, 1], 0, id="converged"),
+    pytest.param(_OVERSHOOTING, True, [4, 4, 2], 2, id="failed"),
+    pytest.param(_OVERSHOOTING + [_ON_TARGET, _DISJOINT], True, [6, 4, 2], 2, id="all-three"),
+])
+def test_a_case_leaves_the_stack_after_the_step_that_fixes_it(
+    monkeypatch, stack_sizes, rows, lower_reach, sizes, failures
+):
+    # The disjoint and on-target cases leave after step 0 and the two failing
+    # ones after step 1; later steps carry only the cases that still move.
+    if lower_reach:
+        _lower_reach(monkeypatch)
+    anchors, targets = (np.array(column) for column in zip(*rows))
+    _descend_batch(anchors, targets, LossKind("iou"), _REACH, DEFAULT_LOSS_CFG)
+    assert stack_sizes == sizes
+    assert _assert_descent_matches_lockstep(anchors, targets, LossKind("iou"), _REACH).sum() == failures
+
+
+def test_a_diou_batch_without_fixed_points_never_shrinks(stack_sizes):
+    # The center-distance term keeps the gradient of a disjoint case nonzero.
+    anchors, targets = _arrays(build_scenario(TINY))
+    _descend_batch(anchors, targets, LossKind("diou"), TINY, DEFAULT_LOSS_CFG)
+    assert stack_sizes == [len(anchors)] * TINY.iterations
