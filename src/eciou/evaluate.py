@@ -9,7 +9,8 @@ Record files are whitespace-separated, one box per line:
     frame_id class x y z l w h theta [score]
 
 with meters/radians, a score in [0, 1] on predictions only, and `#`
-starting a comment.
+starting a comment. parse_records holds a file as columns (RecordTable),
+and evaluate_detections builds one class's records from them at a time.
 
 The matchings score a pair whose footprints' circumcircles are disjoint as
 exactly 0.0 without clipping it. The shortcut is always on and exact, since
@@ -43,15 +44,15 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Iterator
 
 import numpy as np
 
 from . import _batch
-from .geometry import Box3D, circumcircles_disjoint
+from .geometry import MAX_REACH, MIN_RELATIVE_SIDE, Box3D, _trusted_box, circumcircles_disjoint
 from .metrics import ec_iou_3d, ec_iou_bev, iou_3d, iou_bev, scores_3d
-from .weighting import DegenerateDistanceError, WeightConfig, weight_extremes
+from .weighting import DEGENERATE_DISTANCE, DegenerateDistanceError, WeightConfig, weight_extremes
 
 PREDICTIONS = "predictions"
 GROUND_TRUTHS = "ground-truths"
@@ -78,6 +79,10 @@ _CUT_MARGIN = 1e-9
 _BOUND_SLACK = 1e-6
 # Relative headings within this of a multiple of pi/2 keep their EC-IoU pairs.
 _QUARTER_TURN_BAND = 1e-3
+# Relative margin within which _admit leaves a box's bound to the scalar
+# checks: thousands of times the rounding by which its numpy tests and
+# theirs can differ.
+_ADMIT_SLACK = 1e-12
 
 
 class RecordParseError(ValueError):
@@ -101,54 +106,166 @@ class DetectionRecord:
     score: float | None = None
 
 
-def parse_records(path: str, kind: str) -> list[DetectionRecord]:
-    """Read a record file; kind selects predictions (scored) or ground truths."""
+class RecordTable(Sequence[DetectionRecord]):
+    """The records of one file, as parse_records admitted them, held as
+    columns: each row's frame id and class label, one shared string per
+    distinct value, and its x, y, z, l, w, h, theta and, for predictions,
+    score as float64. An item is a DetectionRecord built when it is read,
+    through geometry._trusted_box; reading one again builds a new one."""
+
+    # Rows built per step of an iteration.
+    _CHUNK = 1024
+
+    def __init__(self, frame_ids: list[str], labels: list[str], rows: np.ndarray):
+        self._frame_ids = np.array(frame_ids, dtype=object)
+        self._labels = np.array(labels, dtype=object)
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self._build(index)
+        return self._build([range(len(self))[index]])[0]
+
+    def __iter__(self) -> Iterator[DetectionRecord]:
+        for start in range(0, len(self), self._CHUNK):
+            yield from self._build(slice(start, start + self._CHUNK))
+
+    def of_class(self, label: str) -> list[DetectionRecord]:
+        """The records whose class is label, in file order."""
+        return self._build(np.flatnonzero(self._labels == label))
+
+    def _build(self, index) -> list[DetectionRecord]:
+        """The records of the rows at index, a slice or a sequence of row numbers."""
+        boxes = self._rows[index, :7].tolist()
+        scores = self._rows[index, 7].tolist() if self._rows.shape[1] == 8 else [None] * len(boxes)
+        return [
+            DetectionRecord(frame_id, label, _trusted_box(x, y, l, w, theta, z, h), score)
+            for frame_id, label, (x, y, z, l, w, h, theta), score in zip(
+                self._frame_ids[index].tolist(), self._labels[index].tolist(), boxes, scores
+            )
+        ]
+
+
+def parse_records(path: str, kind: str) -> RecordTable:
+    """Read a record file; kind selects predictions (scored) or ground truths.
+
+    Each line is read and checked in turn, up to the first line that fails;
+    then the boxes of the lines before it are checked at once (_admit). So
+    the error raised is that of the first line with one, box errors
+    included, as if each line had been checked in full before the next."""
     if kind not in (PREDICTIONS, GROUND_TRUTHS):
         raise ValueError(f"kind must be {PREDICTIONS!r} or {GROUND_TRUTHS!r}")
+    # Imported here: its extension module adds about 0.07 MiB to the RSS of
+    # every process that imports eciou, sim runs included, which read no
+    # record file.
+    from array import array
+
     want_score = kind == PREDICTIONS
     n_fields = 10 if want_score else 9
-    records, shared = [], {}
+    frame_ids, labels, values, line_numbers, shared = [], [], array("d"), array("q"), {}
+    refusal = None
     # Bytes that are not UTF-8 decode to lone surrogates, which do not encode
     # back, so the line that holds them is the one named. utf-8-sig drops one
     # leading byte-order mark; any other U+FEFF would glue onto a field.
-    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
-        for line_number, line in enumerate(fh, start=1):
-            try:
-                line.encode("utf-8")
-            except UnicodeEncodeError as exc:
-                byte = ord(line[exc.start]) & 0xFF
-                raise RecordParseError(path, line_number, f"not UTF-8: byte 0x{byte:02x}") from exc
-            text = line.split("#", 1)[0].strip()
-            if "\ufeff" in text:
-                raise RecordParseError(path, line_number, "byte-order mark (U+FEFF) inside the data")
-            if not text:
-                continue
-            fields = text.split()
-            if len(fields) != n_fields:
-                raise RecordParseError(
-                    path, line_number,
-                    f"expected {n_fields} fields for {kind}, got {len(fields)}",
-                )
-            # One string object per distinct frame id and label: a record
-            # file repeats a few of them on every line.
-            frame_id, label = shared.setdefault(fields[0], fields[0]), shared.setdefault(fields[1], fields[1])
-            try:
-                x, y, z, l, w, h, theta = (float(v) for v in fields[2:9])
-                score = float(fields[9]) if want_score else None
-            except ValueError as exc:
-                raise RecordParseError(path, line_number, f"bad number: {exc}") from exc
-            if want_score and not 0.0 <= score <= 1.0:
-                raise RecordParseError(path, line_number, f"score {score} outside [0, 1]")
-            try:
-                box = Box3D(x=x, y=y, l=l, w=w, theta=theta, z=z, h=h)
-                # EC-IoU weights are undefined on the ego; a ground truth is
-                # refused here, since disjoint pairs never reach the metrics.
-                if not want_score:
-                    weight_extremes(box, 1.0)
-            except ValueError as exc:
-                raise RecordParseError(path, line_number, str(exc)) from exc
-            records.append(DetectionRecord(frame_id, label, box, score))
-    return records
+    try:
+        with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
+            for line_number, line in enumerate(fh, start=1):
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    byte = ord(line[exc.start]) & 0xFF
+                    raise RecordParseError(path, line_number, f"not UTF-8: byte 0x{byte:02x}") from exc
+                text = line.split("#", 1)[0].strip()
+                if "\ufeff" in text:
+                    raise RecordParseError(path, line_number, "byte-order mark (U+FEFF) inside the data")
+                if not text:
+                    continue
+                fields = text.split()
+                if len(fields) != n_fields:
+                    raise RecordParseError(
+                        path, line_number,
+                        f"expected {n_fields} fields for {kind}, got {len(fields)}",
+                    )
+                try:
+                    numbers = [float(v) for v in fields[2:]]
+                except ValueError as exc:
+                    raise RecordParseError(path, line_number, f"bad number: {exc}") from exc
+                if want_score and not 0.0 <= numbers[7] <= 1.0:
+                    raise RecordParseError(path, line_number, f"score {numbers[7]} outside [0, 1]")
+                # One string object per distinct frame id and label: a record
+                # file repeats a few of them on every line.
+                frame_ids.append(shared.setdefault(fields[0], fields[0]))
+                labels.append(shared.setdefault(fields[1], fields[1]))
+                values.fromlist(numbers)
+                line_numbers.append(line_number)
+    except RecordParseError as exc:
+        refusal = exc
+    rows = np.frombuffer(values, dtype=np.float64).reshape(-1, n_fields - 2)
+    _admit(path, rows, line_numbers, ground_truths=not want_score)
+    if refusal is not None:
+        raise refusal
+    return RecordTable(frame_ids, labels, rows)
+
+
+def _inside_extents(distance: np.ndarray, diagonal: np.ndarray, smallest: np.ndarray,
+                    largest: np.ndarray) -> np.ndarray:
+    """Rows that geometry._check_extents accepts with _ADMIT_SLACK to spare:
+    a reach distance + diagonal / 2 within MAX_REACH, and the smallest extent
+    at least MIN_RELATIVE_SIDE * max(1, distance, largest extent)."""
+    reach = distance + 0.5 * diagonal
+    floor = MIN_RELATIVE_SIDE * np.maximum(np.maximum(1.0, distance), largest)
+    return (reach <= MAX_REACH * (1.0 - _ADMIT_SLACK)) & (smallest >= floor * (1.0 + _ADMIT_SLACK))
+
+
+def _clear_of_ego(x, y, l, w, theta) -> np.ndarray:
+    """Rows that weight_extremes admits with room to spare: their nearest
+    point at least twice DEGENERATE_DISTANCE plus _ADMIT_SLACK * (1 + |x| +
+    |y|) from the ego. np.cos and math.cos may differ in the last bit, and
+    each rounding error here is of order 1e-16 times |x| + |y|, which bounds
+    every coordinate of the box-local ego. The nearest point is no farther
+    than the center, so the center clears DEGENERATE_DISTANCE too."""
+    c, s = np.cos(theta), np.sin(theta)
+    # weight_extremes' ego origin in box-local coordinates, and its distance
+    # to the nearest point of the box.
+    ox, oy = -(c * x + s * y), -(-s * x + c * y)
+    hl, hw = 0.5 * l, 0.5 * w
+    near = np.hypot(ox - np.clip(ox, -hl, hl), oy - np.clip(oy, -hw, hw))
+    return near >= 2.0 * DEGENERATE_DISTANCE + _ADMIT_SLACK * (1.0 + np.abs(x) + np.abs(y))
+
+
+def _admit(path: str, rows: np.ndarray, line_numbers: Sequence[int], ground_truths: bool) -> None:
+    """Admit rows of x, y, z, l, w, h, theta (and a score) as Box3D(...) and,
+    for ground truths, weight_extremes(box, 1.0) do, and put each theta into
+    range as Box3D does, in place.
+
+    The rows are tested at once. A row that fails a test, or that lies within
+    _ADMIT_SLACK of a bound, goes through those two calls themselves, in file
+    order, so every refusal and its message stay theirs: the first raises as
+    a RecordParseError at its line. Only such rows can have a theta out of
+    range, which Box3D puts into range."""
+    x, y, z, l, w, h, theta = rows[:, :7].T
+    with np.errstate(over="ignore", invalid="ignore"):
+        clear = (
+            np.isfinite(rows[:, :7]).all(axis=1) & (-math.pi <= theta) & (theta < math.pi)
+            & _inside_extents(np.hypot(x, y), np.hypot(l, w), np.minimum(l, w), np.maximum(l, w))
+            & _inside_extents(np.abs(z), np.abs(h), h, h)
+        )
+        if ground_truths:
+            clear &= _clear_of_ego(x, y, l, w, theta)
+    for i in np.flatnonzero(~clear).tolist():
+        x_i, y_i, z_i, l_i, w_i, h_i, theta_i = rows[i, :7].tolist()
+        try:
+            box = Box3D(x=x_i, y=y_i, l=l_i, w=w_i, theta=theta_i, z=z_i, h=h_i)
+            # EC-IoU weights are undefined on the ego; a ground truth is
+            # refused here, since disjoint pairs never reach the metrics.
+            if ground_truths:
+                weight_extremes(box, 1.0)
+        except ValueError as exc:
+            raise RecordParseError(path, line_numbers[i], str(exc)) from exc
+        rows[i, 6] = box.theta
 
 
 @dataclass(frozen=True, slots=True)
@@ -440,9 +557,45 @@ def _ap40_or_none(frame_results: list[MatchResult]) -> float | None:
         return None
 
 
+def _of_class(records: Sequence[DetectionRecord], label: str) -> list[DetectionRecord]:
+    """The records of one class, in input order."""
+    if isinstance(records, RecordTable):
+        return records.of_class(label)
+    return [r for r in records if r.class_label == label]
+
+
+def _class_report(
+    cls_preds: list[DetectionRecord],
+    cls_gts: list[DetectionRecord],
+    threshold: float,
+    cfg: WeightConfig,
+    tp_distance: float,
+    count_affinity: str,
+    mode: str,
+) -> ClassReport:
+    matched = {IOU_AFFINITY: [], EC_IOU_AFFINITY: []}
+    frames = _by_frame(cls_preds, cls_gts)
+    # At threshold 0 every pair matches, a disjoint one included.
+    tables = _candidates(frames, threshold, cfg, mode) if threshold > 0.0 else ({} for _ in frames)
+    for (fp, fg), table in zip(frames, tables):
+        for affinity, results in matched.items():
+            results.append(match_greedy(fp, fg, affinity, threshold, cfg, mode, candidates=table.get(affinity)))
+    counted = matched[count_affinity]
+    means = tp_metric_means(cls_preds, cls_gts, tp_distance, cfg)
+    return ClassReport(
+        ap40=_ap40_or_none(matched[IOU_AFFINITY]),
+        ec_ap40=_ap40_or_none(matched[EC_IOU_AFFINITY]),
+        mean_iou=means.mean_iou,
+        mean_ec_iou=means.mean_ec_iou,
+        tp=sum(len(r.matches) for r in counted),
+        fp=sum(len(r.false_positives) for r in counted),
+        fn=sum(len(r.false_negatives) for r in counted),
+    )
+
+
 def evaluate_detections(
-    preds: list[DetectionRecord],
-    gts: list[DetectionRecord],
+    preds: Sequence[DetectionRecord],
+    gts: Sequence[DetectionRecord],
     classes: list[str],
     cfg: WeightConfig,
     thresholds: dict[str, float] | None = None,
@@ -451,7 +604,10 @@ def evaluate_detections(
     mode: str = MODE_3D,
 ) -> EvalReport:
     """Full per-class report: AP40 under both affinities, TP-metric means,
-    and TP/FP/FN counts taken from the count_affinity matching."""
+    and TP/FP/FN counts taken from the count_affinity matching.
+
+    A class's records are built from a RecordTable, or picked from any
+    other sequence, only while that class is scored."""
     _check_choices(mode, count_affinity)
     if not tp_distance > 0.0:  # NaN too; inf means no limit
         raise ValueError(f"tp_distance must be positive, got {tp_distance}")
@@ -466,25 +622,10 @@ def evaluate_detections(
             raise ValueError(f"threshold for class {label!r} must be in [0, 1], got {threshold}")
     class_reports: dict[str, ClassReport] = {}
     for label, threshold in thresholds.items():
-        cls_preds = [p for p in preds if p.class_label == label]
-        cls_gts = [g for g in gts if g.class_label == label]
-        matched = {IOU_AFFINITY: [], EC_IOU_AFFINITY: []}
-        frames = _by_frame(cls_preds, cls_gts)
-        # At threshold 0 every pair matches, a disjoint one included.
-        tables = _candidates(frames, threshold, cfg, mode) if threshold > 0.0 else ({} for _ in frames)
-        for (fp, fg), table in zip(frames, tables):
-            for affinity, results in matched.items():
-                results.append(match_greedy(fp, fg, affinity, threshold, cfg, mode, candidates=table.get(affinity)))
-        counted = matched[count_affinity]
-        means = tp_metric_means(cls_preds, cls_gts, tp_distance, cfg)
-        class_reports[label] = ClassReport(
-            ap40=_ap40_or_none(matched[IOU_AFFINITY]),
-            ec_ap40=_ap40_or_none(matched[EC_IOU_AFFINITY]),
-            mean_iou=means.mean_iou,
-            mean_ec_iou=means.mean_ec_iou,
-            tp=sum(len(r.matches) for r in counted),
-            fp=sum(len(r.false_positives) for r in counted),
-            fn=sum(len(r.false_negatives) for r in counted),
+        # The last class's records and match results are released with
+        # _class_report's frame, before the next class's are built.
+        class_reports[label] = _class_report(
+            _of_class(preds, label), _of_class(gts, label), threshold, cfg, tp_distance, count_affinity, mode
         )
     reports = class_reports.values()
     return EvalReport(

@@ -6,17 +6,19 @@ immutable and freely shareable.
 Boxes are checked where they are built, footprint and height by one rule
 (_check_extents): finite fields, a reach within MAX_REACH, and every extent
 at least MIN_RELATIVE_SIDE of max(1, the center's distance, the largest
-extent), the two that bound the box's largest coordinate. Polygons built with
+extent), the two that bound the box's largest coordinate. A record file's
+boxes are checked all at once, by the same rule (evaluate._admit), and built
+through _trusted_box, which checks nothing again. Polygons built with
 ConvexPolygon(...) are checked too. The polygons this module builds for
 itself, the corners of box_to_polygon and the rings of intersect_convex, are
 not checked again: those checks could change no vertex and refuse none (see
 ConvexPolygon).
 
 Boxes are slotted: without an instance __dict__ a Box3D takes about 100
-bytes less, which counts where eval holds a box per record line.
-slots=True replaces the class with a new one, while zero-argument super()
-in a method still names the class the method was defined in, of which the
-box is no instance, and raises TypeError (Python 3.11). So
+bytes less, which counts where eval holds a box per record of the class it
+scores. slots=True replaces the class with a new one, while zero-argument
+super() in a method still names the class the method was defined in, of
+which the box is no instance, and raises TypeError (Python 3.11). So
 Box3D.__post_init__ calls OrientedBoxBEV.__post_init__ by name.
 """
 
@@ -96,6 +98,26 @@ class Box3D(OrientedBoxBEV):
         if not (math.isfinite(self.z) and math.isfinite(self.h)):
             raise ValueError("z and h must be finite")
         _check_extents(abs(self.z), (self.h,), "h", "the ground plane", "abs(z)")
+
+
+# Each field's slot setter, which skips the frozen __setattr__.
+_SET_X, _SET_Y, _SET_L, _SET_W, _SET_THETA, _SET_Z, _SET_H = (
+    getattr(Box3D, name).__set__ for name in ("x", "y", "l", "w", "theta", "z", "h")
+)
+
+
+def _trusted_box(x: float, y: float, l: float, w: float, theta: float, z: float, h: float) -> Box3D:
+    """Box3D over fields as given: Python floats that Box3D(...) accepts and
+    keeps as they are, theta in [-pi, pi) included."""
+    box = object.__new__(Box3D)
+    _SET_X(box, x)
+    _SET_Y(box, y)
+    _SET_L(box, l)
+    _SET_W(box, w)
+    _SET_THETA(box, theta)
+    _SET_Z(box, z)
+    _SET_H(box, h)
+    return box
 
 
 def _signed_area(vertices) -> float:

@@ -737,13 +737,13 @@ def test_console_entry_point():
 
 
 def test_import_loads_neither_hashlib_nor_the_thread_pool():
-    # hashlib loads OpenSSL for the Monte Carlo seed alone, and
-    # concurrent.futures serves threaded sim runs alone: a plain import
-    # pays for neither.
+    # hashlib loads OpenSSL for the Monte Carlo seed alone,
+    # concurrent.futures serves threaded sim runs alone, and array holds
+    # record files alone: a plain import pays for none of them.
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
         f"import sys; sys.path.insert(0, {str(src)!r}); import eciou; "
-        "print(sorted({'hashlib', 'concurrent.futures'} & set(sys.modules)))"
+        "print(sorted({'array', 'hashlib', 'concurrent.futures'} & set(sys.modules)))"
     )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr

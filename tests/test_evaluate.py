@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -74,7 +75,7 @@ def test_parse_records_round_trip(tmp_path):
 def test_parse_records_empty_file(tmp_path):
     path = tmp_path / "empty.txt"
     path.write_text("")
-    assert parse_records(str(path), GROUND_TRUTHS) == []
+    assert len(parse_records(str(path), GROUND_TRUTHS)) == 0
 
 
 def test_parse_records_errors_carry_line_numbers(tmp_path):
@@ -147,10 +148,21 @@ def test_parse_records_shares_frame_ids_and_labels(tmp_path):
     assert len({id(r.class_label) for r in records}) == len({r.class_label for r in records}) == 2
 
 
+def test_record_table_is_a_sequence_of_its_records(tmp_path):
+    # 1,200 rows: iteration builds its records in chunks of 1,024.
+    records = parse_records(_record_file(tmp_path / "preds.txt", 50, 12), PREDICTIONS)
+    one_by_one = [records[i] for i in range(len(records))]
+    assert list(records) == one_by_one
+    assert records[-1] == one_by_one[-1] and records[1020:1030] == one_by_one[1020:1030]
+    assert records.of_class("car") == [r for r in one_by_one if r.class_label == "car"]
+    with pytest.raises(IndexError):
+        records[len(records)]
+
+
 def test_parse_records_heap_per_record(tmp_path):
-    # About 353 B a scored record on CPython 3.11: a slotted record and box,
-    # eight floats, a list slot, and no string of its own. A box __dict__ and
-    # a fresh frame id and label string per line bring it to about 509 B.
+    # About 84 B a scored record on CPython 3.11: eight float64 columns and
+    # two string pointers a row, plus the columns' growth slack, and no
+    # string of its own. A slotted record and box a line took about 353 B.
     path = _record_file(tmp_path / "preds.txt", 50, 12)
     parse_records(path, PREDICTIONS)  # lazy imports and caches, untraced
     tracemalloc.start()
@@ -160,7 +172,32 @@ def test_parse_records_heap_per_record(tmp_path):
     finally:
         tracemalloc.stop()
     assert len(records) == 1200
-    assert held / len(records) <= 420
+    assert held / len(records) <= 100
+
+
+_GT_LINE = "f0 car 10 0 0.9 4 2 1.6 0"
+# The ego on the box's edge at x = 0.
+_GT_ON_THE_EGO = "f0 car 1 0 0.75 2 2 1.5 0"
+_ON_THE_EGO = "ego origin lies on a corner or an edge of the ground truth, or inside it"
+
+
+@pytest.mark.parametrize(
+    "kind, lines, message",
+    [
+        (GROUND_TRUTHS, [_GT_LINE, _GT_ON_THE_EGO, _GT_LINE, _GT_LINE[:-2]], _ON_THE_EGO),
+        (GROUND_TRUTHS, [_GT_LINE, _GT_LINE[:-2], _GT_LINE, _GT_ON_THE_EGO],
+         "expected 9 fields for ground-truths, got 8"),
+        (PREDICTIONS, [_GT_LINE + " 0.5", "f0 car 10 0 0.9 -4 2 1.6 0 1.5"], "score 1.5 outside [0, 1]"),
+    ],
+    ids=["box-then-fields", "fields-then-box", "score-and-box"],
+)
+def test_parse_records_raises_the_first_lines_error(tmp_path, kind, lines, message):
+    # Boxes are checked after the lines are read; the first error still wins.
+    path = tmp_path / "records.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(RecordParseError) as err:
+        parse_records(str(path), kind)
+    assert str(err.value) == f"{path}:2: {message}"
 
 
 # ---- greedy matching ----
@@ -571,6 +608,30 @@ def test_evaluate_detections_perfect_fixture():
         assert (rep.tp, rep.fp, rep.fn) == (1, 0, 0)
     assert report.map40 == pytest.approx(1.0)
     assert report.ec_map40 == pytest.approx(1.0)
+
+
+def test_evaluate_detections_reports_a_record_table_as_its_list(tmp_path):
+    # Headings near +-pi put some predictions' theta out of range, which
+    # parse_records brings back the scalar way.
+    rng = random.Random(11)
+    gt_lines, pred_lines = [], []
+    for f in range(8):
+        for label in ("car", "pedestrian", "van"):
+            for _ in range(3):
+                x, y, theta = rng.uniform(4, 30), rng.uniform(-10, 10), rng.choice([rng.uniform(-3.1, 3.1), 3.1])
+                gt_lines.append(f"{f} {label} {x!r} {y!r} 0.8 3.9 1.7 1.5 {theta!r}")
+                for _ in range(2):
+                    jx, jy, jt = rng.uniform(-0.8, 0.8), rng.uniform(-0.4, 0.4), rng.uniform(-0.2, 0.2)
+                    pred_lines.append(f"{f} {label} {x + jx!r} {y + jy!r} 0.8 3.9 1.7 1.5 {theta + jt!r} {rng.random()!r}")
+    (tmp_path / "gts.txt").write_text("\n".join(gt_lines) + "\n")
+    (tmp_path / "preds.txt").write_text("\n".join(pred_lines) + "\n")
+    preds = parse_records(str(tmp_path / "preds.txt"), PREDICTIONS)
+    gts = parse_records(str(tmp_path / "gts.txt"), GROUND_TRUTHS)
+    assert any(not -math.pi <= float(line.split()[8]) < math.pi for line in pred_lines)
+    classes = ["car", "pedestrian", "cyclist"]
+    for mode in (MODE_3D, MODE_BEV):
+        from_table = evaluate_detections(preds, gts, classes, CFG, mode=mode).to_json()
+        assert from_table == evaluate_detections(list(preds), list(gts), classes, CFG, mode=mode).to_json()
 
 
 def test_evaluate_detections_empty_predictions():
