@@ -8,9 +8,11 @@ would score it to the same bits, as below), and so that
 same-frame pairs through `BatchEvaluator.clip` and
 `circumcircles_disjoint` before the scalar path scores them. The
 clipping stage order and every formula match the scalar implementation;
-tests pin agreement between the two routes. Vertices travel as separate
-(x, y) coordinate planes, each (N, 4) for box corners or zero-padded for
-clipped rings, from `corners` to the weights.
+tests pin agreement between the two routes. The bulk box rules of sim and
+eval have their one numpy copy here: within_extents for
+geometry._check_extents, ego_distances for weighting.weight_extremes.
+Vertices travel as separate (x, y) coordinate planes, each (N, 4) for box
+corners or zero-padded for clipped rings, from `corners` to the weights.
 
 `BatchEvaluator.clip` makes one `Clip` of a batch, which every score and
 loss of that batch reads. It gives a row an intersection of nan if
@@ -65,18 +67,33 @@ def wrap_angle(theta: np.ndarray) -> np.ndarray:
     return np.where(in_range, theta, np.mod(theta + math.pi, 2.0 * math.pi) - math.pi)
 
 
+def within_extents(distance, diagonal, smallest, largest, slack: float = 0.0) -> np.ndarray:
+    """Per-row geometry._check_extents with slack to spare: a reach distance +
+    diagonal / 2 of at most MAX_REACH * (1 - slack), and the smallest extent
+    at least MIN_RELATIVE_SIDE * (1 + slack) * max(1, distance, largest)."""
+    floor = MIN_RELATIVE_SIDE * (1.0 + slack) * np.maximum(np.maximum(1.0, distance), largest)
+    return (distance + 0.5 * diagonal <= MAX_REACH * (1.0 - slack)) & (smallest >= floor)
+
+
 def valid_boxes(boxes: np.ndarray) -> np.ndarray:
     """Per-row mask of the (N, 5) boxes OrientedBoxBEV accepts: finite
-    parameters, a reach distance + hypot(l, w) / 2 of at most MAX_REACH and
-    sides of at least MIN_RELATIVE_SIDE * max(1, distance, l, w)."""
-    distance = np.hypot(boxes[:, 0], boxes[:, 1])
-    reach = distance + 0.5 * np.hypot(boxes[:, 2], boxes[:, 3])
-    floor = MIN_RELATIVE_SIDE * np.maximum(np.maximum(1.0, distance), np.maximum(boxes[:, 2], boxes[:, 3]))
+    parameters, within_extents at slack 0."""
+    x, y, l, w = boxes[:, 0], boxes[:, 1], boxes[:, 2], boxes[:, 3]
     finite = np.isfinite(boxes)
     return (
         finite[:, 0] & finite[:, 1] & finite[:, 2] & finite[:, 3] & finite[:, 4]
-        & (reach <= MAX_REACH) & (boxes[:, 2] >= floor) & (boxes[:, 3] >= floor)
+        & within_extents(np.hypot(x, y), np.hypot(l, w), np.minimum(l, w), np.maximum(l, w))
     )
+
+
+def ego_distances(x, y, l, w, theta) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row distances from the ego to the nearest point and the farthest
+    corner of boxes, in box-local coordinates as weighting.weight_extremes."""
+    c, s = np.cos(theta), np.sin(theta)
+    ox, oy = -(c * x + s * y), -(-s * x + c * y)  # the ego, box-local
+    hl, hw = 0.5 * l, 0.5 * w
+    near = np.hypot(ox - np.clip(ox, -hl, hl), oy - np.clip(oy, -hw, hw))
+    return near, np.hypot(np.abs(ox) + hl, np.abs(oy) + hw)
 
 
 def circumcircles_disjoint(boxes: np.ndarray, targets: np.ndarray) -> np.ndarray:

@@ -29,11 +29,13 @@ slice measures its pairs whose circumcircles meet. A pair is left out when
   threshold - 1e-9 with a relative slack of 1e-6. V_i and V_p are the
   intersection and prediction volumes, A_g and h_g the ground truth's area
   and height, and (w_min, w_max) its weight_extremes: every weight over the
-  ground truth lies between them, so the bound holds for every method. It
-  reads no clipped ring, so no spurious ring vertex can break it. A pair
-  whose relative heading is within 1e-3 of a multiple of pi/2, where the
-  scalar clipper can put a ring vertex outside the ground truth, or whose
-  bound or weights are not finite, stays a candidate.
+  ground truth lies between them, so the bound holds for every method.
+  _bulk_extremes takes them for all of a class's ground truths at once, inf
+  where weight_extremes may refuse or overflows. The bound reads no clipped
+  ring, so no spurious ring vertex can break it. A pair whose relative
+  heading is within 1e-3 of a multiple of pi/2, where the scalar clipper
+  can put a ring vertex outside the ground truth, or whose bound or weights
+  are not finite, stays a candidate.
 A left-out pair's scalar affinity is below the threshold, so greedy
 matching could not have taken it; every affinity it compares or reports
 still comes from the scalar path, and the report stays byte-identical, its
@@ -50,9 +52,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import _batch
-from .geometry import MAX_REACH, MIN_RELATIVE_SIDE, Box3D, _trusted_box, circumcircles_disjoint
+from .geometry import Box3D, _trusted_box, circumcircles_disjoint
 from .metrics import ec_iou_3d, ec_iou_bev, iou_3d, iou_bev, scores_3d
-from .weighting import DEGENERATE_DISTANCE, DegenerateDistanceError, WeightConfig, weight_extremes
+from .weighting import DEGENERATE_DISTANCE, WeightConfig, weight_extremes
 
 PREDICTIONS = "predictions"
 GROUND_TRUTHS = "ground-truths"
@@ -210,30 +212,20 @@ def parse_records(path: str, kind: str) -> RecordTable:
     return RecordTable(frame_ids, labels, rows)
 
 
-def _inside_extents(distance: np.ndarray, diagonal: np.ndarray, smallest: np.ndarray,
-                    largest: np.ndarray) -> np.ndarray:
-    """Rows that geometry._check_extents accepts with _ADMIT_SLACK to spare:
-    a reach distance + diagonal / 2 within MAX_REACH, and the smallest extent
-    at least MIN_RELATIVE_SIDE * max(1, distance, largest extent)."""
-    reach = distance + 0.5 * diagonal
-    floor = MIN_RELATIVE_SIDE * np.maximum(np.maximum(1.0, distance), largest)
-    return (reach <= MAX_REACH * (1.0 - _ADMIT_SLACK)) & (smallest >= floor * (1.0 + _ADMIT_SLACK))
-
-
-def _clear_of_ego(x, y, l, w, theta) -> np.ndarray:
-    """Rows that weight_extremes admits with room to spare: their nearest
-    point at least twice DEGENERATE_DISTANCE plus _ADMIT_SLACK * (1 + |x| +
-    |y|) from the ego. np.cos and math.cos may differ in the last bit, and
-    each rounding error here is of order 1e-16 times |x| + |y|, which bounds
-    every coordinate of the box-local ego. The nearest point is no farther
-    than the center, so the center clears DEGENERATE_DISTANCE too."""
-    c, s = np.cos(theta), np.sin(theta)
-    # weight_extremes' ego origin in box-local coordinates, and its distance
-    # to the nearest point of the box.
-    ox, oy = -(c * x + s * y), -(-s * x + c * y)
-    hl, hw = 0.5 * l, 0.5 * w
-    near = np.hypot(ox - np.clip(ox, -hl, hl), oy - np.clip(oy, -hw, hw))
-    return near >= 2.0 * DEGENERATE_DISTANCE + _ADMIT_SLACK * (1.0 + np.abs(x) + np.abs(y))
+def _bulk_extremes(x, y, l, w, theta, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """weight_extremes of ground truths at once, as (w_min, w_max) arrays: both
+    inf where w_max overflows or the nearest point lies within twice
+    DEGENERATE_DISTANCE plus _ADMIT_SLACK * (1 + |x| + |y|) of the ego. That
+    covers every box weight_extremes refuses, its center test included: np.cos
+    and math.cos may differ in the last bit, and the distance's rounding error
+    is of order 1e-16 times |x| + |y|."""
+    near, far = _batch.ego_distances(x, y, l, w, theta)
+    rho_c = np.hypot(x, y)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        w_min, w_max = (rho_c / far) ** alpha, (rho_c / near) ** alpha
+    # After the power: at alpha 0, an inf or nan ratio gives 1.
+    held = (near >= 2.0 * DEGENERATE_DISTANCE + _ADMIT_SLACK * (1.0 + np.abs(x) + np.abs(y))) & np.isfinite(w_max)
+    return np.where(held, w_min, math.inf), np.where(held, w_max, math.inf)
 
 
 def _admit(path: str, rows: np.ndarray, line_numbers: Sequence[int], ground_truths: bool) -> None:
@@ -250,11 +242,11 @@ def _admit(path: str, rows: np.ndarray, line_numbers: Sequence[int], ground_trut
     with np.errstate(over="ignore", invalid="ignore"):
         clear = (
             np.isfinite(rows[:, :7]).all(axis=1) & (-math.pi <= theta) & (theta < math.pi)
-            & _inside_extents(np.hypot(x, y), np.hypot(l, w), np.minimum(l, w), np.maximum(l, w))
-            & _inside_extents(np.abs(z), np.abs(h), h, h)
+            & _batch.within_extents(np.hypot(x, y), np.hypot(l, w), np.minimum(l, w), np.maximum(l, w), _ADMIT_SLACK)
+            & _batch.within_extents(np.abs(z), np.abs(h), h, h, _ADMIT_SLACK)
         )
         if ground_truths:
-            clear &= _clear_of_ego(x, y, l, w, theta)
+            clear &= np.isfinite(_bulk_extremes(x, y, l, w, theta, 1.0)[1])
     for i in np.flatnonzero(~clear).tolist():
         x_i, y_i, z_i, l_i, w_i, h_i, theta_i = rows[i, :7].tolist()
         try:
@@ -362,16 +354,9 @@ def match_greedy(
 
 
 def _params(boxes: list[Box3D]) -> np.ndarray:
-    """(N, 7) rows of x, y, l, w, theta, z, h."""
-    return np.array([(b.x, b.y, b.l, b.w, b.theta, b.z, b.h) for b in boxes], dtype=np.float64).reshape(-1, 7)
-
-
-def _extremes(gt: Box3D, alpha: float) -> tuple[float, float]:
-    """weight_extremes, or inf where the weights are undefined or overflow."""
-    try:
-        return weight_extremes(gt, alpha)
-    except (OverflowError, DegenerateDistanceError):
-        return math.inf, math.inf
+    """(N, 7) rows of x, y, l, w, theta, z, h; a flat read holds no tuple per box."""
+    flat = (v for b in boxes for v in (b.x, b.y, b.l, b.w, b.theta, b.z, b.h))
+    return np.fromiter(flat, dtype=np.float64, count=7 * len(boxes)).reshape(-1, 7)
 
 
 def _pair_bounds(
@@ -410,10 +395,9 @@ def _candidates(frames, threshold: float, cfg: WeightConfig, mode: str) -> Itera
     sizes = n_p * n_g
     ends = np.cumsum(sizes)
     p_start, g_start = np.cumsum(n_p) - n_p, np.cumsum(n_g) - n_g
-    preds, gts = [p.box for fp, _ in frames for p in fp], [g.box for _, fg in frames for g in fg]
-    # Once per ground truth; a flat read holds no tuple per ground truth.
-    flat = (w for g in gts for w in _extremes(g, cfg.alpha))
-    extremes = np.fromiter(flat, dtype=np.float64, count=2 * len(gts)).reshape(-1, 2)
+    preds = [p.box for fp, _ in frames for p in fp]
+    targets = _params([g.box for _, fg in frames for g in fg])
+    w_min, w_max = _bulk_extremes(*targets[:, :5].T, cfg.alpha)
     cut = threshold - _CUT_MARGIN
 
     def empty(f):
@@ -431,17 +415,15 @@ def _candidates(frames, threshold: float, cfg: WeightConfig, mode: str) -> Itera
         frame = np.searchsorted(ends, k, side="right")
         k -= ends[frame] - sizes[frame]
         pred, gt = k // n_g[frame], k % n_g[frame]
-        # The slice's predictions are one run of rows, and so are its
-        # ground truths: it reads those alone, and indexes them locally.
+        # The slice's predictions are one run of rows: it reads those alone,
+        # and indexes them locally.
         p_rows, g_rows = p_start[frame] + pred, g_start[frame] + gt
-        p_low, g_low = p_rows[0], g_start[frame[0]]
+        p_low = p_rows[0]
         boxes = _params(preds[p_low:p_rows[-1] + 1])
-        targets = _params(gts[g_low:g_start[frame[-1]] + n_g[frame[-1]]])
-        p_rows, g_rows = p_rows - p_low, g_rows - g_low
+        p_rows -= p_low
         meet = ~_batch.circumcircles_disjoint(boxes[p_rows], targets[g_rows])
         frame, pred, gt, p_rows, g_rows = (a[meet] for a in (frame, pred, gt, p_rows, g_rows))
-        w = extremes[g_low + g_rows]
-        iou, bound = _pair_bounds(boxes[p_rows], targets[g_rows], w[:, 0], w[:, 1], mode)
+        iou, bound = _pair_bounds(boxes[p_rows], targets[g_rows], w_min[g_rows], w_max[g_rows], mode)
         kept = {IOU_AFFINITY: ~(iou < cut), EC_IOU_AFFINITY: ~(bound * (1.0 + _BOUND_SLACK) < cut)}
         for affinity, keep in kept.items():
             for f, i, j in zip(frame[keep].tolist(), pred[keep].tolist(), gt[keep].tolist()):

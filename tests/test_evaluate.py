@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -34,7 +35,9 @@ from eciou.evaluate import (
 )
 from eciou.geometry import DISJOINT_MARGIN, Box3D, OrientedBoxBEV, circumcircles_disjoint
 from eciou.metrics import ec_iou_3d, ec_iou_bev, iou_3d, iou_bev
-from eciou.weighting import ARITHMETIC, GEOMETRIC, METHODS, MONTE_CARLO, WeightConfig, weight_extremes
+from eciou.weighting import (
+    ARITHMETIC, GEOMETRIC, METHODS, MONTE_CARLO, DegenerateDistanceError, WeightConfig, weight_extremes,
+)
 
 CFG = WeightConfig(alpha=1)
 
@@ -990,11 +993,44 @@ def _bounded_pairs(draw):
        mode=st.sampled_from([MODE_3D, MODE_BEV]))
 def test_scalar_ec_iou_never_exceeds_the_candidate_bound(pair, alpha, method, mode):
     p, g = pair
-    w_min, w_max = weight_extremes(g, alpha)
-    _, bound = _pair_bounds(_params([p]), _params([g]), np.array([w_min]), np.array([w_max]), mode)
+    targets = _params([g])
+    _, bound = _pair_bounds(_params([p]), targets, *evaluate._bulk_extremes(*targets[:, :5].T, alpha), mode)
     cfg = WeightConfig(alpha=alpha, method=method, mc_samples=64)
     ec = (ec_iou_3d if mode == MODE_3D else ec_iou_bev)(p, g, cfg).value
     assert ec <= bound[0] * (1.0 + evaluate._BOUND_SLACK)
+
+
+def _scalar_extremes(g, alpha):
+    """weight_extremes, or None where it raises."""
+    try:
+        return weight_extremes(g, alpha)
+    except (OverflowError, DegenerateDistanceError):
+        return None
+
+
+# Ground truths weight_extremes refuses at any alpha: the ego inside, on an
+# edge, at a corner, 1e-10 outside an edge, and the center on the ego.
+_REFUSED_GTS = [_box(0.5, 0.0), _box(1.0, 0.0, l=2.0, w=2.0), _box(1.0, 1.0, l=2.0, w=2.0),
+                _box(1.0 + 1e-10, 0.0, l=2.0, w=2.0), _box(0.0, 0.0)]
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 8.0, 5000.0])
+def test_bulk_extremes_are_inf_exactly_where_weight_extremes_raises(alpha):
+    rng = np.random.default_rng(3)
+    x, y, theta = rng.uniform(-60, 60, 200), rng.uniform(-60, 60, 200), rng.uniform(-math.pi, math.pi, 200)
+    l, w = rng.uniform(0.3, 12, 200), rng.uniform(0.3, 4, 200)
+    # At alpha 5000, w_max of the console-script check's ground truth overflows.
+    gts = _REFUSED_GTS + [_box(10.0, 0.0)] + [_box(a, b, l=c, w=d, theta=t) for a, b, c, d, t in zip(x, y, l, w, theta)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w_min, w_max = evaluate._bulk_extremes(*_params(gts)[:, :5].T, alpha)
+    scalar = [_scalar_extremes(g, alpha) for g in gts]
+    refused = np.array([pair is None for pair in scalar])
+    assert refused[:len(_REFUSED_GTS) + 1].tolist() == [True] * len(_REFUSED_GTS) + [alpha == 5000.0]
+    assert refused.sum() < len(gts) // 2
+    assert np.array_equal(np.isinf(w_min) & np.isinf(w_max), refused)
+    expected = np.array([pair for pair in scalar if pair is not None])
+    np.testing.assert_allclose(np.stack([w_min[~refused], w_max[~refused]], axis=1), expected, rtol=1e-9, atol=0.0)
 
 
 def test_report_json_shape():
