@@ -156,26 +156,13 @@ def _cmd_sweep(args) -> None:
         out.write(table.to_csv())
 
 
-def _threads_from_env() -> int:
-    """ECIOU_THREADS: unset = 1, 0 = one per CPU; anything but an integer >= 0 is refused."""
-    raw = os.environ.get("ECIOU_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = -1
-    if n < 0:
-        raise ValueError(f"ECIOU_THREADS must be an integer >= 0, got {raw!r}")
-    return n or os.cpu_count() or 1
-
-
 def _cmd_sim(args) -> None:
     cfg = ScenarioConfig.from_json(args.config) if args.config else ScenarioConfig()
     kinds = tuple(LossKind.from_name(n) for n in args.kinds.split(",") if n.strip())
-    threads = _threads_from_env()
     if not kinds:
         raise ValueError("--kinds selected nothing")
     with _output(args.out) as out:
-        result = run_simulation(cfg, kinds=kinds, threads=threads)
+        result = run_simulation(cfg, kinds=kinds)
         print(f"cases={result.case_count}", file=sys.stderr)
         for name, count in result.failures.items():
             print(f"failed[{name}]={count}", file=sys.stderr)

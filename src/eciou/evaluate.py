@@ -108,7 +108,7 @@ class DetectionRecord:
     score: float | None = None
 
 
-class RecordTable(Sequence[DetectionRecord]):
+class RecordTable:
     """The records of one file, as parse_records admitted them, held as
     columns: each row's frame id and class label, one shared string per
     distinct value, and its x, y, z, l, w, h, theta and, for predictions,
@@ -595,10 +595,11 @@ def evaluate_detections(
         raise ValueError(f"tp_distance must be positive, got {tp_distance}")
     if len(set(classes)) != len(classes):
         raise ValueError(f"duplicate classes in {','.join(classes)}")
-    given = thresholds or {}
-    thresholds = {
-        label: given.get(label, DEFAULT_THRESHOLDS.get(label, FALLBACK_THRESHOLD)) for label in classes
-    }
+    unknown = sorted(set(thresholds or {}) - set(classes))
+    if unknown:
+        raise ValueError(f"thresholds name no class in classes: {unknown}")
+    defaults = {label: DEFAULT_THRESHOLDS.get(label, FALLBACK_THRESHOLD) for label in classes}
+    thresholds = {**defaults, **(thresholds or {})}
     for label, threshold in thresholds.items():
         if not 0.0 <= threshold <= 1.0:  # NaN too
             raise ValueError(f"threshold for class {label!r} must be in [0, 1], got {threshold}")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +40,10 @@ GRAD_STEP = 0.03
 # and 180 iterations.
 MAX_CASES = 100_000
 MAX_ITERATIONS = 100_000
+
+# Fewest cases at which run_simulation, given no thread count, runs the kinds
+# in parallel; measured on 2 CPUs only (README, "Threads (sim)").
+PARALLEL_FROM_CASES = 288
 
 
 class ConfigError(ValueError):
@@ -424,16 +429,19 @@ def run_simulation(
     cfg: ScenarioConfig,
     kinds: tuple[LossKind, ...] = ALL_KINDS,
     loss_cfg: WeightConfig = DEFAULT_LOSS_CFG,
-    threads: int = 1,
+    threads: int | None = None,
 ) -> SimulationResult:
     """Run every loss kind over the full scenario and aggregate curves.
 
     Losses are weighted with the geometric or arithmetic vertex mean; a
     Monte Carlo descent goes case by case through `run_case`. Deterministic
     for a fixed config: cases are generated, descended, and averaged in
-    case-id order; kinds may run in parallel threads but are assembled in
-    the order given.
+    case-id order; kinds are assembled in the order given. threads, an
+    integer >= 1, caps the kinds run at once; by default it is 1 below
+    PARALLEL_FROM_CASES cases, and from there the CPUs this process may use.
     """
+    if threads is not None and not (is_integer(threads) and threads >= 1):
+        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
     if loss_cfg.method not in (GEOMETRIC, ARITHMETIC):
         raise ValueError(
             f"run_simulation weights losses with {GEOMETRIC} or {ARITHMETIC} means, "
@@ -452,7 +460,10 @@ def run_simulation(
         _, failed, curve = _descend_batch(anchors, targets, kind, cfg, loss_cfg)
         return kind.name, curve, int(failed.sum())
 
-    workers = max(1, min(threads, len(kinds)))
+    if threads is None:
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (os.cpu_count() or 1)
+        threads = cpus if len(cases) >= PARALLEL_FROM_CASES else 1
+    workers = min(threads, len(kinds))
     if workers > 1:
         # concurrent.futures loads logging and queue: only threaded runs pay.
         from concurrent.futures import ThreadPoolExecutor

@@ -211,16 +211,6 @@ def test_sim_bad_schema_exits_one(tmp_path, capsys):
     assert main(["sim", "--kinds", "fancy-iou"]) == 1
 
 
-@pytest.mark.parametrize("value", ["abc", "-3", "1.5"])
-def test_sim_bad_thread_count_exits_one(tmp_path, capsys, monkeypatch, value):
-    config = tmp_path / "scenario.json"
-    config.write_text(json.dumps({"grid_points_per_axis": 1, "iterations": 1}))
-    monkeypatch.setenv("ECIOU_THREADS", value)
-    assert main(["sim", "--config", str(config)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ECIOU_THREADS") and err.count("\n") == 1
-
-
 def test_eval_fixture(tmp_path, capsys):
     preds = tmp_path / "preds.txt"
     gts = tmp_path / "gts.txt"

@@ -656,6 +656,8 @@ def test_evaluate_detections_empty_predictions():
         ({"thresholds": {"pedestrian": math.nan}}, "class 'pedestrian'"),
         ({"thresholds": {"pedestrian": 2.0}}, "class 'pedestrian'"),
         ({"thresholds": {"car": -0.1}}, "class 'car'"),
+        ({"thresholds": {"Car": 0.95}}, r"thresholds name no class in classes: \['Car'\]"),
+        ({"thresholds": {"truck": 0.5, "car": 0.7, "Car": 0.95}}, r"classes: \['Car', 'truck'\]"),
     ],
 )
 def test_evaluate_detections_checks_inputs_before_matching(monkeypatch, kwargs, message):

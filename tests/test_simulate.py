@@ -333,6 +333,58 @@ def test_simulation_threaded_matches_sequential():
     assert run_simulation(_GRID162, threads=1) == run_simulation(_GRID162, threads=2)
 
 
+# 288 cases: the size from which run_simulation runs its kinds in threads.
+_AT_CROSSOVER = replace(_GRID162, grid_points_per_axis=4, iterations=1)
+
+
+@pytest.mark.parametrize(
+    "cfg, cpus, affinity, kinds, workers",
+    [
+        (replace(_GRID162, iterations=1), 2, True, ALL_KINDS, None),  # 162 cases
+        (replace(_GRID162, target_thetas=(0.0, 0.5, 1.0), iterations=1), 2, True, ALL_KINDS, None),  # 243
+        (_AT_CROSSOVER, 4, True, ALL_KINDS, 4),
+        (_AT_CROSSOVER, 8, True, ALL_KINDS[:2], 2),
+        (_AT_CROSSOVER, 1, True, ALL_KINDS, None),  # one usable CPU
+        (_AT_CROSSOVER, 3, False, ALL_KINDS, 3),  # no affinity call: os.cpu_count()
+    ],
+)
+def test_simulation_picks_its_thread_count(monkeypatch, cfg, cpus, affinity, kinds, workers):
+    import concurrent.futures
+    import os
+
+    import eciou.simulate
+
+    made = []
+
+    class Recorder(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            made.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
+    if affinity:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert len(build_scenario(_AT_CROSSOVER)) == eciou.simulate.PARALLEL_FROM_CASES
+    result = run_simulation(cfg, kinds=kinds)
+    assert made == ([] if workers is None else [workers])
+    assert result == run_simulation(cfg, kinds=kinds, threads=1)
+
+
+@pytest.mark.parametrize("threads", [0, -1, 1.5, True])
+def test_simulation_refuses_a_bad_thread_count(monkeypatch, threads):
+    import eciou.simulate
+
+    def reached(*args, **kwargs):
+        raise AssertionError("run_simulation built cases for a bad thread count")
+
+    monkeypatch.setattr(eciou.simulate, "build_scenario", reached)
+    with pytest.raises(ValueError, match="threads must be an integer >= 1"):
+        run_simulation(TINY, threads=threads)
+
+
 def test_curve_lengths_and_kind_grouping():
     kinds = (LossKind("iou"), LossKind("diou"))
     res = run_simulation(TINY, kinds=kinds)
