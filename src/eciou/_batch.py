@@ -6,7 +6,8 @@ arrays so that thousands of regression cases advance together in
 would score it to the same bits, as below), and so that
 `evaluate._candidates` and `evaluate._pair_bounds` bound a class's
 same-frame pairs through `BatchEvaluator.clip` and
-`circumcircles_disjoint` before the scalar path scores them. The
+`circumcircles_disjoint`, into one bool candidate mask per frame and
+affinity, before the scalar path scores them. The
 clipping stage order and every formula match the scalar implementation;
 tests pin agreement between the two routes. The bulk box rules of sim and
 eval have their one numpy copy here: within_extents for

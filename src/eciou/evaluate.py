@@ -20,9 +20,11 @@ means score each of their pairs once, taking its IoU and EC-IoU from one
 clip.
 
 Above a threshold of 0, the matchings score on the scalar path only the
-pairs that can reach it, their candidates. Each class's same-frame pairs go
-in slices of at most _BLOCK_PAIRS pairs, and one batch clip (_batch) per
-slice measures its pairs whose circumcircles meet. A pair is left out when
+pairs that can reach it, their candidates, given as one (predictions, ground
+truths) bool mask per frame and affinity. Each class's same-frame pairs go
+frame by frame, prediction-major, in slices of at most _BLOCK_PAIRS pairs;
+one batch clip (_batch) per slice measures its pairs whose circumcircles
+meet. A pair is left out (False) when
 - by IoU, its batch IoU is below threshold - 1e-9. Batch and scalar areas
   agree to about 1e-14, edge-sharing and touching boxes included;
 - by EC-IoU, w_max * V_i / (w_min * A_g * h_g + V_p - V_i) is below
@@ -48,13 +50,14 @@ import json
 import math
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import asdict, dataclass, field
+from itertools import compress
 
 import numpy as np
 
 from . import _batch
 from .geometry import Box3D, _trusted_box, circumcircles_disjoint
 from .metrics import ec_iou_3d, ec_iou_bev, iou_3d, iou_bev, scores_3d
-from .weighting import DEGENERATE_DISTANCE, WeightConfig, weight_extremes
+from .weighting import DEGENERATE_DISTANCE, WeightConfig, is_finite_real, weight_extremes
 
 PREDICTIONS = "predictions"
 GROUND_TRUTHS = "ground-truths"
@@ -281,7 +284,7 @@ def _greedy(
     gts: list[DetectionRecord],
     affinity_of: Callable[[DetectionRecord, DetectionRecord], float],
     threshold: float,
-    candidates: list[list[int]] | None = None,
+    candidates: list[list[bool]] | None = None,
 ) -> MatchResult:
     # Predictions in descending score each take the free ground truth with
     # the strictly highest affinity >= threshold; ties keep the first. The
@@ -293,7 +296,7 @@ def _greedy(
     for i in sorted(range(len(preds)), key=lambda i: (-preds[i].score, i)):
         pred = preds[i]
         best, best_aff = -1, -math.inf
-        for j in every if candidates is None else candidates[i]:
+        for j in every if candidates is None else compress(every, candidates[i]):
             if taken[j]:
                 continue
             a = affinity_of(pred, gts[j])
@@ -328,18 +331,25 @@ def match_greedy(
     cfg: WeightConfig,
     mode: str = MODE_3D,
     *,
-    candidates: list[list[int]] | None = None,
+    candidates: np.ndarray | None = None,
 ) -> MatchResult:
     """Score-greedy one-to-one matching within a single frame and class.
 
     Predictions are processed in descending score; each claims the still
     unmatched ground truth with the highest affinity, provided it reaches
     the threshold. mode selects 3D (volume) or BEV (footprint) affinity.
-    candidates, if given, holds for each prediction, in input order, the
-    ascending indices of the ground truths it may match; only those pairs
-    are scored. Leaving out pairs below the threshold changes no match.
+    candidates, if given, is a (len(preds), len(gts)) bool array, True
+    where prediction i may match ground truth j; only those pairs are
+    scored. Leaving out pairs below the threshold changes no match.
     """
     _check_choices(mode, affinity)
+    if candidates is not None:
+        candidates = np.asarray(candidates)
+        if candidates.dtype != bool or candidates.shape != (len(preds), len(gts)):
+            raise ValueError(
+                f"candidates must be a {len(preds)}x{len(gts)} bool array, got {candidates.dtype} {candidates.shape}"
+            )
+        candidates = candidates.tolist()
     # Looked up on each call: tracers and tests replace these names. Every
     # metric is exactly 0.0 on disjoint footprints, which skip the clipper.
     if affinity == IOU_AFFINITY:
@@ -385,11 +395,11 @@ def _pair_bounds(
     return iou, np.where(held & (turn >= _QUARTER_TURN_BAND), bound, math.inf)
 
 
-def _candidates(frames, threshold: float, cfg: WeightConfig, mode: str) -> Iterator[dict[str, list]]:
+def _candidates(frames, threshold: float, cfg: WeightConfig, mode: str) -> Iterator[dict[str, np.ndarray]]:
     """Yield, for each frame (predictions, ground truths) of frames in order,
-    the candidate lists of match_greedy per affinity (see the module
-    docstring): for each prediction, the ground truths whose affinity may
-    reach threshold > 0."""
+    match_greedy's candidate mask per affinity (see the module docstring): a
+    (predictions, ground truths) bool array, True where the pair's affinity
+    may reach threshold > 0."""
     n_p = np.array([len(fp) for fp, _ in frames], dtype=np.int64)
     n_g = np.array([len(fg) for _, fg in frames], dtype=np.int64)
     sizes = n_p * n_g
@@ -399,42 +409,29 @@ def _candidates(frames, threshold: float, cfg: WeightConfig, mode: str) -> Itera
     targets = _params([g.box for _, fg in frames for g in fg])
     w_min, w_max = _bulk_extremes(*targets[:, :5].T, cfg.alpha)
     cut = threshold - _CUT_MARGIN
-
-    def empty(f):
-        return {affinity: [[] for _ in frames[f][0]] for affinity in (IOU_AFFINITY, EC_IOU_AFFINITY)}
-
-    # The same-frame pairs, prediction-major, in slices of at most
-    # _BLOCK_PAIRS, so that a frame of any size is measured in bounded
-    # memory. Slices go in order: each prediction's ground truths stay
-    # ascending, and a frame is done once a slice ends at its last pair.
-    tables, done, total = {}, 0, int(sizes.sum())
+    # One flag per same-frame pair, frame by frame, prediction-major; the
+    # pairs go in slices, so that a frame of any size is measured in bounded
+    # memory, and each frame's masks are views of these.
+    total = int(sizes.sum())
+    kept = {affinity: np.zeros(total, dtype=bool) for affinity in (IOU_AFFINITY, EC_IOU_AFFINITY)}
     for start in range(0, total, _BLOCK_PAIRS):
-        stop = min(start + _BLOCK_PAIRS, total)
-        # Each pair as (frame, prediction, ground truth), frame-local.
-        k = np.arange(start, stop)
+        k = np.arange(start, min(start + _BLOCK_PAIRS, total))
+        # Each pair's frame, and its prediction and ground truth in the frame.
         frame = np.searchsorted(ends, k, side="right")
-        k -= ends[frame] - sizes[frame]
-        pred, gt = k // n_g[frame], k % n_g[frame]
+        local = k - (ends[frame] - sizes[frame])
+        p_rows, g_rows = p_start[frame] + local // n_g[frame], g_start[frame] + local % n_g[frame]
         # The slice's predictions are one run of rows: it reads those alone,
         # and indexes them locally.
-        p_rows, g_rows = p_start[frame] + pred, g_start[frame] + gt
         p_low = p_rows[0]
         boxes = _params(preds[p_low:p_rows[-1] + 1])
         p_rows -= p_low
         meet = ~_batch.circumcircles_disjoint(boxes[p_rows], targets[g_rows])
-        frame, pred, gt, p_rows, g_rows = (a[meet] for a in (frame, pred, gt, p_rows, g_rows))
+        k, p_rows, g_rows = k[meet], p_rows[meet], g_rows[meet]
         iou, bound = _pair_bounds(boxes[p_rows], targets[g_rows], w_min[g_rows], w_max[g_rows], mode)
-        kept = {IOU_AFFINITY: ~(iou < cut), EC_IOU_AFFINITY: ~(bound * (1.0 + _BOUND_SLACK) < cut)}
-        for affinity, keep in kept.items():
-            for f, i, j in zip(frame[keep].tolist(), pred[keep].tolist(), gt[keep].tolist()):
-                if f not in tables:
-                    tables[f] = empty(f)
-                tables[f][affinity][i].append(j)
-        while done < len(frames) and ends[done] <= stop:
-            yield tables.pop(done, None) or empty(done)
-            done += 1
-    # Without a same-frame pair, no slice is taken.
-    yield from (empty(f) for f in range(done, len(frames)))
+        kept[IOU_AFFINITY][k] = ~(iou < cut)
+        kept[EC_IOU_AFFINITY][k] = ~(bound * (1.0 + _BOUND_SLACK) < cut)
+    for end, size, p, g in zip(ends.tolist(), sizes.tolist(), n_p.tolist(), n_g.tolist()):
+        yield {affinity: keep[end - size:end].reshape(p, g) for affinity, keep in kept.items()}
 
 
 def average_precision_40(frame_results: list[MatchResult]) -> float:
@@ -539,11 +536,25 @@ def _ap40_or_none(frame_results: list[MatchResult]) -> float | None:
         return None
 
 
-def _of_class(records: Sequence[DetectionRecord], label: str) -> list[DetectionRecord]:
-    """The records of one class, in input order."""
+def _of_class(records: Sequence[DetectionRecord], label: str, scored: bool) -> list[DetectionRecord]:
+    """The records of one class, in input order. parse_records checked a
+    RecordTable's rows; any other sequence's are checked here, as it does:
+    each box must be a Box3D, each score, where scored, a real in [0, 1],
+    and each ground truth (not scored) clear of the ego."""
     if isinstance(records, RecordTable):
         return records.of_class(label)
-    return [r for r in records if r.class_label == label]
+    picked = [r for r in records if r.class_label == label]
+    for r in picked:
+        if not isinstance(r.box, Box3D):
+            raise ValueError(f"a {label!r} record of frame {r.frame_id!r} has a {type(r.box).__name__}, not a Box3D")
+        if scored and not (is_finite_real(r.score) and 0.0 <= r.score <= 1.0):
+            raise ValueError(f"a {label!r} prediction of frame {r.frame_id!r} has score {r.score!r}, not in [0, 1]")
+        if not scored:
+            try:
+                weight_extremes(r.box, 1.0)
+            except ValueError as exc:
+                raise ValueError(f"a {label!r} ground truth of frame {r.frame_id!r}: {exc}") from exc
+    return picked
 
 
 def _class_report(
@@ -558,10 +569,10 @@ def _class_report(
     matched = {IOU_AFFINITY: [], EC_IOU_AFFINITY: []}
     frames = _by_frame(cls_preds, cls_gts)
     # At threshold 0 every pair matches, a disjoint one included.
-    tables = _candidates(frames, threshold, cfg, mode) if threshold > 0.0 else ({} for _ in frames)
-    for (fp, fg), table in zip(frames, tables):
+    masks = _candidates(frames, threshold, cfg, mode) if threshold > 0.0 else ({} for _ in frames)
+    for (fp, fg), mask in zip(frames, masks):
         for affinity, results in matched.items():
-            results.append(match_greedy(fp, fg, affinity, threshold, cfg, mode, candidates=table.get(affinity)))
+            results.append(match_greedy(fp, fg, affinity, threshold, cfg, mode, candidates=mask.get(affinity)))
     counted = matched[count_affinity]
     means = tp_metric_means(cls_preds, cls_gts, tp_distance, cfg)
     return ClassReport(
@@ -589,10 +600,10 @@ def evaluate_detections(
     and TP/FP/FN counts taken from the count_affinity matching.
 
     A class's records are built from a RecordTable, or picked from any
-    other sequence, only while that class is scored."""
+    other sequence and checked (_of_class), only while that class is scored."""
     _check_choices(mode, count_affinity)
-    if not tp_distance > 0.0:  # NaN too; inf means no limit
-        raise ValueError(f"tp_distance must be positive, got {tp_distance}")
+    if not ((is_finite_real(tp_distance) or tp_distance == math.inf) and tp_distance > 0.0):  # inf: no limit
+        raise ValueError(f"tp_distance must be a positive real, got {tp_distance!r}")
     if len(set(classes)) != len(classes):
         raise ValueError(f"duplicate classes in {','.join(classes)}")
     unknown = sorted(set(thresholds or {}) - set(classes))
@@ -601,14 +612,15 @@ def evaluate_detections(
     defaults = {label: DEFAULT_THRESHOLDS.get(label, FALLBACK_THRESHOLD) for label in classes}
     thresholds = {**defaults, **(thresholds or {})}
     for label, threshold in thresholds.items():
-        if not 0.0 <= threshold <= 1.0:  # NaN too
+        if not (is_finite_real(threshold) and 0.0 <= threshold <= 1.0):
             raise ValueError(f"threshold for class {label!r} must be in [0, 1], got {threshold}")
     class_reports: dict[str, ClassReport] = {}
     for label, threshold in thresholds.items():
         # The last class's records and match results are released with
         # _class_report's frame, before the next class's are built.
         class_reports[label] = _class_report(
-            _of_class(preds, label), _of_class(gts, label), threshold, cfg, tp_distance, count_affinity, mode
+            _of_class(preds, label, scored=True), _of_class(gts, label, scored=False),
+            threshold, cfg, tp_distance, count_affinity, mode,
         )
     reports = class_reports.values()
     return EvalReport(

@@ -450,6 +450,8 @@ def run_simulation(
     if not _weights_in_float_range(cfg.targets(), loss_cfg.alpha):
         raise ValueError(f"loss alpha {loss_cfg.alpha:g} puts the EC-IoU weights of a target out of float range")
     names = [kind.name for kind in kinds]
+    if not names:
+        raise ValueError("kinds selected nothing")
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate loss kinds in {','.join(names)}")
     cases = build_scenario(cfg)

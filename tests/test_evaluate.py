@@ -658,6 +658,11 @@ def test_evaluate_detections_empty_predictions():
         ({"thresholds": {"car": -0.1}}, "class 'car'"),
         ({"thresholds": {"Car": 0.95}}, r"thresholds name no class in classes: \['Car'\]"),
         ({"thresholds": {"truck": 0.5, "car": 0.7, "Car": 0.95}}, r"classes: \['Car', 'truck'\]"),
+        ({"tp_distance": True}, "tp_distance must be a positive real, got True"),
+        ({"tp_distance": "2"}, "tp_distance"),
+        ({"tp_distance": -math.inf}, "tp_distance"),
+        ({"thresholds": {"car": True}}, r"class 'car' must be in \[0, 1\], got True"),
+        ({"thresholds": {"car": None}}, "class 'car'"),
     ],
 )
 def test_evaluate_detections_checks_inputs_before_matching(monkeypatch, kwargs, message):
@@ -672,6 +677,29 @@ def test_evaluate_detections_checks_inputs_before_matching(monkeypatch, kwargs, 
     for preds, gts in (([_pred(10, 0, 0.9)], [_gt(10, 0)]), ([], [])):
         with pytest.raises(ValueError, match=message):
             evaluate_detections(preds, gts, ["car", "pedestrian"], CFG, **kwargs)
+
+
+@pytest.mark.parametrize("mode", [MODE_3D, MODE_BEV])
+@pytest.mark.parametrize(
+    "preds, gts, message",
+    [
+        ([_pred(10, 0, None)], [], "a 'car' prediction of frame 'f0' has score None, not in"),
+        ([_pred(10, 0, math.nan)], [], "has score nan, not in"),
+        ([_pred(10, 0, 2.0)], [], "has score 2.0, not in"),
+        ([_pred(10, 0, -1.0)], [], "has score -1.0, not in"),
+        ([_pred(10, 0, True)], [], "has score True, not in"),
+        ([DetectionRecord("f0", "car", OrientedBoxBEV(10, 0, 4, 2, 0), 0.9)], [], "has a OrientedBoxBEV, not a Box3D"),
+        ([], [DetectionRecord("f0", "car", OrientedBoxBEV(10, 0, 4, 2, 0))], "has a OrientedBoxBEV, not a Box3D"),
+        ([], [DetectionRecord("f0", "car", (10, 0, 0.9, 4, 2, 1.6, 0))], "has a tuple, not a Box3D"),
+        ([], [DetectionRecord("f0", "car", _box(0.5, 0.0))], "a 'car' ground truth of frame 'f0': " + _ON_THE_EGO),
+    ],
+)
+def test_evaluate_detections_refuses_bad_records_in_a_plain_sequence(mode, preds, gts, message):
+    # parse_records checked a RecordTable's rows; a list's are checked as
+    # their class is built, with a one-line ValueError.
+    with pytest.raises(ValueError, match=message) as info:
+        evaluate_detections([_pred(20, 0, 0.5)] + preds, [_gt(10, 0)] + gts, ["car"], CFG, mode=mode)
+    assert "\n" not in str(info.value)
 
 
 def test_evaluate_detections_refuses_duplicate_classes():
@@ -877,9 +905,9 @@ def test_candidates_change_no_match(monkeypatch, threshold, mode, method, alpha)
         assert result == match_greedy(fp, fg, affinity, threshold, cfg, mode)
         composed[affinity].append(result)
         if candidates is not None:
-            assert all(list(c) == sorted(set(c)) for c in candidates)
+            assert candidates.dtype == bool and candidates.shape == (len(fp), len(fg))
             meeting = sum(not circumcircles_disjoint(p.box, g.box) for p in fp for g in fg)
-            left_out += meeting - sum(map(len, candidates))
+            left_out += meeting - int(candidates.sum())
     assert len(calls) == 2 * len({r.frame_id for r in preds + gts})
     assert (left_out > 0) == (threshold > 0.0)
     rep = report.classes["car"]
@@ -934,25 +962,65 @@ def test_prefilter_over_several_blocks_changes_no_match(monkeypatch, threshold, 
     assert 0 < report.classes["car"].tp
 
 
+def _mask_tables(frames, cfg, mode):
+    """evaluate._candidates' masks at threshold 0.5, each as its shape and
+    nested lists, which compare with ==."""
+    tables = []
+    for table in evaluate._candidates(frames, 0.5, cfg, mode):
+        assert all(mask.dtype == bool for mask in table.values())
+        tables.append({affinity: (mask.shape, mask.tolist()) for affinity, mask in table.items()})
+    return tables
+
+
 @pytest.mark.parametrize("mode", [MODE_3D, MODE_BEV])
 def test_candidates_cover_frames_without_pairs(monkeypatch, mode):
     # Frames of predictions alone or of ground truths alone, first, between
-    # others and last, get their lists in order at every slice size, and so
+    # others and last, get their masks in order at every slice size, and so
     # does a class without a same-frame pair.
     p, g = _PREFILTER_RECORDS[0][0].box, _PREFILTER_RECORDS[1][0].box
     lone = ([DetectionRecord("-", "car", p, 0.5), DetectionRecord("9", "car", p, 0.5)],
             [DetectionRecord("1-z", "car", g)])
     frames = evaluate._by_frame(_PREFILTER_RECORDS[0] + lone[0], _PREFILTER_RECORDS[1] + lone[1])
     cfg = WeightConfig(alpha=4.0, method=ARITHMETIC)
-    pred_alone, gts_alone = {IOU_AFFINITY: [[]], EC_IOU_AFFINITY: [[]]}, {IOU_AFFINITY: [], EC_IOU_AFFINITY: []}
-    tables = list(evaluate._candidates(frames, 0.5, cfg, mode))
-    assert [len(t[IOU_AFFINITY]) for t in tables] == [len(fp) for fp, _ in frames]
+    pred_alone = {IOU_AFFINITY: ((1, 0), [[]]), EC_IOU_AFFINITY: ((1, 0), [[]])}
+    gts_alone = {IOU_AFFINITY: ((0, 1), []), EC_IOU_AFFINITY: ((0, 1), [])}
+    tables = _mask_tables(frames, cfg, mode)
+    assert [t[IOU_AFFINITY][0] for t in tables] == [(len(fp), len(fg)) for fp, fg in frames]
     assert tables[0] == tables[-1] == pred_alone
-    assert any(any(t[EC_IOU_AFFINITY]) for t in tables)
+    assert any(any(map(any, t[EC_IOU_AFFINITY][1])) for t in tables)
     for block_pairs in (1, 5, 17):
         monkeypatch.setattr(evaluate, "_BLOCK_PAIRS", block_pairs)
-        assert list(evaluate._candidates(frames, 0.5, cfg, mode)) == tables
-    assert list(evaluate._candidates(evaluate._by_frame(*lone), 0.5, cfg, mode)) == [pred_alone, gts_alone, pred_alone]
+        assert _mask_tables(frames, cfg, mode) == tables
+    assert _mask_tables(evaluate._by_frame(*lone), cfg, mode) == [pred_alone, gts_alone, pred_alone]
+
+
+@pytest.mark.parametrize("affinity", [IOU_AFFINITY, EC_IOU_AFFINITY])
+def test_match_greedy_scores_only_the_pairs_its_mask_admits(monkeypatch, affinity):
+    cfg = WeightConfig(alpha=2.0, method=ARITHMETIC)
+    scored = []
+    for name in ("iou_3d", "ec_iou_3d"):
+        def counted(p, g, *args, metric=getattr(evaluate, name)):
+            scored.append((p, g))
+            return metric(p, g, *args)
+
+        monkeypatch.setattr(evaluate, name, counted)
+    rng = np.random.default_rng(0)
+    admitted = left_out = 0
+    for fp, fg in evaluate._by_frame(*_PREFILTER_RECORDS):
+        rows, cols = {id(p.box): i for i, p in enumerate(fp)}, {id(g.box): j for j, g in enumerate(fg)}
+        for threshold in (0.0, 0.5):
+            mask = rng.random((len(fp), len(fg))) < 0.5
+            scored.clear()
+            match_greedy(fp, fg, affinity, threshold, cfg, candidates=mask)
+            assert all(mask[rows[id(p)], cols[id(g)]] for p, g in scored)
+            admitted += len(scored)
+            left_out += int((~mask).sum())
+            unmasked = match_greedy(fp, fg, affinity, threshold, cfg)
+            assert match_greedy(fp, fg, affinity, threshold, cfg, candidates=np.ones_like(mask)) == unmasked
+            for wrong in (np.ones((len(fp), len(fg) + 1), dtype=bool), mask.ravel(), mask.astype(int)):
+                with pytest.raises(ValueError, match="candidates must be"):
+                    match_greedy(fp, fg, affinity, threshold, cfg, candidates=wrong)
+    assert admitted > 0 and left_out > 0
 
 
 def _outlying_ring_pair():

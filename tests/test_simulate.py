@@ -561,6 +561,19 @@ def test_duplicate_kinds_are_rejected():
         run_simulation(TINY, kinds=(LossKind("iou"), LossKind("diou"), LossKind("iou")))
 
 
+@pytest.mark.parametrize("kinds", [(), []])
+def test_no_kinds_are_rejected_before_any_case_is_built(monkeypatch, kinds):
+    # As `eciou sim --kinds` that selects nothing is: no header-only CSV.
+    import eciou.simulate
+
+    def reached(*args, **kwargs):
+        raise AssertionError("run_simulation built cases without a kind")
+
+    monkeypatch.setattr(eciou.simulate, "build_scenario", reached)
+    with pytest.raises(ValueError, match="^kinds selected nothing$"):
+        run_simulation(TINY, kinds=kinds)
+
+
 def _lockstep_descent(anchors, targets, kind, cfg):
     """The descent with every case in every step's stack, fixed points
     included: the oracle _descend_batch must match bit for bit."""
