@@ -9,8 +9,10 @@ Record files are whitespace-separated, one box per line:
     frame_id class x y z l w h theta [score]
 
 with meters/radians, a score in [0, 1] on predictions only, and `#`
-starting a comment. parse_records holds a file as columns (RecordTable),
-and evaluate_detections builds one class's records from them at a time.
+starting a comment. parse_records holds a file as columns (RecordTable) in
+Box3D's field order; _LINE_COLUMNS alone knows the file's. evaluate_detections
+tables a plain record sequence at entry, groups each class's rows by frame
+once (_by_frame) and builds a class's records only while it scores it.
 
 The matchings score a pair whose footprints' circumcircles are disjoint as
 exactly 0.0 without clipping it. The shortcut is always on and exact, since
@@ -50,7 +52,8 @@ import json
 import math
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import asdict, dataclass, field
-from itertools import compress
+from itertools import compress, repeat
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -88,6 +91,9 @@ _QUARTER_TURN_BAND = 1e-3
 # checks: thousands of times the rounding by which its numpy tests and
 # theirs can differ.
 _ADMIT_SLACK = 1e-12
+# Where Box3D's fields x, y, l, w, theta, z, h and a prediction's score lie
+# among a record line's numbers, which read x y z l w h theta [score].
+_LINE_COLUMNS = (0, 1, 3, 4, 6, 2, 5, 7)
 
 
 class RecordParseError(ValueError):
@@ -112,18 +118,18 @@ class DetectionRecord:
 
 
 class RecordTable:
-    """The records of one file, as parse_records admitted them, held as
-    columns: each row's frame id and class label, one shared string per
-    distinct value, and its x, y, z, l, w, h, theta and, for predictions,
-    score as float64. An item is a DetectionRecord built when it is read,
-    through geometry._trusted_box; reading one again builds a new one."""
+    """Admitted records held as columns: each row's frame id and class label,
+    one shared string per distinct value in a file, and its box in Box3D's
+    field order, x, y, l, w, theta, z, h, then for predictions its score, as
+    float64. An item is a DetectionRecord built when it is read, through
+    geometry._trusted_box; reading one again builds a new one."""
 
     # Rows built per step of an iteration.
     _CHUNK = 1024
 
-    def __init__(self, frame_ids: list[str], labels: list[str], rows: np.ndarray):
-        self._frame_ids = np.array(frame_ids, dtype=object)
-        self._labels = np.array(labels, dtype=object)
+    def __init__(self, frame_ids: Sequence, labels: Sequence[str], rows: np.ndarray):
+        self._frame_ids = np.fromiter(frame_ids, dtype=object, count=len(frame_ids))
+        self._labels = np.fromiter(labels, dtype=object, count=len(labels))
         self._rows = rows
 
     def __len__(self) -> int:
@@ -138,17 +144,13 @@ class RecordTable:
         for start in range(0, len(self), self._CHUNK):
             yield from self._build(slice(start, start + self._CHUNK))
 
-    def of_class(self, label: str) -> list[DetectionRecord]:
-        """The records whose class is label, in file order."""
-        return self._build(np.flatnonzero(self._labels == label))
-
     def _build(self, index) -> list[DetectionRecord]:
         """The records of the rows at index, a slice or a sequence of row numbers."""
         boxes = self._rows[index, :7].tolist()
         scores = self._rows[index, 7].tolist() if self._rows.shape[1] == 8 else [None] * len(boxes)
         return [
-            DetectionRecord(frame_id, label, _trusted_box(x, y, l, w, theta, z, h), score)
-            for frame_id, label, (x, y, z, l, w, h, theta), score in zip(
+            DetectionRecord(frame_id, label, _trusted_box(*box), score)
+            for frame_id, label, box, score in zip(
                 self._frame_ids[index].tolist(), self._labels[index].tolist(), boxes, scores
             )
         ]
@@ -170,6 +172,7 @@ def parse_records(path: str, kind: str) -> RecordTable:
 
     want_score = kind == PREDICTIONS
     n_fields = 10 if want_score else 9
+    columns = itemgetter(*_LINE_COLUMNS[:n_fields - 2])
     frame_ids, labels, values, line_numbers, shared = [], [], array("d"), array("q"), {}
     refusal = None
     # Bytes that are not UTF-8 decode to lone surrogates, which do not encode
@@ -190,11 +193,9 @@ def parse_records(path: str, kind: str) -> RecordTable:
                     continue
                 fields = text.split()
                 if len(fields) != n_fields:
-                    raise RecordParseError(
-                        path, line_number,
-                        f"expected {n_fields} fields for {kind}, got {len(fields)}",
-                    )
-                try:
+                    message = f"expected {n_fields} fields for {kind}, got {len(fields)}"
+                    raise RecordParseError(path, line_number, message)
+                try:  # in line order: a line's first bad number is named
                     numbers = [float(v) for v in fields[2:]]
                 except ValueError as exc:
                     raise RecordParseError(path, line_number, f"bad number: {exc}") from exc
@@ -204,7 +205,7 @@ def parse_records(path: str, kind: str) -> RecordTable:
                 # file repeats a few of them on every line.
                 frame_ids.append(shared.setdefault(fields[0], fields[0]))
                 labels.append(shared.setdefault(fields[1], fields[1]))
-                values.fromlist(numbers)
+                values.extend(columns(numbers))
                 line_numbers.append(line_number)
     except RecordParseError as exc:
         refusal = exc
@@ -232,8 +233,8 @@ def _bulk_extremes(x, y, l, w, theta, alpha: float) -> tuple[np.ndarray, np.ndar
 
 
 def _admit(path: str, rows: np.ndarray, line_numbers: Sequence[int], ground_truths: bool) -> None:
-    """Admit rows of x, y, z, l, w, h, theta (and a score) as Box3D(...) and,
-    for ground truths, weight_extremes(box, 1.0) do, and put each theta into
+    """Admit rows of Box3D fields (and a score) as Box3D(*row) and, for
+    ground truths, weight_extremes(box, 1.0) do, and put each theta into
     range as Box3D does, in place.
 
     The rows are tested at once. A row that fails a test, or that lies within
@@ -241,7 +242,7 @@ def _admit(path: str, rows: np.ndarray, line_numbers: Sequence[int], ground_trut
     order, so every refusal and its message stay theirs: the first raises as
     a RecordParseError at its line. Only such rows can have a theta out of
     range, which Box3D puts into range."""
-    x, y, z, l, w, h, theta = rows[:, :7].T
+    x, y, l, w, theta, z, h = rows[:, :7].T
     with np.errstate(over="ignore", invalid="ignore"):
         clear = (
             np.isfinite(rows[:, :7]).all(axis=1) & (-math.pi <= theta) & (theta < math.pi)
@@ -251,16 +252,15 @@ def _admit(path: str, rows: np.ndarray, line_numbers: Sequence[int], ground_trut
         if ground_truths:
             clear &= np.isfinite(_bulk_extremes(x, y, l, w, theta, 1.0)[1])
     for i in np.flatnonzero(~clear).tolist():
-        x_i, y_i, z_i, l_i, w_i, h_i, theta_i = rows[i, :7].tolist()
         try:
-            box = Box3D(x=x_i, y=y_i, l=l_i, w=w_i, theta=theta_i, z=z_i, h=h_i)
+            box = Box3D(*rows[i, :7].tolist())
             # EC-IoU weights are undefined on the ego; a ground truth is
             # refused here, since disjoint pairs never reach the metrics.
             if ground_truths:
                 weight_extremes(box, 1.0)
         except ValueError as exc:
             raise RecordParseError(path, line_numbers[i], str(exc)) from exc
-        rows[i, 6] = box.theta
+        rows[i, 4] = box.theta
 
 
 @dataclass(frozen=True, slots=True)
@@ -277,6 +277,18 @@ def _check_choices(mode: str, affinity: str) -> None:
         raise ValueError(f"unknown metric mode {mode!r}")
     if affinity not in (IOU_AFFINITY, EC_IOU_AFFINITY):
         raise ValueError(f"unknown affinity {affinity!r}")
+
+
+def _check_threshold(threshold, name: str, unit: bool = False) -> None:
+    """Refuse a threshold that is not a finite real (a bool, nan, a string) or, with unit, lies outside [0, 1]."""
+    if not (is_finite_real(threshold) and (not unit or 0.0 <= threshold <= 1.0)):
+        raise ValueError(f"{name} must be {'in [0, 1]' if unit else 'a finite real'}, got {threshold!r}")
+
+
+def _check_distance(distance, name: str) -> None:
+    """Refuse a center-distance limit that is not a positive real or inf (no limit)."""
+    if not ((is_finite_real(distance) or distance == math.inf) and distance > 0.0):
+        raise ValueError(f"{name} must be a positive real, got {distance!r}")
 
 
 def _greedy(
@@ -311,27 +323,29 @@ def _greedy(
     return MatchResult(tuple(matches), tuple(fps), fns)
 
 
-def _by_frame(
-    preds: list[DetectionRecord], gts: list[DetectionRecord]
-) -> list[tuple[list[DetectionRecord], list[DetectionRecord]]]:
-    """(preds, gts) per frame, frames in sorted id order, records in input order."""
-    groups: dict[str, tuple[list[DetectionRecord], list[DetectionRecord]]] = {}
-    for pred in preds:
-        groups.setdefault(pred.frame_id, ([], []))[0].append(pred)
-    for gt in gts:
-        groups.setdefault(gt.frame_id, ([], []))[1].append(gt)
-    return [groups[frame_id] for frame_id in sorted(groups)]
+def _by_frame(pred_frames: Sequence, gt_frames: Sequence) -> tuple[np.ndarray, ...]:
+    """Group records by their frame ids: (prediction order, counts, ground-truth
+    order, counts), positions frame by frame in sorted id order, in input order
+    within a frame, and a count per frame of either, 0 where it has no record."""
+    rank = {frame: i for i, frame in enumerate(sorted({*pred_frames, *gt_frames}))}
+    grouped = []
+    for frames in (pred_frames, gt_frames):
+        frame = np.fromiter(map(rank.__getitem__, frames), dtype=np.intp, count=len(frames))
+        grouped += [np.argsort(frame, kind="stable"), np.bincount(frame, minlength=len(rank))]
+    return tuple(grouped)
+
+
+def _frames(preds: list, n_p: np.ndarray, gts: list, n_g: np.ndarray) -> Iterator[tuple[list, list]]:
+    """Each frame's (predictions, ground truths) of lists in _by_frame's order."""
+    p_end = g_end = 0
+    for p, g in zip(n_p.tolist(), n_g.tolist()):
+        p_end, g_end = p_end + p, g_end + g
+        yield preds[p_end - p:p_end], gts[g_end - g:g_end]
 
 
 def match_greedy(
-    preds: list[DetectionRecord],
-    gts: list[DetectionRecord],
-    affinity: str,
-    threshold: float,
-    cfg: WeightConfig,
-    mode: str = MODE_3D,
-    *,
-    candidates: np.ndarray | None = None,
+    preds: list[DetectionRecord], gts: list[DetectionRecord], affinity: str, threshold: float, cfg: WeightConfig,
+    mode: str = MODE_3D, *, candidates: np.ndarray | None = None,
 ) -> MatchResult:
     """Score-greedy one-to-one matching within a single frame and class.
 
@@ -343,12 +357,12 @@ def match_greedy(
     scored. Leaving out pairs below the threshold changes no match.
     """
     _check_choices(mode, affinity)
+    _check_threshold(threshold, "threshold")
     if candidates is not None:
         candidates = np.asarray(candidates)
         if candidates.dtype != bool or candidates.shape != (len(preds), len(gts)):
-            raise ValueError(
-                f"candidates must be a {len(preds)}x{len(gts)} bool array, got {candidates.dtype} {candidates.shape}"
-            )
+            raise ValueError(f"candidates must be a {len(preds)}x{len(gts)} bool array, "
+                             f"got {candidates.dtype} {candidates.shape}")
         candidates = candidates.tolist()
     # Looked up on each call: tracers and tests replace these names. Every
     # metric is exactly 0.0 on disjoint footprints, which skip the clipper.
@@ -361,12 +375,6 @@ def match_greedy(
         return 0.0 if circumcircles_disjoint(p.box, g.box) else metric(p.box, g.box, *extra).value
 
     return _greedy(preds, gts, affinity_of, threshold, candidates)
-
-
-def _params(boxes: list[Box3D]) -> np.ndarray:
-    """(N, 7) rows of x, y, l, w, theta, z, h; a flat read holds no tuple per box."""
-    flat = (v for b in boxes for v in (b.x, b.y, b.l, b.w, b.theta, b.z, b.h))
-    return np.fromiter(flat, dtype=np.float64, count=7 * len(boxes)).reshape(-1, 7)
 
 
 def _pair_bounds(
@@ -395,18 +403,18 @@ def _pair_bounds(
     return iou, np.where(held & (turn >= _QUARTER_TURN_BAND), bound, math.inf)
 
 
-def _candidates(frames, threshold: float, cfg: WeightConfig, mode: str) -> Iterator[dict[str, np.ndarray]]:
-    """Yield, for each frame (predictions, ground truths) of frames in order,
-    match_greedy's candidate mask per affinity (see the module docstring): a
-    (predictions, ground truths) bool array, True where the pair's affinity
-    may reach threshold > 0."""
-    n_p = np.array([len(fp) for fp, _ in frames], dtype=np.int64)
-    n_g = np.array([len(fg) for _, fg in frames], dtype=np.int64)
+def _candidates(
+    rows: np.ndarray, p_rows: np.ndarray, n_p: np.ndarray, targets: np.ndarray, n_g: np.ndarray,
+    threshold: float, cfg: WeightConfig, mode: str,
+) -> Iterator[dict[str, np.ndarray]]:
+    """Yield, frame by frame, match_greedy's candidate mask per affinity (see
+    the module docstring): a (predictions, ground truths) bool array, True
+    where the pair's affinity may reach threshold > 0. The frames' predictions
+    are the rows p_rows of the prediction table rows, n_p[f] to frame f, and
+    their ground truths the rows of targets, n_g[f] to frame f."""
     sizes = n_p * n_g
     ends = np.cumsum(sizes)
     p_start, g_start = np.cumsum(n_p) - n_p, np.cumsum(n_g) - n_g
-    preds = [p.box for fp, _ in frames for p in fp]
-    targets = _params([g.box for _, fg in frames for g in fg])
     w_min, w_max = _bulk_extremes(*targets[:, :5].T, cfg.alpha)
     cut = threshold - _CUT_MARGIN
     # One flag per same-frame pair, frame by frame, prediction-major; the
@@ -419,15 +427,14 @@ def _candidates(frames, threshold: float, cfg: WeightConfig, mode: str) -> Itera
         # Each pair's frame, and its prediction and ground truth in the frame.
         frame = np.searchsorted(ends, k, side="right")
         local = k - (ends[frame] - sizes[frame])
-        p_rows, g_rows = p_start[frame] + local // n_g[frame], g_start[frame] + local % n_g[frame]
-        # The slice's predictions are one run of rows: it reads those alone,
-        # and indexes them locally.
-        p_low = p_rows[0]
-        boxes = _params(preds[p_low:p_rows[-1] + 1])
-        p_rows -= p_low
-        meet = ~_batch.circumcircles_disjoint(boxes[p_rows], targets[g_rows])
-        k, p_rows, g_rows = k[meet], p_rows[meet], g_rows[meet]
-        iou, bound = _pair_bounds(boxes[p_rows], targets[g_rows], w_min[g_rows], w_max[g_rows], mode)
+        p, g = p_start[frame] + local // n_g[frame], g_start[frame] + local % n_g[frame]
+        # The slice's predictions are one run of p_rows: it reads those rows
+        # alone, and indexes them locally.
+        boxes = rows[p_rows[p[0]:p[-1] + 1], :7]
+        p -= p[0]
+        meet = ~_batch.circumcircles_disjoint(boxes[p], targets[g])
+        k, p, g = k[meet], p[meet], g[meet]
+        iou, bound = _pair_bounds(boxes[p], targets[g], w_min[g], w_max[g], mode)
         kept[IOU_AFFINITY][k] = ~(iou < cut)
         kept[EC_IOU_AFFINITY][k] = ~(bound * (1.0 + _BOUND_SLACK) < cut)
     for end, size, p, g in zip(ends.tolist(), sizes.tolist(), n_p.tolist(), n_g.tolist()):
@@ -482,24 +489,18 @@ class TPMeans:
 
 
 def tp_metric_means(
-    preds: list[DetectionRecord],
-    gts: list[DetectionRecord],
-    center_dist_threshold: float,
-    cfg: WeightConfig,
+    preds: list[DetectionRecord], gts: list[DetectionRecord], center_dist_threshold: float, cfg: WeightConfig
 ) -> TPMeans:
     """Match by BEV center distance (greedy by score, nearest first), then
     average the 3D metrics over the matched pairs. Means are None with no TPs."""
-    if not center_dist_threshold > 0.0:  # NaN too; inf means no limit
-        raise ValueError(f"center_dist_threshold must be positive, got {center_dist_threshold}")
+    _check_distance(center_dist_threshold, "center_dist_threshold")
+    p_order, n_p, g_order, n_g = _by_frame([p.frame_id for p in preds], [g.frame_id for g in gts])
+    preds, gts = [preds[i] for i in p_order.tolist()], [gts[i] for i in g_order.tolist()]
+    # Nearest first: the negated BEV center distance is the affinity.
+    nearness = lambda p, g: -math.hypot(p.box.x - g.box.x, p.box.y - g.box.y)
     ious, ec_ious = [], []
-    for frame_preds, frame_gts in _by_frame(preds, gts):
-        # Nearest first: the negated BEV center distance is the affinity.
-        result = _greedy(
-            frame_preds,
-            frame_gts,
-            lambda p, g: -math.hypot(p.box.x - g.box.x, p.box.y - g.box.y),
-            -center_dist_threshold,
-        )
+    for frame_preds, frame_gts in _frames(preds, n_p, gts, n_g):
+        result = _greedy(frame_preds, frame_gts, nearness, -center_dist_threshold)
         for p, g, _ in result.matches:
             iou, ec_iou = scores_3d(p.box, g.box, cfg)
             ious.append(iou.value)
@@ -536,15 +537,17 @@ def _ap40_or_none(frame_results: list[MatchResult]) -> float | None:
         return None
 
 
-def _of_class(records: Sequence[DetectionRecord], label: str, scored: bool) -> list[DetectionRecord]:
-    """The records of one class, in input order. parse_records checked a
-    RecordTable's rows; any other sequence's are checked here, as it does:
-    each box must be a Box3D, each score, where scored, a real in [0, 1],
-    and each ground truth (not scored) clear of the ego."""
+def _as_table(records: Sequence[DetectionRecord], classes: set[str], scored: bool) -> RecordTable:
+    """records as a RecordTable. parse_records checked a RecordTable's rows;
+    any other sequence's records of the given classes are taken, in input
+    order, and checked as it does: each box must be a Box3D, each score, where
+    scored, a real in [0, 1], and each ground truth (not scored) clear of the
+    ego."""
     if isinstance(records, RecordTable):
-        return records.of_class(label)
-    picked = [r for r in records if r.class_label == label]
+        return records
+    picked = [r for r in records if r.class_label in classes]
     for r in picked:
+        label = r.class_label
         if not isinstance(r.box, Box3D):
             raise ValueError(f"a {label!r} record of frame {r.frame_id!r} has a {type(r.box).__name__}, not a Box3D")
         if scored and not (is_finite_real(r.score) and 0.0 <= r.score <= 1.0):
@@ -554,23 +557,26 @@ def _of_class(records: Sequence[DetectionRecord], label: str, scored: bool) -> l
                 weight_extremes(r.box, 1.0)
             except ValueError as exc:
                 raise ValueError(f"a {label!r} ground truth of frame {r.frame_id!r}: {exc}") from exc
-    return picked
+    box_fields = attrgetter("x", "y", "l", "w", "theta", "z", "h")
+    rows = [box_fields(r.box) + ((r.score,) if scored else ()) for r in picked]
+    rows = np.array(rows, dtype=np.float64).reshape(len(picked), 8 if scored else 7)
+    return RecordTable([r.frame_id for r in picked], [r.class_label for r in picked], rows)
 
 
 def _class_report(
-    cls_preds: list[DetectionRecord],
-    cls_gts: list[DetectionRecord],
-    threshold: float,
-    cfg: WeightConfig,
-    tp_distance: float,
-    count_affinity: str,
-    mode: str,
+    preds: RecordTable, gts: RecordTable, label: str, threshold: float, cfg: WeightConfig,
+    tp_distance: float, count_affinity: str, mode: str,
 ) -> ClassReport:
+    # The class's table rows, frame by frame.
+    p_rows, g_rows = np.flatnonzero(preds._labels == label), np.flatnonzero(gts._labels == label)
+    p_order, n_p, g_order, n_g = _by_frame(preds._frame_ids[p_rows].tolist(), gts._frame_ids[g_rows].tolist())
+    p_rows, g_rows = p_rows[p_order], g_rows[g_order]
+    cls_preds, cls_gts = preds._build(p_rows), gts._build(g_rows)
     matched = {IOU_AFFINITY: [], EC_IOU_AFFINITY: []}
-    frames = _by_frame(cls_preds, cls_gts)
-    # At threshold 0 every pair matches, a disjoint one included.
-    masks = _candidates(frames, threshold, cfg, mode) if threshold > 0.0 else ({} for _ in frames)
-    for (fp, fg), mask in zip(frames, masks):
+    masks = repeat({})
+    if threshold > 0.0:  # at threshold 0 every pair matches, a disjoint one included
+        masks = _candidates(preds._rows, p_rows, n_p, gts._rows[g_rows], n_g, threshold, cfg, mode)
+    for (fp, fg), mask in zip(_frames(cls_preds, n_p, cls_gts, n_g), masks):
         for affinity, results in matched.items():
             results.append(match_greedy(fp, fg, affinity, threshold, cfg, mode, candidates=mask.get(affinity)))
     counted = matched[count_affinity]
@@ -587,23 +593,19 @@ def _class_report(
 
 
 def evaluate_detections(
-    preds: Sequence[DetectionRecord],
-    gts: Sequence[DetectionRecord],
-    classes: list[str],
-    cfg: WeightConfig,
-    thresholds: dict[str, float] | None = None,
-    tp_distance: float = DEFAULT_TP_DISTANCE,
-    count_affinity: str = IOU_AFFINITY,
-    mode: str = MODE_3D,
+    preds: Sequence[DetectionRecord], gts: Sequence[DetectionRecord], classes: list[str], cfg: WeightConfig,
+    thresholds: dict[str, float] | None = None, tp_distance: float = DEFAULT_TP_DISTANCE,
+    count_affinity: str = IOU_AFFINITY, mode: str = MODE_3D,
 ) -> EvalReport:
     """Full per-class report: AP40 under both affinities, TP-metric means,
     and TP/FP/FN counts taken from the count_affinity matching.
 
-    A class's records are built from a RecordTable, or picked from any
-    other sequence and checked (_of_class), only while that class is scored."""
+    A plain record sequence becomes a table at entry (_as_table), its
+    predictions checked before its ground truths, so every requested class
+    is checked before any is scored. A class's records are built from the
+    tables only while that class is scored."""
     _check_choices(mode, count_affinity)
-    if not ((is_finite_real(tp_distance) or tp_distance == math.inf) and tp_distance > 0.0):  # inf: no limit
-        raise ValueError(f"tp_distance must be a positive real, got {tp_distance!r}")
+    _check_distance(tp_distance, "tp_distance")
     if len(set(classes)) != len(classes):
         raise ValueError(f"duplicate classes in {','.join(classes)}")
     unknown = sorted(set(thresholds or {}) - set(classes))
@@ -612,16 +614,13 @@ def evaluate_detections(
     defaults = {label: DEFAULT_THRESHOLDS.get(label, FALLBACK_THRESHOLD) for label in classes}
     thresholds = {**defaults, **(thresholds or {})}
     for label, threshold in thresholds.items():
-        if not (is_finite_real(threshold) and 0.0 <= threshold <= 1.0):
-            raise ValueError(f"threshold for class {label!r} must be in [0, 1], got {threshold}")
+        _check_threshold(threshold, f"threshold for class {label!r}", unit=True)
+    preds, gts = _as_table(preds, set(classes), scored=True), _as_table(gts, set(classes), scored=False)
     class_reports: dict[str, ClassReport] = {}
     for label, threshold in thresholds.items():
         # The last class's records and match results are released with
         # _class_report's frame, before the next class's are built.
-        class_reports[label] = _class_report(
-            _of_class(preds, label, scored=True), _of_class(gts, label, scored=False),
-            threshold, cfg, tp_distance, count_affinity, mode,
-        )
+        class_reports[label] = _class_report(preds, gts, label, threshold, cfg, tp_distance, count_affinity, mode)
     reports = class_reports.values()
     return EvalReport(
         classes=class_reports,

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import json
 import math
 import random
 import tracemalloc
@@ -26,7 +28,6 @@ from eciou.evaluate import (
     UndefinedAPError,
     _mean_or_none,
     _pair_bounds,
-    _params,
     average_precision_40,
     evaluate_detections,
     match_greedy,
@@ -54,6 +55,17 @@ def _gt(x, y, frame="f0", label="car", **kw):
     return DetectionRecord(frame, label, _box(x, y, **kw))
 
 
+def _rows(boxes):
+    """(N, 7) float64 rows of boxes' fields, in Box3D's order, as a RecordTable holds them."""
+    return np.array([dataclasses.astuple(b) for b in boxes], dtype=np.float64).reshape(-1, 7)
+
+
+def _frames_of(preds, gts):
+    """(predictions, ground truths) per frame, grouped as evaluate groups them."""
+    p_order, n_p, g_order, n_g = evaluate._by_frame([p.frame_id for p in preds], [g.frame_id for g in gts])
+    return list(evaluate._frames([preds[i] for i in p_order], n_p, [gts[i] for i in g_order], n_g))
+
+
 # ---- parsing ----
 
 
@@ -73,6 +85,8 @@ def test_parse_records_round_trip(tmp_path):
     assert first.box.x == 10.0 and first.box.z == 0.9 and first.box.h == 1.6
     assert first.score == 0.95
     assert records[1].frame_id == "f1"
+    # Every field from its own column of the line.
+    assert [r.box for r in records] == [Box3D(10.0, 0.0, 4.0, 2.0, 0.0, 0.9, 1.6), Box3D(5.0, 1.0, 0.8, 0.6, 0.3, 0.8, 1.7)]
 
 
 def test_parse_records_empty_file(tmp_path):
@@ -96,6 +110,10 @@ def test_parse_records_errors_carry_line_numbers(tmp_path):
         parse_records(str(path), PREDICTIONS)
     path.write_text("f0 car ten 0 0.9 4 2 1.6 0.0 0.5\n")
     with pytest.raises(RecordParseError):
+        parse_records(str(path), PREDICTIONS)
+    # Of two bad numbers, the first in the line is named: z before l.
+    path.write_text("f0 car 10 0 zed ell 2 1.6 0.0 0.5\n")
+    with pytest.raises(RecordParseError, match="'zed'"):
         parse_records(str(path), PREDICTIONS)
     # A corner on the ego leaves the ground truth's weighted area undefined.
     path.write_text("f0 car 10 0 0.9 4 2 1.6 0\nf0 car 1 1 0 2 2 1.5 0\n")
@@ -157,7 +175,9 @@ def test_record_table_is_a_sequence_of_its_records(tmp_path):
     one_by_one = [records[i] for i in range(len(records))]
     assert list(records) == one_by_one
     assert records[-1] == one_by_one[-1] and records[1020:1030] == one_by_one[1020:1030]
-    assert records.of_class("car") == [r for r in one_by_one if r.class_label == "car"]
+    # A plain sequence's table holds its requested classes' records, in order.
+    cars = [r for r in one_by_one if r.class_label == "car"]
+    assert list(evaluate._as_table(one_by_one, {"car"}, scored=True)) == cars
     with pytest.raises(IndexError):
         records[len(records)]
 
@@ -591,9 +611,10 @@ def test_mean_or_none_sums_left_to_right():
 
 
 def test_tp_means_validates_threshold():
-    for bad in (0.0, math.nan):
-        with pytest.raises(ValueError):
-            tp_metric_means([], [], bad, CFG)
+    for bad in (0.0, math.nan, True, "2", None, -math.inf):
+        with pytest.raises(ValueError, match="center_dist_threshold must be a positive real") as info:
+            tp_metric_means([_pred(10.5, 0, 0.9)], [_gt(10, 0)], bad, CFG)
+        assert "\n" not in str(info.value)
     assert tp_metric_means([_pred(10, 0, 0.9)], [_gt(40, 0)], math.inf, CFG).matched == 1
 
 
@@ -615,26 +636,36 @@ def test_evaluate_detections_perfect_fixture():
 
 def test_evaluate_detections_reports_a_record_table_as_its_list(tmp_path):
     # Headings near +-pi put some predictions' theta out of range, which
-    # parse_records brings back the scalar way.
+    # parse_records brings back the scalar way. Frames 6 to 13 sort another
+    # way as strings ("10" < "6"); every frame's predictions of a class score
+    # the same six values, tied across frames and distinct within one.
     rng = random.Random(11)
     gt_lines, pred_lines = [], []
-    for f in range(8):
+    for f in range(6, 14):
         for label in ("car", "pedestrian", "van"):
-            for _ in range(3):
+            for i in range(3):
                 x, y, theta = rng.uniform(4, 30), rng.uniform(-10, 10), rng.choice([rng.uniform(-3.1, 3.1), 3.1])
                 gt_lines.append(f"{f} {label} {x!r} {y!r} 0.8 3.9 1.7 1.5 {theta!r}")
-                for _ in range(2):
+                for j in range(2):
                     jx, jy, jt = rng.uniform(-0.8, 0.8), rng.uniform(-0.4, 0.4), rng.uniform(-0.2, 0.2)
-                    pred_lines.append(f"{f} {label} {x + jx!r} {y + jy!r} 0.8 3.9 1.7 1.5 {theta + jt!r} {rng.random()!r}")
-    (tmp_path / "gts.txt").write_text("\n".join(gt_lines) + "\n")
-    (tmp_path / "preds.txt").write_text("\n".join(pred_lines) + "\n")
-    preds = parse_records(str(tmp_path / "preds.txt"), PREDICTIONS)
-    gts = parse_records(str(tmp_path / "gts.txt"), GROUND_TRUTHS)
+                    score = (2 * i + j + 1) / 8
+                    pred_lines.append(f"{f} {label} {x + jx!r} {y + jy!r} 0.8 3.9 1.7 1.5 {theta + jt!r} {score!r}")
     assert any(not -math.pi <= float(line.split()[8]) < math.pi for line in pred_lines)
     classes = ["car", "pedestrian", "cyclist"]
-    for mode in (MODE_3D, MODE_BEV):
-        from_table = evaluate_detections(preds, gts, classes, CFG, mode=mode).to_json()
-        assert from_table == evaluate_detections(list(preds), list(gts), classes, CFG, mode=mode).to_json()
+    reports = []
+    for order, shuffle in (("sorted", lambda lines: None), ("shuffled", random.Random(5).shuffle)):
+        for lines in (gt_lines, pred_lines):
+            shuffle(lines)
+        (tmp_path / f"{order}_gts.txt").write_text("\n".join(gt_lines) + "\n")
+        (tmp_path / f"{order}_preds.txt").write_text("\n".join(pred_lines) + "\n")
+        preds = parse_records(str(tmp_path / f"{order}_preds.txt"), PREDICTIONS)
+        gts = parse_records(str(tmp_path / f"{order}_gts.txt"), GROUND_TRUTHS)
+        for mode in (MODE_3D, MODE_BEV):
+            from_table = evaluate_detections(preds, gts, classes, CFG, mode=mode).to_json()
+            assert from_table == evaluate_detections(list(preds), list(gts), classes, CFG, mode=mode).to_json()
+            reports.append(from_table)
+    assert gt_lines[0].split()[0] != "6" and reports[:2] == reports[2:]
+    assert json.loads(reports[0])["classes"]["car"]["tp"] > 0
 
 
 def test_evaluate_detections_empty_predictions():
@@ -702,6 +733,29 @@ def test_evaluate_detections_refuses_bad_records_in_a_plain_sequence(mode, preds
     assert "\n" not in str(info.value)
 
 
+def test_evaluate_detections_checks_every_class_of_a_plain_sequence_before_matching(monkeypatch):
+    # A plain sequence becomes a table at entry: a bad record of the last
+    # requested class is refused before any class is matched, and the
+    # predictions are checked before the ground truths.
+    def no_matching(*args, **kw):
+        raise AssertionError("matching ran before every record was checked")
+
+    monkeypatch.setattr(evaluate, "match_greedy", no_matching)
+    monkeypatch.setattr(evaluate, "tp_metric_means", no_matching)
+    ped = {"label": "pedestrian", "l": 0.8, "w": 0.6, "h": 1.7}
+    preds, gts = [_pred(10, 0, 0.9), _pred(20, 5, 0.8, **ped)], [_gt(10, 0), _gt(20, 5, **ped)]
+    bad_pred, bad_gt = _pred(20, 6, math.nan, **ped), _gt(0.5, 0.0, frame="f1")
+    for bad_preds, bad_gts, message in (
+        ([bad_pred], [], "a 'pedestrian' prediction of frame 'f0' has score nan"),
+        ([], [bad_gt], "a 'car' ground truth of frame 'f1': " + _ON_THE_EGO),
+        ([bad_pred], [bad_gt], "a 'pedestrian' prediction of frame 'f0' has score nan"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            evaluate_detections(preds + bad_preds, gts + bad_gts, ["car", "pedestrian"], CFG)
+    # A class that is not requested is not checked.
+    evaluate_detections([], [DetectionRecord("f0", "van", (1, 2))], [], CFG)
+
+
 def test_evaluate_detections_refuses_duplicate_classes():
     preds = [_pred(10, 0, 0.9), _pred(20.3, 5, 0.8, label="pedestrian", l=0.8, w=0.6, h=1.7)]
     gts = [_gt(10, 0), _gt(20, 5, label="pedestrian", l=0.8, w=0.6, h=1.7), _gt(30, 0)]
@@ -717,6 +771,13 @@ def test_match_greedy_checks_mode_and_affinity():
         match_greedy([], [], IOU_AFFINITY, 0.5, CFG, mode="volume")
     with pytest.raises(ValueError, match="affinity"):
         match_greedy([], [], "giou", 0.5, CFG)
+    # A bool read as 1.0, nan as "match nothing" and a string ended in a
+    # TypeError; each is refused with one line.
+    for affinity in (IOU_AFFINITY, EC_IOU_AFFINITY):
+        for bad in (True, False, math.nan, math.inf, "0.5", None):
+            with pytest.raises(ValueError, match=f"threshold must be a finite real, got {bad!r}") as info:
+                match_greedy([_pred(10.5, 0, 0.9)], [_gt(10, 0)], affinity, bad, CFG)
+            assert "\n" not in str(info.value)
 
 
 def test_evaluate_detections_class_without_gts_is_null():
@@ -949,7 +1010,7 @@ def test_prefilter_over_several_blocks_changes_no_match(monkeypatch, threshold, 
     # Smaller slices must change no matching and no report: 1 and 5 pairs
     # cut the larger frames, the largest frame has 16, and 17 cuts others.
     cfg = WeightConfig(alpha=4.0, method=ARITHMETIC)
-    sizes = [len(fp) * len(fg) for fp, fg in evaluate._by_frame(*_PREFILTER_RECORDS)]
+    sizes = [len(fp) * len(fg) for fp, fg in _frames_of(*_PREFILTER_RECORDS)]
     pairs = sum(sizes)
     report, results, clipped = _blocked_evaluation(monkeypatch, None, threshold, mode, cfg)
     assert len(clipped) == 1 and max(sizes) == 16 and pairs <= evaluate._BLOCK_PAIRS
@@ -962,11 +1023,13 @@ def test_prefilter_over_several_blocks_changes_no_match(monkeypatch, threshold, 
     assert 0 < report.classes["car"].tp
 
 
-def _mask_tables(frames, cfg, mode):
-    """evaluate._candidates' masks at threshold 0.5, each as its shape and
-    nested lists, which compare with ==."""
+def _mask_tables(preds, gts, cfg, mode):
+    """evaluate._candidates' masks of the records' frames at threshold 0.5,
+    each as its shape and nested lists, which compare with ==."""
+    preds, gts = evaluate._as_table(preds, {"car"}, scored=True), evaluate._as_table(gts, {"car"}, scored=False)
+    p_rows, n_p, g_rows, n_g = evaluate._by_frame(preds._frame_ids.tolist(), gts._frame_ids.tolist())
     tables = []
-    for table in evaluate._candidates(frames, 0.5, cfg, mode):
+    for table in evaluate._candidates(preds._rows, p_rows, n_p, gts._rows[g_rows], n_g, 0.5, cfg, mode):
         assert all(mask.dtype == bool for mask in table.values())
         tables.append({affinity: (mask.shape, mask.tolist()) for affinity, mask in table.items()})
     return tables
@@ -980,18 +1043,18 @@ def test_candidates_cover_frames_without_pairs(monkeypatch, mode):
     p, g = _PREFILTER_RECORDS[0][0].box, _PREFILTER_RECORDS[1][0].box
     lone = ([DetectionRecord("-", "car", p, 0.5), DetectionRecord("9", "car", p, 0.5)],
             [DetectionRecord("1-z", "car", g)])
-    frames = evaluate._by_frame(_PREFILTER_RECORDS[0] + lone[0], _PREFILTER_RECORDS[1] + lone[1])
+    records = (_PREFILTER_RECORDS[0] + lone[0], _PREFILTER_RECORDS[1] + lone[1])
     cfg = WeightConfig(alpha=4.0, method=ARITHMETIC)
     pred_alone = {IOU_AFFINITY: ((1, 0), [[]]), EC_IOU_AFFINITY: ((1, 0), [[]])}
     gts_alone = {IOU_AFFINITY: ((0, 1), []), EC_IOU_AFFINITY: ((0, 1), [])}
-    tables = _mask_tables(frames, cfg, mode)
-    assert [t[IOU_AFFINITY][0] for t in tables] == [(len(fp), len(fg)) for fp, fg in frames]
+    tables = _mask_tables(*records, cfg, mode)
+    assert [t[IOU_AFFINITY][0] for t in tables] == [(len(fp), len(fg)) for fp, fg in _frames_of(*records)]
     assert tables[0] == tables[-1] == pred_alone
     assert any(any(map(any, t[EC_IOU_AFFINITY][1])) for t in tables)
     for block_pairs in (1, 5, 17):
         monkeypatch.setattr(evaluate, "_BLOCK_PAIRS", block_pairs)
-        assert _mask_tables(frames, cfg, mode) == tables
-    assert _mask_tables(evaluate._by_frame(*lone), cfg, mode) == [pred_alone, gts_alone, pred_alone]
+        assert _mask_tables(*records, cfg, mode) == tables
+    assert _mask_tables(*lone, cfg, mode) == [pred_alone, gts_alone, pred_alone]
 
 
 @pytest.mark.parametrize("affinity", [IOU_AFFINITY, EC_IOU_AFFINITY])
@@ -1006,7 +1069,7 @@ def test_match_greedy_scores_only_the_pairs_its_mask_admits(monkeypatch, affinit
         monkeypatch.setattr(evaluate, name, counted)
     rng = np.random.default_rng(0)
     admitted = left_out = 0
-    for fp, fg in evaluate._by_frame(*_PREFILTER_RECORDS):
+    for fp, fg in _frames_of(*_PREFILTER_RECORDS):
         rows, cols = {id(p.box): i for i, p in enumerate(fp)}, {id(g.box): j for j, g in enumerate(fg)}
         for threshold in (0.0, 0.5):
             mask = rng.random((len(fp), len(fg))) < 0.5
@@ -1041,7 +1104,7 @@ def test_the_heading_band_keeps_a_pair_whose_ring_leaves_the_ground_truth(monkey
     w_min, w_max = weight_extremes(g, cfg.alpha)
     with monkeypatch.context() as m:
         m.setattr(evaluate, "_QUARTER_TURN_BAND", 0.0)
-        _, bound = _pair_bounds(_params([p]), _params([g]), np.array([w_min]), np.array([w_max]), mode)
+        _, bound = _pair_bounds(_rows([p]), _rows([g]), np.array([w_min]), np.array([w_max]), mode)
     assert bound[0] < 0.95 <= _metric(EC_IOU_AFFINITY, mode, cfg)(p, g).value
     report = evaluate_detections([DetectionRecord("f", "car", p, 0.9)], [DetectionRecord("f", "car", g)],
                                  ["car"], cfg, {"car": 0.95}, mode=mode)
@@ -1063,8 +1126,8 @@ def _bounded_pairs(draw):
        mode=st.sampled_from([MODE_3D, MODE_BEV]))
 def test_scalar_ec_iou_never_exceeds_the_candidate_bound(pair, alpha, method, mode):
     p, g = pair
-    targets = _params([g])
-    _, bound = _pair_bounds(_params([p]), targets, *evaluate._bulk_extremes(*targets[:, :5].T, alpha), mode)
+    targets = _rows([g])
+    _, bound = _pair_bounds(_rows([p]), targets, *evaluate._bulk_extremes(*targets[:, :5].T, alpha), mode)
     cfg = WeightConfig(alpha=alpha, method=method, mc_samples=64)
     ec = (ec_iou_3d if mode == MODE_3D else ec_iou_bev)(p, g, cfg).value
     assert ec <= bound[0] * (1.0 + evaluate._BOUND_SLACK)
@@ -1093,7 +1156,7 @@ def test_bulk_extremes_are_inf_exactly_where_weight_extremes_raises(alpha):
     gts = _REFUSED_GTS + [_box(10.0, 0.0)] + [_box(a, b, l=c, w=d, theta=t) for a, b, c, d, t in zip(x, y, l, w, theta)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        w_min, w_max = evaluate._bulk_extremes(*_params(gts)[:, :5].T, alpha)
+        w_min, w_max = evaluate._bulk_extremes(*_rows(gts)[:, :5].T, alpha)
     scalar = [_scalar_extremes(g, alpha) for g in gts]
     refused = np.array([pair is None for pair in scalar])
     assert refused[:len(_REFUSED_GTS) + 1].tolist() == [True] * len(_REFUSED_GTS) + [alpha == 5000.0]
@@ -1104,8 +1167,6 @@ def test_bulk_extremes_are_inf_exactly_where_weight_extremes_raises(alpha):
 
 
 def test_report_json_shape():
-    import json
-
     report = evaluate_detections([_pred(10, 0, 0.9)], [_gt(10, 0)], ["car"], CFG)
     payload = json.loads(report.to_json())
     assert set(payload) == {"classes", "map40", "ec_map40"}
